@@ -6,12 +6,11 @@ Usage: python scripts/recompute_summary.py RUN_DIR
 """
 
 import argparse
-import json
 import math
 import sys
 from pathlib import Path
 
-from iea_sim.harness import ScenarioConfig, read_run_csv, summarize
+from iea_sim.harness import read_run, summarize
 
 TOL = 1e-9
 
@@ -37,18 +36,9 @@ def main() -> int:
     ap.add_argument("run_dir", type=Path)
     args = ap.parse_args()
     out = args.run_dir
-    cfg = ScenarioConfig.from_json_obj(
-        json.loads((out / "scenario.json").read_text()))
-    _meta, _cols, rows = read_run_csv(out / "run.csv")
-    _m, _c, est_rows = read_run_csv(out / "estimates.csv")
-    _m, _c, net_rows = read_run_csv(out / "net_metrics.csv")
-    est_records = [(r["mssp_id"], r["seq"], r["t_capture"], r["t_received"],
-                    r["x"], r["y"]) for r in est_rows]
-    net_records = [(r["t_received"], r["sender"], r["receiver"], r["bytes"],
-                    r["latency"]) for r in net_rows]
-    recomputed = summarize(rows, est_records, net_records, cfg)
-    stored = json.loads((out / "summary.json").read_text())
-    diffs = list(close(recomputed, stored))
+    run = read_run(out)
+    recomputed = summarize(run.rows, run.est_records, run.net_records, run.cfg)
+    diffs = list(close(recomputed, run.summary))
     if diffs:
         print(f"summary mismatch ({len(diffs)} fields):", file=sys.stderr)
         for d in diffs:

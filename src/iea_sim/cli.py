@@ -67,7 +67,6 @@ def _cmd_run(args) -> int:
         overrides["mode"] = args.mode
     if args.seed is not None:
         overrides["seed"] = args.seed
-        overrides["link"] = dataclasses.replace(cfg.link, seed=args.seed)
     if overrides:
         cfg = dataclasses.replace(cfg, **overrides)
     result = run_scenario(cfg, Path(args.out), dump_frames=args.dump_frames)

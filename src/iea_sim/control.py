@@ -53,7 +53,6 @@ class ControllerState:
     y_prev: float = 0.0
     target_index: int = 0
     path_complete: bool = False
-    reissued: bool = False
 
 
 def interpolate_path(plan: WaypointPlan) -> list[tuple[float, float]]:
@@ -103,14 +102,13 @@ def heading_control(pose: Pose2D, target: tuple[float, float],
     """Proportional heading law -> saturation -> output filter.
 
     A target coincident with the pose position reissues the previous
-    filtered command and flags the state.
+    filtered command and leaves the state unchanged.
     """
     dx, dy = target[0] - pose.x, target[1] - pose.y
     if math.hypot(dx, dy) < 1e-12:
-        return (DbwCommand(params.v_cruise, cstate.y_prev),
-                replace(cstate, reissued=True))
+        return DbwCommand(params.v_cruise, cstate.y_prev), cstate
     e = wrap_angle(math.atan2(dy, dx) - pose.psi)
     u_sat = min(max(params.kp * e, -params.u_max), params.u_max)
     y = filter_step(cstate.y_prev, u_sat, params.alpha)
     return (DbwCommand(params.v_cruise, y),
-            replace(cstate, y_prev=y, reissued=False))
+            replace(cstate, y_prev=y))

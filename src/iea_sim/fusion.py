@@ -36,7 +36,6 @@ class FusionState:
             raise ValueError("staleness_timeout must be positive")
         self.staleness_timeout = staleness_timeout
         self.latest: dict[str, PositionEstimate] = {}
-        self.last_output: Optional[tuple[float, float, float]] = None
         self.drops = 0
 
     def ingest(self, est: PositionEstimate) -> None:
@@ -57,9 +56,4 @@ class FusionState:
             return None
         xs = [e.x for e in self.latest.values()]
         ys = [e.y for e in self.latest.values()]
-        fused = (sum(xs) / len(xs), sum(ys) / len(ys))
-        self.last_output = (fused[0], fused[1], now)
-        return fused
-
-    def live_ids(self) -> list[str]:
-        return sorted(self.latest)
+        return (sum(xs) / len(xs), sum(ys) / len(ys))

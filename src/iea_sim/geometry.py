@@ -23,7 +23,7 @@ center and lam equals the camera-frame depth of P(lam).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional
 
@@ -95,9 +95,9 @@ class CameraModel:
     """
 
     position: WorldPoint
-    roll: float
+    roll: float = field(default=0.0, kw_only=True)
     pitch: float
-    yaw: float
+    yaw: float = field(default=0.0, kw_only=True)
     fx: float
     fy: float
     cx: float

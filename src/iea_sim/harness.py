@@ -1,11 +1,18 @@
 """Scenario configuration, experiment orchestration, logs and summaries.
 
 A scenario is one JSON document (cameras, waypoint plan, controller and
-link parameters, mode, seed). Runs execute either in single-process
-lockstep (deterministic: byte-identical CSVs for identical scenario+seed)
-or distributed, with one OS process per node talking UDP on loopback.
+link parameters, mode, seed). Reading and writing it are both derived from
+the key table `SCENARIO_KEYS`; defaults come from the dataclass fields and
+unknown keys are rejected.
 
-Outputs per run directory:
+Runs execute either in single-process lockstep (deterministic:
+byte-identical CSVs for identical scenario+seed) or distributed, with one
+OS process per node talking UDP on loopback. Both modes build the nodes
+with `make_mssp` and `VehicleRun`, which also logs each control step,
+applies the stop rule and writes the outputs. The mode loops differ only
+in their clock (simulated `i * dt`, or the paced wall clock) and transport.
+
+Outputs per run directory (`read_run` loads them back):
   scenario.json    resolved copy of the scenario actually run
   run.csv          one row per control step (truth, fused, per-MSSP estimates)
   estimates.csv    every estimate received by the vehicle
@@ -15,12 +22,14 @@ Outputs per run directory:
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
 import subprocess
 import sys
 import time
+import typing
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
@@ -29,11 +38,13 @@ import numpy as np
 
 from .control import ControllerParams, WaypointPlan
 from .dynamics import VehicleParams, VehicleState
-from .fusion import FusionState
-from .geometry import Pose2D, WorldPoint, CameraModel
+from .fusion import DEFAULT_STALENESS_TIMEOUT, FusionState
+from .geometry import Pose2D, CameraModel
 from .netbus import (EstimateMessage, LinkConfig, LockstepNetwork,
                      UdpTransport, latency_percentiles)
-from .nodes import CellLayout, MsspNode, VehicleNode, STOPPED
+from .nodes import (DEFAULT_FRAME_PERIOD, DEFAULT_GRACE_PERIOD,
+                    DEFAULT_VEHICLE_DIMS, CellLayout, MsspNode, VehicleNode,
+                    STOPPED)
 
 SCHEMA_VERSION = 1
 STOP_TAIL_S = 2.0  # keep logging this long after the stop is commanded
@@ -55,12 +66,12 @@ class ScenarioConfig:
     seed: int = 0
     duration_cap_s: float = 90.0
     control_rate_hz: float = 50.0
-    frame_rate_hz: float = 20.0
+    frame_rate_hz: float = 1.0 / DEFAULT_FRAME_PERIOD
     position_source: str = "cameras"
     vehicle_start: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    vehicle_dims: tuple[float, float] = (4.5, 2.0)
-    staleness_timeout_s: float = 0.25
-    grace_period_s: float = 2.0
+    vehicle_dims: tuple[float, float] = DEFAULT_VEHICLE_DIMS
+    staleness_timeout_s: float = DEFAULT_STALENESS_TIMEOUT
+    grace_period_s: float = DEFAULT_GRACE_PERIOD
     noise_sigma: float = 0.0
     host: str = "127.0.0.1"
     base_port: int = 47800
@@ -112,106 +123,130 @@ class ScenarioConfig:
         return CellLayout.from_cameras(self.cameras, self.vehicle_dims)
 
     def to_json_obj(self) -> dict:
-        return {
-            "name": self.name,
-            "mode": self.mode,
-            "seed": self.seed,
-            "duration_cap_s": self.duration_cap_s,
-            "control_rate_hz": self.control_rate_hz,
-            "frame_rate_hz": self.frame_rate_hz,
-            "position_source": self.position_source,
-            "noise_sigma": self.noise_sigma,
-            "camera_spacing_m": self.camera_spacing_m,
-            "vehicle": {
-                "start": list(self.vehicle_start),
-                "dims": list(self.vehicle_dims),
-                "tau_v": self.vehicle_params.tau_v,
-                "tau_w": self.vehicle_params.tau_w,
-                "yaw_rate_limit": self.vehicle_params.yaw_rate_limit,
-            },
-            "controller": {
-                "kp": self.controller.kp,
-                "u_max": self.controller.u_max,
-                "alpha": self.controller.alpha,
-                "v_cruise": self.controller.v_cruise,
-            },
-            "plan": {
-                "waypoints": [list(w) for w in self.plan.waypoints],
-                "interp_spacing": self.plan.interp_spacing,
-                "lookahead_m": self.plan.lookahead_m,
-            },
-            "fusion": {
-                "staleness_timeout_s": self.staleness_timeout_s,
-                "grace_period_s": self.grace_period_s,
-            },
-            "link": {
-                "latency_min_s": self.link.latency_min,
-                "latency_max_s": self.link.latency_max,
-                "drop_probability": self.link.drop_probability,
-            },
-            "net": {"host": self.host, "base_port": self.base_port},
-            "cameras": [
-                {"x": c.position.x, "y": c.position.y, "z": c.position.z,
-                 "roll_rad": c.roll, "pitch_rad": c.pitch, "yaw_rad": c.yaw,
-                 "fx": c.fx, "fy": c.fy, "cx": c.cx, "cy": c.cy,
-                 "width": c.width, "height": c.height}
-                for c in self.cameras
-            ],
-        }
+        return _to_doc(self, SCENARIO_KEYS)
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "ScenarioConfig":
-        try:
-            cameras = [
-                CameraModel(position=WorldPoint(c["x"], c["y"], c["z"]),
-                            roll=c.get("roll_rad", 0.0), pitch=c["pitch_rad"],
-                            yaw=c.get("yaw_rad", 0.0),
-                            fx=c["fx"], fy=c["fy"], cx=c["cx"], cy=c["cy"],
-                            width=c["width"], height=c["height"])
-                for c in obj["cameras"]
-            ]
-            veh = obj.get("vehicle", {})
-            ctrl = obj.get("controller", {})
-            plan = obj["plan"]
-            fus = obj.get("fusion", {})
-            link = obj.get("link", {})
-            net = obj.get("net", {})
-            return cls(
-                name=obj["name"],
-                cameras=cameras,
-                plan=WaypointPlan(
-                    waypoints=tuple(tuple(w) for w in plan["waypoints"]),
-                    interp_spacing=plan.get("interp_spacing", 1.0),
-                    lookahead_m=plan.get("lookahead_m", 10.0)),
-                controller=ControllerParams(
-                    kp=ctrl.get("kp", 1.0), u_max=ctrl.get("u_max", 0.5),
-                    alpha=ctrl.get("alpha", 0.2),
-                    v_cruise=ctrl.get("v_cruise", 3.0)),
-                vehicle_params=VehicleParams(
-                    tau_v=veh.get("tau_v", 0.5), tau_w=veh.get("tau_w", 0.2),
-                    yaw_rate_limit=veh.get("yaw_rate_limit", 1.0)),
-                link=LinkConfig(
-                    latency_min=link.get("latency_min_s", 0.0015),
-                    latency_max=link.get("latency_max_s", 0.0020),
-                    drop_probability=link.get("drop_probability", 0.0),
-                    seed=obj.get("seed", 0)),
-                mode=obj.get("mode", "lockstep"),
-                seed=obj.get("seed", 0),
-                duration_cap_s=obj.get("duration_cap_s", 90.0),
-                control_rate_hz=obj.get("control_rate_hz", 50.0),
-                frame_rate_hz=obj.get("frame_rate_hz", 20.0),
-                position_source=obj.get("position_source", "cameras"),
-                vehicle_start=tuple(veh.get("start", (0.0, 0.0, 0.0))),
-                vehicle_dims=tuple(veh.get("dims", (4.5, 2.0))),
-                staleness_timeout_s=fus.get("staleness_timeout_s", 0.25),
-                grace_period_s=fus.get("grace_period_s", 2.0),
-                noise_sigma=obj.get("noise_sigma", 0.0),
-                host=net.get("host", "127.0.0.1"),
-                base_port=net.get("base_port", 47800),
-                camera_spacing_m=obj.get("camera_spacing_m"),
-            )
-        except (KeyError, TypeError) as exc:
-            raise ScenarioError(f"bad scenario document: {exc}") from exc
+        return _from_doc(cls, obj, SCENARIO_KEYS, "scenario")
+
+
+# scenario.json key path -> attribute path, in file order. An (attribute,
+# table) pair is a list whose entries the nested table lays out. Defaults,
+# and which keys are required, come from the dataclass fields alone; any
+# other key is rejected.
+CAMERA_KEYS = {
+    "x": "position.x", "y": "position.y", "z": "position.z",
+    "roll_rad": "roll", "pitch_rad": "pitch", "yaw_rad": "yaw",
+    "fx": "fx", "fy": "fy", "cx": "cx", "cy": "cy",
+    "width": "width", "height": "height",
+}
+SCENARIO_KEYS = {
+    "name": "name",
+    "mode": "mode",
+    "seed": "seed",
+    "duration_cap_s": "duration_cap_s",
+    "control_rate_hz": "control_rate_hz",
+    "frame_rate_hz": "frame_rate_hz",
+    "position_source": "position_source",
+    "noise_sigma": "noise_sigma",
+    "camera_spacing_m": "camera_spacing_m",
+    "vehicle.start": "vehicle_start",
+    "vehicle.dims": "vehicle_dims",
+    "vehicle.tau_v": "vehicle_params.tau_v",
+    "vehicle.tau_w": "vehicle_params.tau_w",
+    "vehicle.yaw_rate_limit": "vehicle_params.yaw_rate_limit",
+    "controller.kp": "controller.kp",
+    "controller.u_max": "controller.u_max",
+    "controller.alpha": "controller.alpha",
+    "controller.v_cruise": "controller.v_cruise",
+    "plan.waypoints": "plan.waypoints",
+    "plan.interp_spacing": "plan.interp_spacing",
+    "plan.lookahead_m": "plan.lookahead_m",
+    "fusion.staleness_timeout_s": "staleness_timeout_s",
+    "fusion.grace_period_s": "grace_period_s",
+    "link.latency_min_s": "link.latency_min",
+    "link.latency_max_s": "link.latency_max",
+    "link.drop_probability": "link.drop_probability",
+    "net.host": "host",
+    "net.base_port": "base_port",
+    "cameras": ("cameras", CAMERA_KEYS),
+}
+
+
+def _to_doc(obj, keys: dict) -> dict:
+    doc: dict = {}
+    for path, attr in keys.items():
+        attr, entry_keys = attr if isinstance(attr, tuple) else (attr, None)
+        value = obj
+        for name in attr.split("."):
+            value = getattr(value, name)
+        section, _, leaf = path.rpartition(".")
+        node = doc.setdefault(section, {}) if section else doc
+        node[leaf] = ([_to_doc(v, entry_keys) for v in value] if entry_keys
+                      else _thawed(value))
+    return doc
+
+
+def _thawed(value):
+    return [_thawed(v) for v in value] if isinstance(value, tuple) else value
+
+
+def _frozen(value):
+    return tuple(_frozen(v) for v in value) if isinstance(value, list) else value
+
+
+def _from_doc(cls, doc, keys: dict, where: str):
+    """Build `cls` from a JSON object laid out by `keys`."""
+    # every nested object is built, from its defaults if none of its keys is set
+    kwargs: dict = {attr.split(".")[0]: {} for attr in keys.values()
+                    if isinstance(attr, str) and "." in attr}
+    for path, value in _flatten(doc, keys, where).items():
+        attr = keys[path]
+        if isinstance(attr, str):
+            value = _frozen(value)
+        elif isinstance(value, list):
+            attr, entry_keys = attr
+            entry_cls = typing.get_args(_hints(cls)[attr])[0]
+            value = [_from_doc(entry_cls, e, entry_keys, f"{where}.{path}[{i}]")
+                     for i, e in enumerate(value)]
+        else:
+            raise ScenarioError(f"{where}.{path} must be a list")
+        owner, _, leaf = attr.rpartition(".")
+        (kwargs[owner] if owner else kwargs)[leaf] = value
+    return _construct(cls, kwargs)
+
+
+def _flatten(doc, keys: dict, where: str, section: str = "") -> dict:
+    """Values of `doc` by key path, descending into the table's sections."""
+    if not isinstance(doc, dict):
+        raise ScenarioError(f"{where}{'.' if section else ''}{section} "
+                            "must be a JSON object")
+    flat = {}
+    for key, value in doc.items():
+        path = f"{section}.{key}" if section else key
+        if path in keys:
+            flat[path] = value
+        elif any(p.startswith(path + ".") for p in keys):
+            flat.update(_flatten(value, keys, where, path))
+        else:
+            raise ScenarioError(f"unknown key {path!r} in {where}")
+    return flat
+
+
+@functools.cache
+def _hints(cls) -> dict:
+    return typing.get_type_hints(cls)
+
+
+def _construct(cls, kwargs: dict):
+    """`cls(**kwargs)` with nested dicts built into the field's dataclass; a
+    missing required key fails here."""
+    try:
+        return cls(**{name: _construct(_hints(cls)[name], v)
+                      if isinstance(v, dict) else v
+                      for name, v in kwargs.items()})
+    except TypeError as exc:
+        raise ScenarioError(f"bad scenario document: {exc}") from exc
 
 
 def load_scenario(source: str | Path) -> ScenarioConfig:
@@ -273,6 +308,10 @@ def write_net_csv(path: Path, records: list[tuple]) -> None:
         f.write("t_received,sender,receiver,bytes,latency\n")
         for rec in records:
             f.write(",".join(_fmt(v) for v in rec) + "\n")
+
+
+def _write_json(path: Path, obj: dict) -> None:
+    path.write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")
 
 
 def _parse_value(col: str, v: str):
@@ -448,96 +487,118 @@ class RunResult:
     cfg: ScenarioConfig
 
 
-def _make_row(t: float, state, fused, live_est: dict, cmd, phase,
-              mssp_ids: list[str]) -> dict:
-    row = {"t": t, "true_x": state.pose.x, "true_y": state.pose.y,
-           "true_psi": state.pose.psi, "true_v": state.v,
-           "fused_x": None if fused is None else fused[0],
-           "fused_y": None if fused is None else fused[1],
-           "yaw_rate_cmd": cmd.yaw_rate_cmd, "v_cmd": cmd.v_cmd, "phase": phase}
-    for mid in mssp_ids:
-        est = live_est.get(mid)
-        row[f"{mid}_x"] = None if est is None else est.x
-        row[f"{mid}_y"] = None if est is None else est.y
-    return row
+def read_run(out_dir: Path) -> RunResult:
+    """Load the scenario, the logs and the stored summary of a run directory."""
+    out_dir = Path(out_dir)
+    _meta, _cols, rows = read_run_csv(out_dir / "run.csv")
+    est_records, net_records = (
+        [tuple(r.values()) for r in read_run_csv(out_dir / name)[2]]
+        for name in ("estimates.csv", "net_metrics.csv"))
+    summary = json.loads((out_dir / "summary.json").read_text())
+    return RunResult(rows, est_records, net_records, summary, out_dir,
+                     load_scenario(out_dir / "scenario.json"))
 
 
-def _write_outputs(out_dir: Path, cfg: ScenarioConfig, rows: RowList,
-                   est_records: list[tuple], net_records: list[tuple]) -> dict:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "scenario.json").write_text(
-        json.dumps(cfg.to_json_obj(), indent=2) + "\n", encoding="utf-8")
-    write_run_csv(out_dir / "run.csv", rows, cfg)
-    write_estimates_csv(out_dir / "estimates.csv", est_records)
-    write_net_csv(out_dir / "net_metrics.csv", net_records)
-    summary = summarize(rows, est_records, net_records, cfg)
-    (out_dir / "summary.json").write_text(
-        json.dumps(summary, indent=2) + "\n", encoding="utf-8")
-    return summary
+def make_mssp(cfg: ScenarioConfig, node_id: str, out_dir: Path,
+              dump_frames: bool = False) -> MsspNode:
+    idx = cfg.mssp_ids().index(node_id)
+    dump_dir = out_dir / "frames" if dump_frames else None
+    if dump_dir:
+        dump_dir.mkdir(parents=True, exist_ok=True)
+    rng = (np.random.default_rng(cfg.seed * 1000 + idx)
+           if cfg.noise_sigma > 0 else None)
+    return MsspNode(node_id, cfg.cameras[idx], cfg.frame_period,
+                    cfg.vehicle_dims, cfg.noise_sigma, rng, dump_dir)
+
+
+class VehicleRun:
+    """The vehicle node and its logs, driven by one `step` per control step."""
+
+    def __init__(self, cfg: ScenarioConfig):
+        self.cfg = cfg
+        x0, y0, psi0 = cfg.vehicle_start
+        self.node = VehicleNode(
+            initial_state=VehicleState(Pose2D(x0, y0, psi0),
+                                       v=cfg.controller.v_cruise, yaw_rate=0.0,
+                                       t=0.0),
+            plan=cfg.plan, cparams=cfg.controller, cells=cfg.cells(),
+            vparams=cfg.vehicle_params,
+            fusion=FusionState(cfg.staleness_timeout_s),
+            grace_period=cfg.grace_period_s,
+            position_source=cfg.position_source)
+        self.dt = cfg.dt
+        self.mssp_ids = cfg.mssp_ids()
+        self.rows: RowList = []
+        self.est_records: list[tuple] = []
+        self.t_stop: Optional[float] = None
+
+    def step(self, t: float, inbox: list):
+        """Step the node at time t and log the inbox and the row.
+
+        Returns the pose to broadcast and whether the run is over: it ends
+        STOP_TAIL_S after the stop, or earlier once the vehicle stands.
+        """
+        for msg in inbox:
+            if isinstance(msg, EstimateMessage):
+                self.est_records.append((msg.mssp_id, msg.seq, msg.t_capture,
+                                         t, msg.x, msg.y))
+        state = self.node.state
+        res = self.node.step(t, inbox, self.dt)
+        row = {"t": t, "true_x": state.pose.x, "true_y": state.pose.y,
+               "true_psi": state.pose.psi, "true_v": state.v,
+               "fused_x": None if res.fused is None else res.fused[0],
+               "fused_y": None if res.fused is None else res.fused[1],
+               "yaw_rate_cmd": res.cmd.yaw_rate_cmd, "v_cmd": res.cmd.v_cmd,
+               "phase": res.phase}
+        for mid in self.mssp_ids:
+            est = self.node.fusion.latest.get(mid)
+            row[f"{mid}_x"] = None if est is None else est.x
+            row[f"{mid}_y"] = None if est is None else est.y
+        self.rows.append(row)
+        if res.phase == STOPPED and self.t_stop is None:
+            self.t_stop = t
+        done = self.t_stop is not None and (t - self.t_stop >= STOP_TAIL_S
+                                            or self.node.state.v < 1e-3)
+        return res.pose_msg, done
+
+    def write(self, out_dir: Path, net_records: list[tuple]) -> RunResult:
+        """Write the run directory from the logs and the given deliveries."""
+        cfg, rows, est_records = self.cfg, self.rows, self.est_records
+        out_dir.mkdir(parents=True, exist_ok=True)
+        _write_json(out_dir / "scenario.json", cfg.to_json_obj())
+        write_run_csv(out_dir / "run.csv", rows, cfg)
+        write_estimates_csv(out_dir / "estimates.csv", est_records)
+        write_net_csv(out_dir / "net_metrics.csv", net_records)
+        summary = summarize(rows, est_records, net_records, cfg)
+        _write_json(out_dir / "summary.json", summary)
+        return RunResult(rows, est_records, net_records, summary, out_dir, cfg)
 
 
 def run_lockstep(cfg: ScenarioConfig, out_dir: Path,
                  dump_frames: bool = False) -> RunResult:
     dt = cfg.dt
-    net = LockstepNetwork(cfg.link)
-    mssp_ids = cfg.mssp_ids()
-    net.register("veh")
-    for mid in mssp_ids:
-        net.register(mid)
-
-    dump_dir = out_dir / "frames" if dump_frames else None
-    if dump_dir:
-        dump_dir.mkdir(parents=True, exist_ok=True)
-    mssps = []
-    if cfg.position_source == "cameras":
-        for mid, cam in zip(mssp_ids, cfg.cameras):
-            rng = np.random.default_rng(cfg.seed * 1000 + len(mssps)) \
-                if cfg.noise_sigma > 0 else None
-            mssps.append(MsspNode(mid, cam, cfg.frame_period, cfg.vehicle_dims,
-                                  cfg.noise_sigma, rng, dump_dir))
-
-    x0, y0, psi0 = cfg.vehicle_start
-    veh = VehicleNode(
-        initial_state=VehicleState(Pose2D(x0, y0, psi0),
-                                   v=cfg.controller.v_cruise, yaw_rate=0.0, t=0.0),
-        plan=cfg.plan, cparams=cfg.controller, cells=cfg.cells(),
-        vparams=cfg.vehicle_params,
-        fusion=FusionState(cfg.staleness_timeout_s),
-        grace_period=cfg.grace_period_s,
-        position_source=cfg.position_source)
-
-    rows: RowList = []
-    est_records: list[tuple] = []
-    t_stop_seen: Optional[float] = None
-    n_steps = int(math.ceil(cfg.duration_cap_s / dt))
-    for i in range(n_steps):
+    node_ids = ["veh"] + cfg.mssp_ids()
+    net = LockstepNetwork(cfg.link, cfg.seed)
+    for node_id in node_ids:
+        net.register(node_id)
+    mssps = ([make_mssp(cfg, mid, out_dir, dump_frames)
+              for mid in cfg.mssp_ids()]
+             if cfg.position_source == "cameras" else [])
+    vehicle = VehicleRun(cfg)
+    for i in range(int(math.ceil(cfg.duration_cap_s / dt))):
         t = i * dt
         for m in mssps:
             for est in m.step(t, net.deliver(m.id, t)):
                 net.send(est, "veh", t)
-        inbox = net.deliver("veh", t)
-        for msg in inbox:
-            if isinstance(msg, EstimateMessage):
-                est_records.append((msg.mssp_id, msg.seq, msg.t_capture, t,
-                                    msg.x, msg.y))
-        pre_state = veh.state
-        res = veh.step(t, inbox, dt)
+        pose_msg, done = vehicle.step(t, net.deliver("veh", t))
         for m in mssps:
-            net.send(res.pose_msg, m.id, t + dt)
-        rows.append(_make_row(t, pre_state, res.fused, dict(veh.fusion.latest),
-                              res.cmd, res.phase, mssp_ids))
-        if res.phase == STOPPED and t_stop_seen is None:
-            t_stop_seen = t
-        if t_stop_seen is not None and (t - t_stop_seen >= STOP_TAIL_S
-                                        or veh.state.v < 1e-3):
+            net.send(pose_msg, m.id, t + dt)
+        if done:
             break
 
-    net_records = []
-    for node_id in ["veh"] + mssp_ids:
-        net_records.extend(net.metrics_by_node[node_id].records)
-    net_records.sort()
-    summary = _write_outputs(out_dir, cfg, rows, est_records, net_records)
-    return RunResult(rows, est_records, net_records, summary, out_dir, cfg)
+    return vehicle.write(out_dir, sorted(
+        rec for node_id in node_ids
+        for rec in net.metrics_by_node[node_id].records))
 
 
 def run_distributed(cfg: ScenarioConfig, out_dir: Path,
@@ -545,25 +606,27 @@ def run_distributed(cfg: ScenarioConfig, out_dir: Path,
     """Spawn one OS process per node, wait, aggregate the vehicle's logs."""
     out_dir.mkdir(parents=True, exist_ok=True)
     scenario_path = out_dir / "scenario.json"
-    scenario_path.write_text(json.dumps(cfg.to_json_obj(), indent=2) + "\n",
-                             encoding="utf-8")
+    _write_json(scenario_path, cfg.to_json_obj())
     # give every spawned interpreter time to finish importing before t=0,
     # otherwise slow hosts start the run with a processing backlog
     epoch = time.time() + 2.0 + 1.0 * (len(cfg.mssp_ids()) + 1)
+    common = ["--scenario", str(scenario_path), "--out", str(out_dir),
+              "--epoch", repr(epoch)]
+    roles = [["--role", "mssp", "--id", mid, *common]
+             + (["--dump-frames"] if dump_frames else [])
+             for mid in cfg.mssp_ids()]
+    roles.append(["--role", "vehicle", *common])
+    timeout = cfg.duration_cap_s + 30.0
     procs = []
     try:
-        for mid in cfg.mssp_ids():
-            args = [sys.executable, "-m", "iea_sim.cli", "node", "--role", "mssp",
-                    "--id", mid, "--scenario", str(scenario_path),
-                    "--out", str(out_dir), "--epoch", repr(epoch)]
-            if dump_frames:
-                args.append("--dump-frames")
-            procs.append(subprocess.Popen(args))
-        veh_args = [sys.executable, "-m", "iea_sim.cli", "node", "--role",
-                    "vehicle", "--scenario", str(scenario_path),
-                    "--out", str(out_dir), "--epoch", repr(epoch)]
-        veh_proc = subprocess.Popen(veh_args)
-        rc = veh_proc.wait(timeout=cfg.duration_cap_s + 30.0)
+        for role in roles:
+            procs.append(subprocess.Popen(
+                [sys.executable, "-m", "iea_sim.cli", "node", *role]))
+        try:
+            rc = procs[-1].wait(timeout=timeout)
+        except subprocess.TimeoutExpired:
+            raise RuntimeError(f"vehicle node still running after {timeout} s; "
+                               f"partial logs in {out_dir}") from None
     finally:
         for p in procs:
             p.terminate()
@@ -572,18 +635,11 @@ def run_distributed(cfg: ScenarioConfig, out_dir: Path,
                 p.wait(timeout=5.0)
             except subprocess.TimeoutExpired:
                 p.kill()
+                p.wait()
     if rc != 0:
         raise RuntimeError(f"vehicle node exited with status {rc}; "
                            f"partial logs in {out_dir}")
-    meta, _cols, rows = read_run_csv(out_dir / "run.csv")
-    _m2, _c2, est_rows = read_run_csv(out_dir / "estimates.csv")
-    _m3, _c3, net_rows = read_run_csv(out_dir / "net_metrics.csv")
-    est_records = [(r["mssp_id"], r["seq"], r["t_capture"], r["t_received"],
-                    r["x"], r["y"]) for r in est_rows]
-    net_records = [(r["t_received"], r["sender"], r["receiver"], r["bytes"],
-                    r["latency"]) for r in net_rows]
-    summary = json.loads((out_dir / "summary.json").read_text())
-    return RunResult(rows, est_records, net_records, summary, out_dir, cfg)
+    return read_run(out_dir)
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir: Path,
@@ -596,27 +652,22 @@ def run_scenario(cfg: ScenarioConfig, out_dir: Path,
 # ---------------------------------------------------------------------------
 # distributed node mains (invoked by the CLI in each spawned process)
 
+def _sleep_until(transport: UdpTransport, t_due: float, poll: float) -> float:
+    """Sleep in slices of at most `poll` s until the run clock reaches t_due."""
+    while (now := transport.now()) < t_due:
+        time.sleep(min(t_due - now, poll))
+    return now
+
+
 def mssp_node_main(cfg: ScenarioConfig, node_id: str, out_dir: Path,
                    epoch: float, dump_frames: bool = False) -> int:
-    idx = cfg.mssp_ids().index(node_id)
-    dump_dir = out_dir / "frames" if dump_frames else None
-    if dump_dir:
-        dump_dir.mkdir(parents=True, exist_ok=True)
-    rng = (np.random.default_rng(cfg.seed * 1000 + idx)
-           if cfg.noise_sigma > 0 else None)
-    node = MsspNode(node_id, cfg.cameras[idx], cfg.frame_period,
-                    cfg.vehicle_dims, cfg.noise_sigma, rng, dump_dir)
+    node = make_mssp(cfg, node_id, out_dir, dump_frames)
     transport = UdpTransport(cfg.node_addr(node_id), epoch)
     veh_addr = cfg.node_addr("veh")
+    t_end = cfg.duration_cap_s + STOP_TAIL_S
     try:
-        while transport.now() < 0:
-            time.sleep(0.01)
-        while transport.now() < cfg.duration_cap_s + STOP_TAIL_S:
-            now = transport.now()
-            next_frame = node.frame_clock
-            if now < next_frame:
-                time.sleep(min(next_frame - now, 0.01))
-                continue
+        while (now := _sleep_until(transport, min(node.frame_clock, t_end),
+                                   0.01)) < t_end:
             # a camera drops frames when processing stalls: skip any backlog
             # beyond the most recent due frame instead of bursting through it
             behind = now - node.frame_clock
@@ -634,33 +685,14 @@ def mssp_node_main(cfg: ScenarioConfig, node_id: str, out_dir: Path,
 
 def vehicle_node_main(cfg: ScenarioConfig, out_dir: Path, epoch: float) -> int:
     dt = cfg.dt
-    mssp_ids = cfg.mssp_ids()
-    x0, y0, psi0 = cfg.vehicle_start
-    veh = VehicleNode(
-        initial_state=VehicleState(Pose2D(x0, y0, psi0),
-                                   v=cfg.controller.v_cruise, yaw_rate=0.0, t=0.0),
-        plan=cfg.plan, cparams=cfg.controller, cells=cfg.cells(),
-        vparams=cfg.vehicle_params,
-        fusion=FusionState(cfg.staleness_timeout_s),
-        grace_period=cfg.grace_period_s,
-        position_source=cfg.position_source)
+    vehicle = VehicleRun(cfg)
     transport = UdpTransport(cfg.node_addr("veh"), epoch)
-    mssp_addrs = [cfg.node_addr(mid) for mid in mssp_ids]
-
-    rows: RowList = []
-    est_records: list[tuple] = []
-    t_stop_seen: Optional[float] = None
+    mssp_addrs = [cfg.node_addr(mid) for mid in cfg.mssp_ids()]
     step_i = 0
     try:
-        while transport.now() < 0:
-            time.sleep(0.005)
         while True:
-            t_sched = step_i * dt
-            now = transport.now()
-            if now < t_sched:
-                time.sleep(min(t_sched - now, 0.005))
-                continue
-            if now - t_sched > 10 * dt:
+            now = _sleep_until(transport, step_i * dt, 0.005)
+            if now - step_i * dt > 10 * dt:
                 # processing stall: rejoin the schedule instead of bursting
                 # through the missed control steps
                 step_i = int(now / dt)
@@ -668,27 +700,13 @@ def vehicle_node_main(cfg: ScenarioConfig, out_dir: Path, epoch: float) -> int:
             inbox = transport.drain()
             # timestamp after the drain so no drained message postdates t
             t = transport.now()
-            for msg in inbox:
-                if isinstance(msg, EstimateMessage):
-                    est_records.append((msg.mssp_id, msg.seq, msg.t_capture, t,
-                                        msg.x, msg.y))
-            pre_state = veh.state
-            res = veh.step(t, inbox, dt)
+            pose_msg, done = vehicle.step(t, inbox)
             for addr in mssp_addrs:
-                transport.send(res.pose_msg, addr)
-            rows.append(_make_row(t, pre_state, res.fused,
-                                  dict(veh.fusion.latest), res.cmd, res.phase,
-                                  mssp_ids))
-            if res.phase == STOPPED and t_stop_seen is None:
-                t_stop_seen = t
-            if t >= cfg.duration_cap_s:
+                transport.send(pose_msg, addr)
+            if done or t >= cfg.duration_cap_s:
                 break
-            if t_stop_seen is not None and (t - t_stop_seen >= STOP_TAIL_S
-                                            or veh.state.v < 1e-3):
-                break
-        net_records = [(t, snd, "veh", nb, lat)
-                       for t, snd, _rcv, nb, lat in transport.metrics.records]
-        _write_outputs(out_dir, cfg, rows, est_records, net_records)
+        vehicle.write(out_dir, [(t, snd, "veh", nb, lat) for t, snd, _rcv, nb, lat
+                                in transport.metrics.records])
         return 0
     finally:
         transport.close()

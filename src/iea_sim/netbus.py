@@ -119,7 +119,6 @@ class LinkConfig:
     latency_min: float = 0.0015
     latency_max: float = 0.0020
     drop_probability: float = 0.0
-    seed: int = 0
 
     def __post_init__(self):
         if not 0.0 <= self.latency_min <= self.latency_max:
@@ -139,29 +138,6 @@ class NetMetrics:
                n_bytes: int, latency: float) -> None:
         self.records.append((t_received, sender, receiver, n_bytes, latency))
 
-    def window_report(self, now: float, window: float) -> dict:
-        """Trailing-window rates per link plus overall latency percentiles."""
-        if window <= 0:
-            raise ValueError("window must be positive")
-        links: dict[tuple[str, str], dict] = {}
-        latencies = []
-        for t, snd, rcv, nb, lat in self.records:
-            latencies.append(lat)
-            if t <= now - window or t > now:
-                continue
-            d = links.setdefault((snd, rcv), {"packets": 0, "bytes": 0})
-            d["packets"] += 1
-            d["bytes"] += nb
-        per_link = {
-            f"{snd}->{rcv}": {
-                "packets_per_s": d["packets"] / window,
-                "bytes_per_s": d["bytes"] / window,
-            }
-            for (snd, rcv), d in sorted(links.items())
-        }
-        return {"per_link": per_link,
-                "latency": latency_percentiles(latencies)}
-
 
 def latency_percentiles(samples: list[float]) -> dict:
     if not samples:
@@ -177,12 +153,13 @@ class LockstepNetwork:
 
     Messages are encoded at send and decoded at delivery, so the wire
     format is exercised even in lockstep. Delivery order is a pure
-    function of the seed: the heap is keyed on
+    function of `seed`, the scenario seed: the heap is keyed on
     (delivery_time, sender, seq, send_counter).
     """
 
-    def __init__(self, cfg: LinkConfig):
+    def __init__(self, cfg: LinkConfig, seed: int = 0):
         self.cfg = cfg
+        self.seed = seed
         self._queues: dict[str, list] = {}
         self._rngs: dict[tuple[str, str], random.Random] = {}
         self._counter = 0
@@ -196,7 +173,7 @@ class LockstepNetwork:
     def _rng(self, src: str, dst: str) -> random.Random:
         key = (src, dst)
         if key not in self._rngs:
-            self._rngs[key] = random.Random(f"{self.cfg.seed}|{src}|{dst}")
+            self._rngs[key] = random.Random(f"{self.seed}|{src}|{dst}")
         return self._rngs[key]
 
     def send(self, msg: WireMessage, dest: str, now: float) -> None:

@@ -151,8 +151,6 @@ class VehicleStepResult:
     cmd: DbwCommand
     fused: Optional[tuple[float, float]]
     phase: str
-    target: Optional[tuple[float, float]] = None
-    live_mssps: tuple = ()
 
 
 class VehicleNode:
@@ -189,13 +187,11 @@ class VehicleNode:
                     mssp_id=msg.mssp_id, x=msg.x, y=msg.y,
                     t_capture=msg.t_capture, t_received=now, seq=msg.seq))
         fused = self.fusion.fuse(now)
-        live = tuple(self.fusion.live_ids())
         if fused is not None:
             self.last_fix_time = now
             if fused[0] >= self.cells.intervals[-1][0]:
                 self.been_in_last_cell = True
 
-        target = None
         if self.phase == WAITING_FOR_FIRST_FIX:
             if fused is not None:
                 self.phase = DRIVING
@@ -233,5 +229,4 @@ class VehicleNode:
                                x=self.state.pose.x, y=self.state.pose.y,
                                psi=self.state.pose.psi, v=self.state.v)
         return VehicleStepResult(pose_msg=pose_msg, cmd=self.last_cmd,
-                                 fused=fused, phase=self.phase, target=target,
-                                 live_mssps=live)
+                                 fused=fused, phase=self.phase)

@@ -130,7 +130,7 @@ class TestHeadingControl:
         cs = ControllerState(y_prev=0.25)
         cmd, cs2 = heading_control(Pose2D(1, 1, 0), (1.0, 1.0), self.PARAMS, cs)
         assert cmd.yaw_rate_cmd == 0.25
-        assert cs2.reissued
+        assert cs2 == cs
 
     @given(st.lists(st.tuples(st.floats(-20, 20), st.floats(-20, 20),
                               st.floats(-math.pi, math.pi)),

@@ -1,14 +1,18 @@
 import dataclasses
 import json
 import math
+import subprocess
+import types
+from importlib import resources
 
 import pytest
 
-from iea_sim import cli
+from iea_sim import cli, harness
 from iea_sim.harness import (ScenarioConfig, ScenarioError, compare_runs,
                              export_plot_data, load_scenario,
-                             point_to_polyline, read_run_csv, run_columns,
-                             summarize, write_run_csv)
+                             point_to_polyline, read_run, read_run_csv,
+                             run_columns, run_scenario, summarize,
+                             write_run_csv)
 
 from conftest import make_camera
 
@@ -41,6 +45,34 @@ class TestScenarioConfig:
         obj = cfg.to_json_obj()
         assert ScenarioConfig.from_json_obj(obj).to_json_obj() == obj
 
+    @pytest.mark.parametrize("name", ["straight_3ms", "straight_6ms",
+                                      "baseline_truth_3ms",
+                                      "distributed_smoke"])
+    def test_bundled_scenarios_load_unchanged(self, name):
+        path = resources.files("iea_sim") / "scenarios" / f"{name}.json"
+        assert (load_scenario(name).to_json_obj()
+                == json.loads(path.read_text()))
+
+    @pytest.mark.parametrize("section", [None, "vehicle", "controller", "plan",
+                                         "fusion", "link", "net", "camera"])
+    def test_unknown_key_rejected(self, section, tmp_path, capsys):
+        obj = load_scenario("distributed_smoke").to_json_obj()
+        if section is None:
+            node = obj
+        elif section == "camera":
+            node = obj["cameras"][0]
+        else:
+            node = obj[section]
+        node["typo_key"] = 1.0
+        with pytest.raises(ScenarioError, match="typo_key"):
+            ScenarioConfig.from_json_obj(obj)
+        path = tmp_path / "typo.json"
+        path.write_text(json.dumps(obj))
+        assert cli.main(["run", "--scenario", str(path),
+                         "--out", str(tmp_path / "out")]) == 1
+        assert "typo_key" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_bundled_name(self):
         with pytest.raises(ScenarioError):
             load_scenario("no_such_scenario")
@@ -57,6 +89,21 @@ class TestScenarioConfig:
         cfg = load_scenario("straight_3ms")
         addrs = [cfg.node_addr(n) for n in ["veh"] + cfg.mssp_ids()]
         assert len(set(addrs)) == len(addrs)
+
+
+class TestReplay:
+    OUTPUTS = ("scenario.json", "run.csv", "estimates.csv", "net_metrics.csv",
+               "summary.json")
+
+    def test_reseeded_run_replays_from_its_own_scenario(self, tmp_path):
+        cfg = dataclasses.replace(load_scenario("distributed_smoke"),
+                                  mode="lockstep", seed=5)
+        first = run_scenario(cfg, tmp_path / "first")
+        again = run_scenario(load_scenario(first.out_dir / "scenario.json"),
+                             tmp_path / "again")
+        for name in self.OUTPUTS:
+            assert ((first.out_dir / name).read_bytes()
+                    == (again.out_dir / name).read_bytes()), name
 
 
 class TestPointToPolyline:
@@ -116,19 +163,25 @@ class TestSummary:
     def test_summary_recomputable_from_csvs(self, run_3ms):
         # rebuild every statistic from the logged CSVs alone and match the
         # summary.json the run wrote
-        out = run_3ms.out_dir
-        cfg = ScenarioConfig.from_json_obj(
-            json.loads((out / "scenario.json").read_text()))
-        _meta, _cols, rows = read_run_csv(out / "run.csv")
-        _m, _c, est_rows = read_run_csv(out / "estimates.csv")
-        _m, _c, net_rows = read_run_csv(out / "net_metrics.csv")
-        est_records = [(r["mssp_id"], r["seq"], r["t_capture"], r["t_received"],
-                        r["x"], r["y"]) for r in est_rows]
-        net_records = [(r["t_received"], r["sender"], r["receiver"], r["bytes"],
-                        r["latency"]) for r in net_rows]
-        recomputed = summarize(rows, est_records, net_records, cfg)
-        stored = json.loads((out / "summary.json").read_text())
-        _assert_json_close(recomputed, stored)
+        run = read_run(run_3ms.out_dir)
+        assert run.rows == run_3ms.rows
+        assert run.est_records == run_3ms.est_records
+        assert run.net_records == run_3ms.net_records
+        recomputed = summarize(run.rows, run.est_records, run.net_records,
+                               run.cfg)
+        _assert_json_close(recomputed, run.summary)
+
+    def test_net_per_link_rate_arithmetic(self):
+        rows = [{"t": t, "true_x": 0.0, "true_y": 0.0, "true_v": 3.0,
+                 "fused_x": None, "fused_y": None, "phase": "driving"}
+                for t in (0.0, 1.0)]
+        net = [(0.5 + i * 0.005, "veh", "mssp1", 120, 0.0017)
+               for i in range(100)]
+        rep = summarize(rows, [], net, small_cfg())["net"]
+        link = rep["per_link"]["veh->mssp1"]
+        assert link["packets_per_s"] == pytest.approx(100.0)
+        assert link["bytes_per_s"] == pytest.approx(12000.0)
+        assert 0.0015 <= rep["latency"]["p50"] <= 0.0020
 
 
 class TestCompareRuns:
@@ -213,6 +266,33 @@ class TestCli:
         summary = json.loads(capsys.readouterr().out)
         assert summary["scenario"] == "cli_smoke"
         assert (tmp_path / "out" / "run.csv").exists()
+
+    def test_distributed_timeout_terminates_every_child(self, tmp_path,
+                                                        monkeypatch, capsys):
+        children = []
+
+        class HangingPopen:
+            def __init__(self, args):
+                self.args = args
+                self.terminated = False
+                children.append(self)
+
+            def wait(self, timeout=None):
+                if not self.terminated:
+                    raise subprocess.TimeoutExpired(self.args, timeout)
+                return -15
+
+            def terminate(self):
+                self.terminated = True
+
+        monkeypatch.setattr(harness, "subprocess", types.SimpleNamespace(
+            Popen=HangingPopen, TimeoutExpired=subprocess.TimeoutExpired))
+        rc = cli.main(["run", "--scenario", "distributed_smoke",
+                       "--out", str(tmp_path)])
+        assert rc == 2
+        assert "runtime failure" in capsys.readouterr().err
+        assert len(children) == 2
+        assert all(c.terminated for c in children)
 
     def test_run_unknown_scenario_exit_1(self, capsys):
         assert cli.main(["run", "--scenario", "nope"]) == 1

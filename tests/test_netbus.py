@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iea_sim.netbus import (DecodeError, EstimateMessage, LinkConfig,
-                            LockstepNetwork, NetMetrics, OversizeDatagramError,
+                            LockstepNetwork, OversizeDatagramError,
                             PoseMessage, decode, encode)
 
 POSE = PoseMessage(sender="veh", seq=3, t=1.25, x=12.5, y=-0.75,
@@ -57,8 +57,8 @@ class TestCodec:
 
 
 class TestLockstepNetwork:
-    def _net(self, **kw):
-        net = LockstepNetwork(LinkConfig(**kw))
+    def _net(self, seed=0, **kw):
+        net = LockstepNetwork(LinkConfig(**kw), seed)
         net.register("veh")
         net.register("mssp1")
         return net
@@ -111,24 +111,3 @@ class TestLockstepNetwork:
         with pytest.raises(KeyError):
             net.send(POSE, "nobody", 0.0)
 
-
-class TestNetMetrics:
-    def test_window_rate_arithmetic(self):
-        m = NetMetrics()
-        for i in range(100):
-            m.record(0.5 + i * 0.005, "veh", "mssp1", 120, 0.0017)
-        rep = m.window_report(now=1.0, window=1.0)
-        link = rep["per_link"]["veh->mssp1"]
-        assert link["packets_per_s"] == pytest.approx(100.0)
-        assert link["bytes_per_s"] == pytest.approx(12000.0)
-        assert 0.0015 <= rep["latency"]["p50"] <= 0.0020
-
-    def test_empty_window(self):
-        rep = NetMetrics().window_report(now=1.0, window=1.0)
-        assert rep["per_link"] == {}
-        assert rep["latency"]["n"] == 0
-        assert rep["latency"]["p50"] is None
-
-    def test_bad_window(self):
-        with pytest.raises(ValueError):
-            NetMetrics().window_report(now=1.0, window=0.0)

@@ -227,7 +227,7 @@ class TestVehicleNode:
                        est_msg(12.0, -0.2, 0.0, 1, "mssp2")], DT)
         res = veh.step(DT, [], DT)
         assert res.fused == (pytest.approx(11.0), pytest.approx(0.0))
-        assert res.live_mssps == ("mssp1", "mssp2")
+        assert sorted(veh.fusion.latest) == ["mssp1", "mssp2"]
 
     def test_rejects_unknown_position_source(self):
         with pytest.raises(ValueError):
