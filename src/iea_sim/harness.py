@@ -366,15 +366,6 @@ def point_to_polyline(x: float, y: float,
     return best, best_pt
 
 
-def _interp_truth(rows: RowList, t: float) -> Optional[tuple[float, float]]:
-    ts = [r["t"] for r in rows]
-    if not ts or t < ts[0] or t > ts[-1]:
-        return None
-    x = float(np.interp(t, ts, [r["true_x"] for r in rows]))
-    y = float(np.interp(t, ts, [r["true_y"] for r in rows]))
-    return x, y
-
-
 def summarize(rows: RowList, est_records: list[tuple], net_records: list[tuple],
               cfg: ScenarioConfig, settle_after_s: float = 10.0) -> dict:
     """Run statistics; a pure function of the logged data and the scenario."""
@@ -392,16 +383,17 @@ def summarize(rows: RowList, est_records: list[tuple], net_records: list[tuple],
     settle_t = None if first_fix_t is None else first_fix_t + settle_after_s
     settled = [c for t, c in cross if settle_t is not None and t >= settle_t]
 
+    # truth at each estimate's capture time; estimates captured outside
+    # the logged time range are not scored
+    ts = [r["t"] for r in rows]
+    scored = [rec for rec in est_records if ts and ts[0] <= rec[2] <= ts[-1]]
+    t_cap = [rec[2] for rec in scored]
+    true_x = np.interp(t_cap, ts, [r["true_x"] for r in rows]).tolist() if scored else []
+    true_y = np.interp(t_cap, ts, [r["true_y"] for r in rows]).tolist() if scored else []
     per_mssp = {}
     for mid in mssp_ids:
-        errs = []
-        for rec in est_records:
-            if rec[0] != mid:
-                continue
-            truth = _interp_truth(rows, rec[2])
-            if truth is None:
-                continue
-            errs.append(math.hypot(rec[4] - truth[0], rec[5] - truth[1]))
+        errs = [math.hypot(rec[4] - x, rec[5] - y)
+                for rec, x, y in zip(scored, true_x, true_y) if rec[0] == mid]
         per_mssp[mid] = {
             "n": len(errs),
             "rms_m": math.sqrt(sum(e * e for e in errs) / len(errs)) if errs else None,
@@ -627,6 +619,12 @@ def run_distributed(cfg: ScenarioConfig, out_dir: Path,
         except subprocess.TimeoutExpired:
             raise RuntimeError(f"vehicle node still running after {timeout} s; "
                                f"partial logs in {out_dir}") from None
+        # camera nodes outlive the vehicle; one that has already exited
+        # with an error crashed during the run
+        for mid, p in zip(cfg.mssp_ids(), procs):
+            if p.poll():
+                raise RuntimeError(f"camera node {mid} exited with status "
+                                   f"{p.returncode}; partial logs in {out_dir}")
     finally:
         for p in procs:
             p.terminate()
@@ -730,16 +728,13 @@ def compare_runs(run_a: Path, run_b: Path,
         t1 = min(t1, t_max)
     if t1 <= t0:
         raise ValueError("run logs cover disjoint time ranges")
+    inside = [r for r in rows_a if t0 <= r["t"] <= t1]
+    ta = [r["t"] for r in inside]
     tb = [r["t"] for r in rows_b]
-    xb = [r["true_x"] for r in rows_b]
-    yb = [r["true_y"] for r in rows_b]
-    diffs = []
-    for r in rows_a:
-        if not t0 <= r["t"] <= t1:
-            continue
-        dx = r["true_x"] - float(np.interp(r["t"], tb, xb))
-        dy = r["true_y"] - float(np.interp(r["t"], tb, yb))
-        diffs.append(math.hypot(dx, dy))
+    xb = np.interp(ta, tb, [r["true_x"] for r in rows_b]).tolist()
+    yb = np.interp(ta, tb, [r["true_y"] for r in rows_b]).tolist()
+    diffs = [math.hypot(r["true_x"] - x, r["true_y"] - y)
+             for r, x, y in zip(inside, xb, yb)]
     return {
         "t_start": t0,
         "t_end": t1,

@@ -5,6 +5,12 @@ vehicle's ground rectangle into a flat grayscale frame, the detector
 differences against a stored background, and the tracker runs a
 Searching / Tracking state machine with gated nearest-centroid
 re-association and background re-acquisition on loss.
+
+A noise-free rendered frame records the box it painted; outside it every
+pixel is background. When both frames of a difference carry such a box,
+the detector examines only their union, so its cost scales with the
+vehicle's footprint instead of the frame. Noisy and hand-built frames
+carry no box and are differenced over the whole frame.
 """
 
 from __future__ import annotations
@@ -28,11 +34,16 @@ DEFAULT_LOSS_LIMIT = 5
 SEARCHING = "searching"
 TRACKING = "tracking"
 
+EMPTY_BOX = (0, 0, 0, 0)  # a painted box that holds no pixel
+
 
 @dataclass(frozen=True)
 class Frame:
     pixels: np.ndarray  # (height, width) uint8, read-only
     capture_time: float
+    # half-open (v0, v1, u0, u1) box outside which every pixel equals
+    # BACKGROUND_INTENSITY; None when unknown
+    painted: Optional[tuple[int, int, int, int]] = None
 
     @property
     def width(self) -> int:
@@ -82,7 +93,7 @@ class TrackerState:
 def blank_frame(width: int, height: int, t: float) -> Frame:
     px = np.full((height, width), BACKGROUND_INTENSITY, dtype=np.uint8)
     px.setflags(write=False)
-    return Frame(px, t)
+    return Frame(px, t, EMPTY_BOX)
 
 
 def _vehicle_corners(pose: Pose2D, length: float, width: float):
@@ -103,9 +114,12 @@ def render_frame(camera: CameraModel, vehicle: Optional[Pose2D],
 
     Deterministic for identical inputs (noise only when noise_sigma > 0 and
     an rng is supplied). A vehicle behind the camera or fully outside the
-    image yields a pure background frame.
+    image yields a pure background frame. A noise-free frame records the
+    clipped bounding box of the painted quad (empty if nothing was
+    painted); a noisy frame records none.
     """
     px = np.full((camera.height, camera.width), BACKGROUND_INTENSITY, dtype=np.uint8)
+    painted = EMPTY_BOX
     quad = None
     if vehicle is not None:
         pts = [project(camera, c) for c in _vehicle_corners(vehicle, *vehicle_dims)]
@@ -132,22 +146,47 @@ def render_frame(camera: CameraModel, vehicle: Optional[Pose2D],
                 cross = (x2 - x1) * (vv - y1) - (y2 - y1) * (uu - x1)
                 inside &= sign * cross >= 0
             px[v0:v1 + 1, u0:u1 + 1][inside] = VEHICLE_INTENSITY
+            painted = (v0, v1 + 1, u0, u1 + 1)
     if noise_sigma > 0.0:
         if rng is None:
             raise ValueError("noise_sigma > 0 requires an rng")
         noisy = px.astype(np.float64) + rng.normal(0.0, noise_sigma, px.shape)
         px = np.clip(np.rint(noisy), 0, 255).astype(np.uint8)
+        painted = None
     px.setflags(write=False)
-    return Frame(px, t)
+    return Frame(px, t, painted)
+
+
+def _box_union(a, b):
+    """Smallest half-open box holding two (v0, v1, u0, u1) boxes."""
+    if a[0] >= a[1] or a[2] >= a[3]:
+        return b
+    if b[0] >= b[1] or b[2] >= b[3]:
+        return a
+    return min(a[0], b[0]), max(a[1], b[1]), min(a[2], b[2]), max(a[3], b[3])
 
 
 def _foreground_components(background: Frame, current: Frame,
                            threshold: int, min_area: int):
-    """4-connected foreground components as (area, bbox, centroid) tuples."""
+    """4-connected foreground components as (area, bbox, centroid) tuples.
+
+    When both frames carry a painted box, only the union of the two boxes
+    is differenced: outside it both frames are background, which a
+    non-negative threshold never counts as foreground.
+    """
     if background.pixels.shape != current.pixels.shape:
         raise ValueError("frame dimensions differ between background and current")
-    diff = np.abs(current.pixels.astype(np.int16) - background.pixels.astype(np.int16))
-    mask = diff > threshold
+    if threshold < 0:
+        raise ValueError("threshold must be non-negative")
+    a, b = background.pixels, current.pixels
+    v_box = u_box = 0
+    if background.painted is not None and current.painted is not None:
+        v_box, v1, u_box, u1 = _box_union(background.painted, current.painted)
+        if v_box >= v1 or u_box >= u1:
+            return []
+        a, b = a[v_box:v1, u_box:u1], b[v_box:v1, u_box:u1]
+    # |a - b| in uint8 without widening casts
+    mask = np.maximum(a, b) - np.minimum(a, b) > threshold
     if np.count_nonzero(mask) < min_area:
         return []
     rows = np.any(mask, axis=1).nonzero()[0]
@@ -162,7 +201,7 @@ def _foreground_components(background: Frame, current: Frame,
         if area < min_area:
             continue
         vs, us = comp.nonzero()
-        v_off, u_off = sl[0].start + r0, sl[1].start + c0
+        v_off, u_off = sl[0].start + r0 + v_box, sl[1].start + c0 + u_box
         box = BoundingBox(int(us.min() + u_off), int(vs.min() + v_off),
                           int(us.max() + u_off), int(vs.max() + v_off))
         centroid = (float(us.mean() + u_off), float(vs.mean() + v_off))

@@ -105,6 +105,25 @@ class TestReplay:
             assert ((first.out_dir / name).read_bytes()
                     == (again.out_dir / name).read_bytes()), name
 
+    def test_lockstep_drop_injection(self, tmp_path):
+        base = load_scenario("distributed_smoke")
+        cfg = dataclasses.replace(
+            base, mode="lockstep", duration_cap_s=4.0,
+            link=dataclasses.replace(base.link, drop_probability=0.3))
+        first = run_scenario(cfg, tmp_path / "first")
+        again = run_scenario(cfg, tmp_path / "again")
+        for name in self.OUTPUTS:
+            assert ((first.out_dir / name).read_bytes()
+                    == (again.out_dir / name).read_bytes()), name
+        run = read_run(first.out_dir)
+        # the loop sends one pose per control step to each camera
+        sent = len(run.rows) * len(cfg.mssp_ids())
+        delivered = sum(1 for rec in run.net_records if rec[1] == "veh")
+        assert 0 < delivered < 0.85 * sent
+        assert run.est_records
+        _assert_json_close(summarize(run.rows, run.est_records,
+                                     run.net_records, run.cfg), run.summary)
+
 
 class TestPointToPolyline:
     def test_perpendicular_foot(self):
@@ -291,6 +310,35 @@ class TestCli:
                        "--out", str(tmp_path)])
         assert rc == 2
         assert "runtime failure" in capsys.readouterr().err
+        assert len(children) == 2
+        assert all(c.terminated for c in children)
+
+    def test_distributed_camera_crash_is_reported(self, tmp_path,
+                                                  monkeypatch, capsys):
+        children = []
+
+        class CrashedCameraPopen:
+            def __init__(self, args):
+                # the camera dies at once; the vehicle runs to completion
+                self.returncode = 1 if "mssp" in args else None
+                self.terminated = False
+                children.append(self)
+
+            def poll(self):
+                return self.returncode
+
+            def wait(self, timeout=None):
+                return 0 if self.returncode is None else self.returncode
+
+            def terminate(self):
+                self.terminated = True
+
+        monkeypatch.setattr(harness, "subprocess", types.SimpleNamespace(
+            Popen=CrashedCameraPopen, TimeoutExpired=subprocess.TimeoutExpired))
+        rc = cli.main(["run", "--scenario", "distributed_smoke",
+                       "--out", str(tmp_path)])
+        assert rc == 2
+        assert "camera node mssp1 exited with status 1" in capsys.readouterr().err
         assert len(children) == 2
         assert all(c.terminated for c in children)
 

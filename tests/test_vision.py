@@ -2,18 +2,24 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iea_sim import vision
 from iea_sim.geometry import Pose2D, PixelPoint, WorldPoint, \
     back_project_ground, in_image, project
-from iea_sim.vision import (BACKGROUND_INTENSITY, SEARCHING, TRACKING,
-                            VEHICLE_INTENSITY, BoundingBox, TrackerState,
+from iea_sim.vision import (BACKGROUND_INTENSITY, EMPTY_BOX, SEARCHING,
+                            TRACKING, VEHICLE_INTENSITY, TrackerState,
                             blank_frame, detect_by_subtraction, render_frame,
                             track_step, write_pgm)
 
 DIMS = (4.5, 2.0)
+
+# poses around the default camera (x = 0, looking along +x): in view, partly
+# off-image, behind the camera, or no vehicle at all
+poses = st.one_of(st.none(), st.builds(
+    Pose2D, st.floats(-10.0, 70.0), st.floats(-20.0, 20.0),
+    st.floats(-math.pi, math.pi)))
 
 
 def _frame_from_array(arr, t=0.0):
@@ -48,6 +54,24 @@ class TestRenderFrame:
         a = render_frame(default_camera, Pose2D(20.0, 1.0, 0.3), DIMS, 1.0)
         b = render_frame(default_camera, Pose2D(20.0, 1.0, 0.3), DIMS, 1.0)
         assert (a.pixels == b.pixels).all()
+
+    @settings(max_examples=60, deadline=None)
+    @given(poses)
+    def test_outside_painted_box_is_background(self, default_camera, pose):
+        fr = render_frame(default_camera, pose, DIMS, 0.0)
+        v0, v1, u0, u1 = fr.painted
+        assert 0 <= v0 <= v1 <= fr.height and 0 <= u0 <= u1 <= fr.width
+        outside = np.ones(fr.pixels.shape, dtype=bool)
+        outside[v0:v1, u0:u1] = False
+        assert (fr.pixels[outside] == BACKGROUND_INTENSITY).all()
+
+    def test_only_noise_free_frames_carry_a_box(self, default_camera):
+        assert blank_frame(80, 60, 0.0).painted == EMPTY_BOX
+        assert render_frame(default_camera, None, DIMS, 0.0).painted == EMPTY_BOX
+        noisy = render_frame(default_camera, Pose2D(20, 0, 0), DIMS, 0.0,
+                             noise_sigma=2.0, rng=np.random.default_rng(3))
+        assert noisy.painted is None
+        assert vision.Frame(noisy.pixels, 0.0).painted is None
 
     def test_noise_requires_rng_and_is_seed_stable(self, default_camera):
         with pytest.raises(ValueError):
@@ -90,6 +114,28 @@ class TestDetectBySubtraction:
         with pytest.raises(ValueError):
             detect_by_subtraction(blank_frame(10, 10, 0.0),
                                   blank_frame(11, 10, 0.0))
+
+    def test_negative_threshold_raises(self):
+        bg = blank_frame(10, 10, 0.0)
+        with pytest.raises(ValueError, match="threshold"):
+            detect_by_subtraction(bg, bg, threshold=-1)
+        # the shape check comes first
+        with pytest.raises(ValueError, match="dimensions"):
+            detect_by_subtraction(bg, blank_frame(11, 10, 0.0), threshold=-1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(poses, poses, st.integers(0, 255), st.integers(1, 60))
+    def test_sparse_path_matches_dense(self, default_camera, bg_pose, cur_pose,
+                                       threshold, min_area):
+        # the background may hold the vehicle's ghost, as after a tracker
+        # loss; rebuilt frames carry no box and take the dense path
+        bg = render_frame(default_camera, bg_pose, DIMS, 0.0)
+        cur = render_frame(default_camera, cur_pose, DIMS, 0.05)
+        sparse = vision._foreground_components(bg, cur, threshold, min_area)
+        dense = vision._foreground_components(
+            vision.Frame(bg.pixels, 0.0), vision.Frame(cur.pixels, 0.05),
+            threshold, min_area)
+        assert sparse == dense
 
     @given(st.integers(0, 40), st.integers(0, 40),
            st.integers(5, 19), st.integers(5, 19))
