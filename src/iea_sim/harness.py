@@ -22,6 +22,7 @@ Outputs per run directory (`read_run` loads them back):
 
 from __future__ import annotations
 
+import csv
 import functools
 import hashlib
 import json
@@ -48,6 +49,7 @@ from .nodes import (DEFAULT_FRAME_PERIOD, DEFAULT_GRACE_PERIOD,
 
 SCHEMA_VERSION = 1
 STOP_TAIL_S = 2.0  # keep logging this long after the stop is commanded
+SETTLE_AFTER_S = 10.0  # score cross-track error from first fix + this
 
 
 class ScenarioError(ValueError):
@@ -267,12 +269,20 @@ def load_scenario(source: str | Path) -> ScenarioConfig:
 RowList = list[dict]
 
 
-def _fmt(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+def _write_csv(path: Path, cols: list[str], records,
+               comment: Optional[str] = None) -> None:
+    """The one CSV writer of the run logs and their exports.
+
+    Writes an optional `# comment` line, the header and one row per record
+    (a sequence in `cols` order). `csv` writes a float as its `repr`, so it
+    parses back bit-identically, and None as an empty field.
+    """
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        if comment is not None:
+            f.write(f"# {comment}\n")
+        out = csv.writer(f, lineterminator="\n")
+        out.writerow(cols)
+        out.writerows(records)
 
 
 def run_columns(mssp_ids: list[str]) -> list[str]:
@@ -285,29 +295,20 @@ def run_columns(mssp_ids: list[str]) -> list[str]:
 
 def write_run_csv(path: Path, rows: RowList, cfg: ScenarioConfig) -> None:
     cols = run_columns(cfg.mssp_ids())
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(f"# schema={SCHEMA_VERSION} name={cfg.name} "
-                f"plan={cfg.plan_hash()} mssps={','.join(cfg.mssp_ids())} "
-                f"dt={cfg.dt!r} v_cruise={cfg.controller.v_cruise!r}\n")
-        f.write(",".join(cols) + "\n")
-        for r in rows:
-            f.write(",".join(_fmt(r.get(c)) for c in cols) + "\n")
+    _write_csv(path, cols, ([r.get(c) for c in cols] for r in rows),
+               comment=f"schema={SCHEMA_VERSION} name={cfg.name} "
+                       f"plan={cfg.plan_hash()} mssps={','.join(cfg.mssp_ids())} "
+                       f"dt={cfg.dt!r} v_cruise={cfg.controller.v_cruise!r}")
 
 
 def write_estimates_csv(path: Path, records: list[tuple]) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(f"# schema={SCHEMA_VERSION}\n")
-        f.write("mssp_id,seq,t_capture,t_received,x,y\n")
-        for rec in records:
-            f.write(",".join(_fmt(v) for v in rec) + "\n")
+    _write_csv(path, ["mssp_id", "seq", "t_capture", "t_received", "x", "y"],
+               records, comment=f"schema={SCHEMA_VERSION}")
 
 
 def write_net_csv(path: Path, records: list[tuple]) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(f"# schema={SCHEMA_VERSION}\n")
-        f.write("t_received,sender,receiver,bytes,latency\n")
-        for rec in records:
-            f.write(",".join(_fmt(v) for v in rec) + "\n")
+    _write_csv(path, ["t_received", "sender", "receiver", "bytes", "latency"],
+               records, comment=f"schema={SCHEMA_VERSION}")
 
 
 def _write_json(path: Path, obj: dict) -> None:
@@ -325,6 +326,11 @@ def _parse_value(col: str, v: str):
 
 
 def read_run_csv(path: Path) -> tuple[dict, list[str], list[dict]]:
+    """Comment-line metadata, header and parsed rows of a run-log CSV.
+
+    A row whose field count differs from the header's (a torn write, say)
+    raises ValueError naming the file and the line.
+    """
     meta: dict = {}
     rows: list[dict] = []
     with open(path, encoding="utf-8") as f:
@@ -338,11 +344,14 @@ def read_run_csv(path: Path) -> tuple[dict, list[str], list[dict]]:
         else:
             header = first
         cols = header.split(",")
-        for line in f:
+        for lineno, line in enumerate(f, start=2 + first.startswith("#")):
             line = line.rstrip("\n")
             if not line:
                 continue
             vals = line.split(",")
+            if len(vals) != len(cols):
+                raise ValueError(f"{path}, line {lineno}: {len(vals)} fields "
+                                 f"under a {len(cols)}-column header")
             rows.append({c: _parse_value(c, v) for c, v in zip(cols, vals)})
     return meta, cols, rows
 
@@ -367,7 +376,7 @@ def point_to_polyline(x: float, y: float,
 
 
 def summarize(rows: RowList, est_records: list[tuple], net_records: list[tuple],
-              cfg: ScenarioConfig, settle_after_s: float = 10.0) -> dict:
+              cfg: ScenarioConfig) -> dict:
     """Run statistics; a pure function of the logged data and the scenario."""
     waypoints = cfg.plan.waypoints
     mssp_ids = cfg.mssp_ids()
@@ -380,7 +389,7 @@ def summarize(rows: RowList, est_records: list[tuple], net_records: list[tuple],
 
     cross = [(r["t"], point_to_polyline(r["true_x"], r["true_y"], waypoints)[0])
              for r in rows]
-    settle_t = None if first_fix_t is None else first_fix_t + settle_after_s
+    settle_t = None if first_fix_t is None else first_fix_t + SETTLE_AFTER_S
     settled = [c for t, c in cross if settle_t is not None and t >= settle_t]
 
     # truth at each estimate's capture time; estimates captured outside
@@ -569,9 +578,8 @@ class VehicleRun:
 def run_lockstep(cfg: ScenarioConfig, out_dir: Path,
                  dump_frames: bool = False) -> RunResult:
     dt = cfg.dt
-    node_ids = ["veh"] + cfg.mssp_ids()
     net = LockstepNetwork(cfg.link, cfg.seed)
-    for node_id in node_ids:
+    for node_id in ["veh"] + cfg.mssp_ids():
         net.register(node_id)
     mssps = ([make_mssp(cfg, mid, out_dir, dump_frames)
               for mid in cfg.mssp_ids()]
@@ -588,9 +596,7 @@ def run_lockstep(cfg: ScenarioConfig, out_dir: Path,
         if done:
             break
 
-    return vehicle.write(out_dir, sorted(
-        rec for node_id in node_ids
-        for rec in net.metrics_by_node[node_id].records))
+    return vehicle.write(out_dir, sorted(net.records))
 
 
 def run_distributed(cfg: ScenarioConfig, out_dir: Path,
@@ -650,22 +656,26 @@ def run_scenario(cfg: ScenarioConfig, out_dir: Path,
 # ---------------------------------------------------------------------------
 # distributed node mains (invoked by the CLI in each spawned process)
 
-def _sleep_until(transport: UdpTransport, t_due: float, poll: float) -> float:
-    """Sleep in slices of at most `poll` s until the run clock reaches t_due."""
+def _sleep_until(transport: UdpTransport, t_due: float) -> float:
+    """Sleep until the run clock reaches t_due and return the clock.
+
+    Arrivals are stamped by the transport's receive thread, so waking
+    before the due time would gain nothing.
+    """
     while (now := transport.now()) < t_due:
-        time.sleep(min(t_due - now, poll))
+        time.sleep(t_due - now)
     return now
 
 
 def mssp_node_main(cfg: ScenarioConfig, node_id: str, out_dir: Path,
                    epoch: float, dump_frames: bool = False) -> int:
     node = make_mssp(cfg, node_id, out_dir, dump_frames)
-    transport = UdpTransport(cfg.node_addr(node_id), epoch)
+    transport = UdpTransport(node_id, cfg.node_addr(node_id), epoch)
     veh_addr = cfg.node_addr("veh")
     t_end = cfg.duration_cap_s + STOP_TAIL_S
     try:
-        while (now := _sleep_until(transport, min(node.frame_clock, t_end),
-                                   0.01)) < t_end:
+        while (now := _sleep_until(transport,
+                                   min(node.frame_clock, t_end))) < t_end:
             # a camera drops frames when processing stalls: skip any backlog
             # beyond the most recent due frame instead of bursting through it
             behind = now - node.frame_clock
@@ -684,12 +694,12 @@ def mssp_node_main(cfg: ScenarioConfig, node_id: str, out_dir: Path,
 def vehicle_node_main(cfg: ScenarioConfig, out_dir: Path, epoch: float) -> int:
     dt = cfg.dt
     vehicle = VehicleRun(cfg)
-    transport = UdpTransport(cfg.node_addr("veh"), epoch)
+    transport = UdpTransport("veh", cfg.node_addr("veh"), epoch)
     mssp_addrs = [cfg.node_addr(mid) for mid in cfg.mssp_ids()]
     step_i = 0
     try:
         while True:
-            now = _sleep_until(transport, step_i * dt, 0.005)
+            now = _sleep_until(transport, step_i * dt)
             if now - step_i * dt > 10 * dt:
                 # processing stall: rejoin the schedule instead of bursting
                 # through the missed control steps
@@ -703,8 +713,7 @@ def vehicle_node_main(cfg: ScenarioConfig, out_dir: Path, epoch: float) -> int:
                 transport.send(pose_msg, addr)
             if done or t >= cfg.duration_cap_s:
                 break
-        vehicle.write(out_dir, [(t, snd, "veh", nb, lat) for t, snd, _rcv, nb, lat
-                                in transport.metrics.records])
+        vehicle.write(out_dir, transport.records)
         return 0
     finally:
         transport.close()
@@ -713,8 +722,7 @@ def vehicle_node_main(cfg: ScenarioConfig, out_dir: Path, epoch: float) -> int:
 # ---------------------------------------------------------------------------
 # run comparison and plot-data export
 
-def compare_runs(run_a: Path, run_b: Path,
-                 t_max: Optional[float] = None) -> dict:
+def compare_runs(run_a: Path, run_b: Path) -> dict:
     """Pointwise trajectory difference between two runs of the same plan."""
     meta_a, _ca, rows_a = read_run_csv(Path(run_a))
     meta_b, _cb, rows_b = read_run_csv(Path(run_b))
@@ -724,8 +732,6 @@ def compare_runs(run_a: Path, run_b: Path,
         raise ValueError("empty run log")
     t0 = max(rows_a[0]["t"], rows_b[0]["t"])
     t1 = min(rows_a[-1]["t"], rows_b[-1]["t"])
-    if t_max is not None:
-        t1 = min(t1, t_max)
     if t1 <= t0:
         raise ValueError("run logs cover disjoint time ranges")
     inside = [r for r in rows_a if t0 <= r["t"] <= t1]
@@ -756,10 +762,8 @@ def export_plot_data(run_csv: Path, out_dir: Path) -> list[Path]:
     meta, _cols, rows = read_run_csv(run_csv)
     mssp_ids = meta.get("mssps", "").split(",") if meta.get("mssps") else []
     scen_path = run_csv.parent / "scenario.json"
-    waypoints = None
-    if scen_path.exists():
-        plan = json.loads(scen_path.read_text())["plan"]
-        waypoints = [tuple(w) for w in plan["waypoints"]]
+    waypoints = (load_scenario(scen_path).plan.waypoints
+                 if scen_path.exists() else None)
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -768,22 +772,14 @@ def export_plot_data(run_csv: Path, out_dir: Path) -> list[Path]:
     for mid in mssp_ids:
         cols += [f"{mid}_x", f"{mid}_y"]
     cols += ["fused_x", "fused_y"]
-    with open(est_path, "w", encoding="utf-8") as f:
-        f.write(",".join(cols) + "\n")
-        for r in rows:
-            f.write(",".join(_fmt(r.get(c)) for c in cols) + "\n")
+    _write_csv(est_path, cols, ([r.get(c) for c in cols] for r in rows))
 
     cl_path = out_dir / "closed_loop.csv"
-    with open(cl_path, "w", encoding="utf-8") as f:
-        f.write("t,actual_x,actual_y,desired_x,desired_y,cross_track\n")
-        for r in rows:
-            if waypoints:
-                d, (px, py) = point_to_polyline(r["true_x"], r["true_y"], waypoints)
-                f.write(",".join(_fmt(v) for v in
-                                 (r["t"], r["true_x"], r["true_y"], px, py, d))
-                        + "\n")
-            else:
-                f.write(",".join(_fmt(v) for v in
-                                 (r["t"], r["true_x"], r["true_y"],
-                                  None, None, None)) + "\n")
+    cl_rows = []
+    for r in rows:
+        d, (px, py) = (point_to_polyline(r["true_x"], r["true_y"], waypoints)
+                       if waypoints else (None, (None, None)))
+        cl_rows.append((r["t"], r["true_x"], r["true_y"], px, py, d))
+    _write_csv(cl_path, ["t", "actual_x", "actual_y", "desired_x", "desired_y",
+                         "cross_track"], cl_rows)
     return [est_path, cl_path]

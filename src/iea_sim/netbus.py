@@ -22,7 +22,7 @@ import random
 import socket
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 MAX_DATAGRAM_BYTES = 1400
@@ -127,18 +127,6 @@ class LinkConfig:
             raise ValueError("drop_probability must be in [0, 1]")
 
 
-@dataclass
-class NetMetrics:
-    """Per-link packet/byte counts and one-way latency samples."""
-
-    # records: (t_received, sender, receiver, n_bytes, latency_s)
-    records: list = field(default_factory=list)
-
-    def record(self, t_received: float, sender: str, receiver: str,
-               n_bytes: int, latency: float) -> None:
-        self.records.append((t_received, sender, receiver, n_bytes, latency))
-
-
 def latency_percentiles(samples: list[float]) -> dict:
     if not samples:
         return {"p50": None, "p95": None, "max": None, "n": 0}
@@ -154,7 +142,8 @@ class LockstepNetwork:
     Messages are encoded at send and decoded at delivery, so the wire
     format is exercised even in lockstep. Delivery order is a pure
     function of `seed`, the scenario seed: the heap is keyed on
-    (delivery_time, sender, seq, send_counter).
+    (delivery_time, sender, seq, send_counter). Every delivery is logged
+    in `records` as (t_received, sender, receiver, bytes, latency).
     """
 
     def __init__(self, cfg: LinkConfig, seed: int = 0):
@@ -164,11 +153,10 @@ class LockstepNetwork:
         self._rngs: dict[tuple[str, str], random.Random] = {}
         self._counter = 0
         self.dropped = 0
-        self.metrics_by_node: dict[str, NetMetrics] = {}
+        self.records: list[tuple] = []
 
     def register(self, node_id: str) -> None:
         self._queues.setdefault(node_id, [])
-        self.metrics_by_node.setdefault(node_id, NetMetrics())
 
     def _rng(self, src: str, dst: str) -> random.Random:
         key = (src, dst)
@@ -198,8 +186,8 @@ class LockstepNetwork:
         while q and q[0][0] <= now:
             t_del, sender, _seq, _n, data = heapq.heappop(q)
             msg = decode(data)
-            self.metrics_by_node[node_id].record(
-                t_del, sender, node_id, len(data), t_del - msg.t)
+            self.records.append((t_del, sender, node_id, len(data),
+                                 t_del - msg.t))
             out.append(msg)
         return out
 
@@ -208,13 +196,16 @@ class UdpTransport:
     """Real datagram sockets for distributed mode.
 
     A background thread drains the socket into a queue; node logic pulls
-    received messages synchronously via drain(). Timestamps are seconds
-    since a shared epoch (valid for one-way latency on a single host).
+    received messages synchronously via drain(), which logs each one in
+    `records` as (t_received, sender, node_id, bytes, latency). Timestamps
+    are seconds since a shared epoch (valid for one-way latency on a
+    single host).
     """
 
-    def __init__(self, bind_addr: tuple[str, int], epoch: float):
+    def __init__(self, node_id: str, bind_addr: tuple[str, int], epoch: float):
+        self.node_id = node_id
         self.epoch = epoch
-        self.metrics = NetMetrics()
+        self.records: list[tuple] = []
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         self._sock.bind(bind_addr)
         self._sock.settimeout(0.1)
@@ -250,8 +241,8 @@ class UdpTransport:
                 msg = decode(data)
             except DecodeError:
                 continue  # foreign traffic on the port; ignore
-            self.metrics.record(t_recv, msg.sender, "self", len(data),
-                                t_recv - msg.t)
+            self.records.append((t_recv, msg.sender, self.node_id, len(data),
+                                 t_recv - msg.t))
             out.append(msg)
 
     def close(self) -> None:

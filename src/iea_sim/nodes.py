@@ -37,16 +37,18 @@ DEFAULT_FRAME_PERIOD = 0.05   # 20 fps
 DEFAULT_GRACE_PERIOD = 2.0    # s without estimates after the last cell
 DEFAULT_VEHICLE_DIMS = (4.5, 2.0)
 BORDER_MARGIN_PX = 1
+CELL_SCAN_Y = 0.0           # lateral position of the cell scan [m]
+CELL_SCAN_RESOLUTION = 0.1  # step of the cell scan along the corridor [m]
 
 
 def vehicle_fully_visible(camera: CameraModel, x: float, y: float,
-                          vehicle_dims: tuple[float, float] = DEFAULT_VEHICLE_DIMS,
-                          margin_px: float = BORDER_MARGIN_PX) -> bool:
+                          vehicle_dims: tuple[float, float] = DEFAULT_VEHICLE_DIMS
+                          ) -> bool:
     """All four corners of the (axis-aligned) vehicle rectangle project in-image."""
     hl, hw = vehicle_dims[0] / 2.0, vehicle_dims[1] / 2.0
     for dx, dy in ((hl, hw), (hl, -hw), (-hl, -hw), (-hl, hw)):
         px = project(camera, WorldPoint(x + dx, y + dy, 0.0))
-        if px is None or not in_image(camera, px, margin=margin_px):
+        if px is None or not in_image(camera, px, margin=BORDER_MARGIN_PX):
             return False
     return True
 
@@ -63,24 +65,22 @@ class CellLayout:
 
     @classmethod
     def from_cameras(cls, cameras: list[CameraModel],
-                     vehicle_dims: tuple[float, float] = DEFAULT_VEHICLE_DIMS,
-                     y: float = 0.0, resolution: float = 0.1) -> "CellLayout":
+                     vehicle_dims: tuple[float, float] = DEFAULT_VEHICLE_DIMS
+                     ) -> "CellLayout":
         """Scan the corridor for each camera's full-vehicle-visible x-interval."""
         intervals = []
         for cam in cameras:
             lo = cam.position.x
             hi = cam.position.x + 20.0 * cam.position.z  # generous far bound
-            xs = np.arange(lo, hi, resolution)
-            vis = [vehicle_fully_visible(cam, float(x), y, vehicle_dims) for x in xs]
+            xs = np.arange(lo, hi, CELL_SCAN_RESOLUTION)
+            vis = [vehicle_fully_visible(cam, float(x), CELL_SCAN_Y, vehicle_dims)
+                   for x in xs]
             if not any(vis):
                 raise ValueError(f"camera at x={cam.position.x} sees no cell")
             first = vis.index(True)
             last = len(vis) - 1 - vis[::-1].index(True)
             intervals.append((float(xs[first]), float(xs[last])))
         return cls(tuple(intervals))
-
-    def contains(self, x: float) -> bool:
-        return any(a <= x <= b for a, b in self.intervals)
 
 
 class MsspNode:

@@ -28,8 +28,8 @@ BACKGROUND_INTENSITY = 40
 VEHICLE_INTENSITY = 220
 DEFAULT_THRESHOLD = 30
 DEFAULT_MIN_AREA = 25
-DEFAULT_GATE_PX = 80.0
-DEFAULT_LOSS_LIMIT = 5
+GATE_PX = 80.0
+LOSS_LIMIT = 5
 
 SEARCHING = "searching"
 TRACKING = "tracking"
@@ -219,25 +219,21 @@ def detect_by_subtraction(background: Frame, current: Frame,
     return max(comps, key=lambda c: c[0])[1]
 
 
-def track_step(state: TrackerState, frame: Frame,
-               threshold: int = DEFAULT_THRESHOLD,
-               min_area: int = DEFAULT_MIN_AREA,
-               gate_px: float = DEFAULT_GATE_PX,
-               loss_limit: int = DEFAULT_LOSS_LIMIT
+def track_step(state: TrackerState, frame: Frame
                ) -> tuple[TrackerState, Optional[Detection]]:
     """Advance the Searching/Tracking state machine by one frame.
 
     Searching: the first frame seen becomes the background; afterwards the
     largest foreground blob starts a track. Tracking: the blob whose
-    centroid is nearest the previous box center (within gate_px) continues
-    the track; after loss_limit consecutive misses the tracker drops back
+    centroid is nearest the previous box center (within GATE_PX) continues
+    the track; after LOSS_LIMIT consecutive misses the tracker drops back
     to Searching and will take a fresh background.
     """
     if state.background is None:
         return replace(state, mode=SEARCHING, background=frame, frames_lost=0), None
 
     if state.mode == SEARCHING:
-        box = detect_by_subtraction(state.background, frame, threshold, min_area)
+        box = detect_by_subtraction(state.background, frame)
         if box is None:
             return state, None
         new = replace(state, mode=TRACKING, last_box=box, frames_lost=0)
@@ -245,10 +241,11 @@ def track_step(state: TrackerState, frame: Frame,
         return new, Detection(box, cu, cv, frame.capture_time)
 
     # Tracking: gate on distance from the previous box center
-    comps = _foreground_components(state.background, frame, threshold, min_area)
+    comps = _foreground_components(state.background, frame,
+                                   DEFAULT_THRESHOLD, DEFAULT_MIN_AREA)
     prev_u, prev_v = state.last_box.center()
     best = None
-    best_d = gate_px
+    best_d = GATE_PX
     for _, box, (cu, cv) in comps:
         d = math.hypot(cu - prev_u, cv - prev_v)
         if d <= best_d:
@@ -256,7 +253,7 @@ def track_step(state: TrackerState, frame: Frame,
             best = box
     if best is None:
         lost = state.frames_lost + 1
-        if lost > loss_limit:
+        if lost > LOSS_LIMIT:
             return TrackerState(), None  # re-acquire background next frame
         return replace(state, frames_lost=lost), None
     new = replace(state, last_box=best, frames_lost=0)

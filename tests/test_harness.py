@@ -1,9 +1,12 @@
 import dataclasses
 import json
 import math
+import os
 import subprocess
+import sys
 import types
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +18,8 @@ from iea_sim.harness import (ScenarioConfig, ScenarioError, compare_runs,
                              write_run_csv)
 
 from conftest import make_camera
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def small_cfg(**kw):
@@ -190,6 +195,15 @@ class TestSummary:
                                run.cfg)
         _assert_json_close(recomputed, run.summary)
 
+    def test_recompute_script_agrees(self, run_3ms):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "recompute_summary.py"),
+             str(run_3ms.out_dir)], env=env, capture_output=True, text=True,
+            timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
     def test_net_per_link_rate_arithmetic(self):
         rows = [{"t": t, "true_x": 0.0, "true_y": 0.0, "true_v": 3.0,
                  "fused_x": None, "fused_y": None, "phase": "driving"}
@@ -230,10 +244,17 @@ class TestCompareRuns:
         with pytest.raises(ValueError, match="disjoint"):
             compare_runs(mk("a.csv", 0.0), mk("b.csv", 100.0))
 
-    def test_t_max_truncates_window(self, run_3ms):
-        rep = compare_runs(run_3ms.out_dir / "run.csv",
-                           run_3ms.out_dir / "run.csv", t_max=5.0)
-        assert rep["t_end"] <= 5.0
+    def test_torn_row_rejected(self, run_3ms, tmp_path, capsys):
+        # a write cut mid-row leaves a last row shorter than the header
+        log = run_3ms.out_dir / "run.csv"
+        torn = tmp_path / "torn.csv"
+        torn.write_bytes(log.read_bytes()[:5000])
+        assert not torn.read_bytes().endswith(b"\n")
+        n_lines = len(torn.read_text().splitlines())
+        with pytest.raises(ValueError, match=f"line {n_lines}: "):
+            read_run_csv(torn)
+        assert cli.main(["compare", str(log), str(torn)]) == 1
+        assert "torn.csv" in capsys.readouterr().err
 
 
 class TestExportPlotData:
@@ -254,6 +275,15 @@ class TestExportPlotData:
         n_rows = len(run_3ms.rows)
         assert len(est_path.read_text().splitlines()) == n_rows + 1
         assert len(cl_path.read_text().splitlines()) == n_rows + 1
+
+    def test_bad_scenario_next_to_log_exit_1(self, run_3ms, tmp_path, capsys):
+        (tmp_path / "run.csv").write_bytes(
+            (run_3ms.out_dir / "run.csv").read_bytes())
+        doc = json.loads((run_3ms.out_dir / "scenario.json").read_text())
+        del doc["plan"]
+        (tmp_path / "scenario.json").write_text(json.dumps(doc))
+        assert cli.main(["export", str(tmp_path / "run.csv")]) == 1
+        assert "error:" in capsys.readouterr().err
 
     def test_empty_log_gives_headers_only(self, tmp_path):
         cfg = small_cfg()

@@ -1,10 +1,14 @@
+import socket
+import time
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iea_sim.netbus import (DecodeError, EstimateMessage, LinkConfig,
                             LockstepNetwork, OversizeDatagramError,
-                            PoseMessage, decode, encode)
+                            PoseMessage, UdpTransport, decode, encode)
 
 POSE = PoseMessage(sender="veh", seq=3, t=1.25, x=12.5, y=-0.75,
                    psi=0.12345678901234567, v=3.0)
@@ -92,7 +96,7 @@ class TestLockstepNetwork:
             net.send(PoseMessage("veh", i, i * 0.02, 0, 0, 0, 0),
                      "mssp1", i * 0.02)
         net.deliver("mssp1", now=100.0)
-        lats = [r[4] for r in net.metrics_by_node["mssp1"].records]
+        lats = [r[4] for r in net.records if r[2] == "mssp1"]
         assert len(lats) == 200
         assert all(0.0015 <= l <= 0.0020 for l in lats)
 
@@ -111,3 +115,31 @@ class TestLockstepNetwork:
         with pytest.raises(KeyError):
             net.send(POSE, "nobody", 0.0)
 
+
+class TestUdpTransport:
+    def test_drain_returns_poses_and_logs_the_receiver(self):
+        epoch = time.time()
+        veh = UdpTransport("veh", ("127.0.0.1", 0), epoch)
+        cam = UdpTransport("mssp1", ("127.0.0.1", 0), epoch)
+        try:
+            addr = cam._sock.getsockname()
+            with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as junk:
+                junk.sendto(b"\xffnot a wire message", addr)
+            msg = replace(POSE, t=veh.now())
+            veh.send(msg, addr)
+            got = []
+            deadline = time.monotonic() + 5.0
+            while not got and time.monotonic() < deadline:
+                time.sleep(0.01)
+                got += cam.drain()
+            assert got == [msg]
+            assert cam.drain() == []
+            [(t_recv, sender, receiver, n_bytes, latency)] = cam.records
+            assert (sender, receiver, n_bytes) == ("veh", "mssp1",
+                                                   len(encode(msg)))
+            assert latency >= 0.0 and t_recv >= msg.t
+        finally:
+            veh.close()
+            cam.close()
+        assert not cam._thread.is_alive()
+        assert not veh._thread.is_alive()

@@ -37,12 +37,6 @@ class TestCellLayout:
         with pytest.raises(ValueError):
             CellLayout(intervals=((0.0, 10.0), (12.0, 20.0)))
 
-    def test_contains(self):
-        layout = CellLayout(intervals=((0.0, 10.0), (8.0, 20.0)))
-        assert layout.contains(5.0)
-        assert layout.contains(9.0)
-        assert not layout.contains(25.0)
-
     def test_from_cameras_three_unit_spacing(self):
         cams = [make_camera(x=x) for x in (30.0, 70.0, 110.0)]
         layout = CellLayout.from_cameras(cams)

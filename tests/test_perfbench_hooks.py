@@ -1,0 +1,58 @@
+"""The names the benchmark's tracer wraps or reads must exist in iea_sim.
+
+`perfbench/tracer.py` wraps the functions listed in its ENTRY_POINTS and
+reads two drop counters; `perfbench/tracer.py` and `perfbench/worker.py`
+replace `harness.time` and `harness.subprocess` with namespaces that hold
+only the names below. A rename then fails here, not as failed traced
+benchmark runs. These tests only read `perfbench/`.
+"""
+
+import ast
+import importlib
+import importlib.util
+from pathlib import Path
+
+from iea_sim import harness
+from iea_sim.fusion import FusionState
+from iea_sim.netbus import LinkConfig, LockstepNetwork
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# what the benchmark leaves of `time` and `subprocess` inside harness
+REPLACED_MODULES = {"time": {"time", "sleep"},
+                    "subprocess": {"Popen", "TimeoutExpired"}}
+
+
+def _tracer():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_entry_point_resolves():
+    tracer = _tracer()
+    for name, targets in tracer.ENTRY_POINTS.items():
+        for mod_name, path in targets:
+            owner = importlib.import_module(f"iea_sim.{mod_name}")
+            for part in path.split("."):
+                assert hasattr(owner, part), f"{name}: iea_sim.{mod_name}.{path}"
+                owner = getattr(owner, part)
+            assert callable(owner), f"{name}: iea_sim.{mod_name}.{path}"
+
+
+def test_drop_counters_exist():
+    assert FusionState().drops == 0
+    assert LockstepNetwork(LinkConfig(), 0).dropped == 0
+
+
+def test_harness_uses_only_the_replaced_names():
+    tree = ast.parse(Path(harness.__file__).read_text())
+    used = {(node.value.id, node.attr) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in REPLACED_MODULES}
+    assert used, "harness no longer uses time or subprocess"
+    for module, attr in used:
+        assert attr in REPLACED_MODULES[module], f"harness uses {module}.{attr}"
