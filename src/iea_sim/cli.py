@@ -4,7 +4,9 @@
               [--out DIR] [--dump-frames]
   iea-sim compare A B
   iea-sim export LOG [--out DIR]
-  iea-sim node --role mssp|vehicle [--id ID] --scenario F --out DIR --epoch E
+  iea-sim node --role mssp|vehicle [--id ID] --scenario F --out DIR
+      (prints `ready` once set up, then reads t = 0 as a time.time()
+       from one stdin line)
 
 Exit codes: 0 success, 1 validation error, 2 runtime failure.
 """
@@ -54,8 +56,6 @@ def _build_parser() -> argparse.ArgumentParser:
     node.add_argument("--id", default=None, help="MSSP node id, e.g. mssp2")
     node.add_argument("--scenario", required=True)
     node.add_argument("--out", required=True)
-    node.add_argument("--epoch", type=float, required=True,
-                      help="shared wall-clock start time (time.time())")
     node.add_argument("--dump-frames", action="store_true")
     return p
 
@@ -94,9 +94,9 @@ def _cmd_node(args) -> int:
     if args.role == "mssp":
         if not args.id:
             raise ScenarioError("--id is required for --role mssp")
-        return mssp_node_main(cfg, args.id, Path(args.out), args.epoch,
+        return mssp_node_main(cfg, args.id, Path(args.out),
                               dump_frames=args.dump_frames)
-    return vehicle_node_main(cfg, Path(args.out), args.epoch)
+    return vehicle_node_main(cfg, Path(args.out))
 
 
 def main(argv=None) -> int:

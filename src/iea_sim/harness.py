@@ -27,12 +27,14 @@ import functools
 import hashlib
 import json
 import math
+import select
 import subprocess
 import sys
 import time
 import typing
 from dataclasses import dataclass, replace
 from pathlib import Path
+from subprocess import PIPE
 from typing import Optional
 
 import numpy as np
@@ -50,6 +52,10 @@ from .nodes import (DEFAULT_FRAME_PERIOD, DEFAULT_GRACE_PERIOD,
 SCHEMA_VERSION = 1
 STOP_TAIL_S = 2.0  # keep logging this long after the stop is commanded
 SETTLE_AFTER_S = 10.0  # score cross-track error from first fix + this
+READY = "ready"  # a distributed node's line once it is set up
+READY_TIMEOUT_S = 60.0  # longest wait for every node to say READY
+START_MARGIN_S = 0.1  # t = 0 this long after the epoch is sent, so every
+                      # node has read it before its first step is due
 
 
 class ScenarioError(ValueError):
@@ -80,6 +86,12 @@ class ScenarioConfig:
     camera_spacing_m: Optional[float] = None
 
     def __post_init__(self):
+        # the name goes unquoted into the run logs' `# … name=…` line
+        if not self.name or any(c.isspace() or not c.isprintable()
+                                for c in self.name):
+            raise ScenarioError(f"scenario name {self.name!r} must be "
+                                "non-empty, without whitespace or control "
+                                "characters")
         if not self.cameras:
             raise ScenarioError("scenario needs at least one camera")
         if self.duration_cap_s <= 0:
@@ -601,49 +613,83 @@ def run_lockstep(cfg: ScenarioConfig, out_dir: Path,
 
 def run_distributed(cfg: ScenarioConfig, out_dir: Path,
                     dump_frames: bool = False) -> RunResult:
-    """Spawn one OS process per node, wait, aggregate the vehicle's logs."""
+    """Spawn one OS process per node, start their clocks together, wait,
+    aggregate the vehicle's logs.
+
+    Each node sets up (scenario, node, socket bind), prints READY and reads
+    the shared epoch, the `time.time()` of t = 0, from its stdin. The epoch
+    is sent once every node is ready. A node that ends first, or is not
+    ready within READY_TIMEOUT_S, stops the run before t = 0.
+    """
     out_dir.mkdir(parents=True, exist_ok=True)
     scenario_path = out_dir / "scenario.json"
     _write_json(scenario_path, cfg.to_json_obj())
-    # give every spawned interpreter time to finish importing before t=0,
-    # otherwise slow hosts start the run with a processing backlog
-    epoch = time.time() + 2.0 + 1.0 * (len(cfg.mssp_ids()) + 1)
-    common = ["--scenario", str(scenario_path), "--out", str(out_dir),
-              "--epoch", repr(epoch)]
-    roles = [["--role", "mssp", "--id", mid, *common]
+    common = ["--scenario", str(scenario_path), "--out", str(out_dir)]
+    roles = {mid: ["--role", "mssp", "--id", mid, *common]
              + (["--dump-frames"] if dump_frames else [])
-             for mid in cfg.mssp_ids()]
-    roles.append(["--role", "vehicle", *common])
+             for mid in cfg.mssp_ids()}
+    roles["veh"] = ["--role", "vehicle", *common]
     timeout = cfg.duration_cap_s + 30.0
-    procs = []
+    procs = {}
     try:
-        for role in roles:
-            procs.append(subprocess.Popen(
-                [sys.executable, "-m", "iea_sim.cli", "node", *role]))
+        for node_id, role in roles.items():
+            procs[node_id] = subprocess.Popen(
+                [sys.executable, "-m", "iea_sim.cli", "node", *role],
+                stdin=PIPE, stdout=PIPE, text=True)
+        _start_nodes(procs)
         try:
-            rc = procs[-1].wait(timeout=timeout)
+            rc = procs["veh"].wait(timeout=timeout)
         except subprocess.TimeoutExpired:
             raise RuntimeError(f"vehicle node still running after {timeout} s; "
                                f"partial logs in {out_dir}") from None
         # camera nodes outlive the vehicle; one that has already exited
         # with an error crashed during the run
-        for mid, p in zip(cfg.mssp_ids(), procs):
-            if p.poll():
+        for mid in cfg.mssp_ids():
+            if procs[mid].poll():
                 raise RuntimeError(f"camera node {mid} exited with status "
-                                   f"{p.returncode}; partial logs in {out_dir}")
+                                   f"{procs[mid].returncode}; partial logs "
+                                   f"in {out_dir}")
     finally:
-        for p in procs:
+        for p in procs.values():
             p.terminate()
-        for p in procs:
+        for p in procs.values():
             try:
                 p.wait(timeout=5.0)
             except subprocess.TimeoutExpired:
                 p.kill()
                 p.wait()
+            p.stdin.close()
+            p.stdout.close()
     if rc != 0:
         raise RuntimeError(f"vehicle node exited with status {rc}; "
                            f"partial logs in {out_dir}")
     return read_run(out_dir)
+
+
+def _start_nodes(procs: dict) -> None:
+    """Wait until every node process has said READY, then send each the
+    same epoch: START_MARGIN_S from now."""
+    waiting = {p.stdout: node_id for node_id, p in procs.items()}
+    deadline = time.time() + READY_TIMEOUT_S
+    while waiting:
+        readable, _, _ = select.select(list(waiting), [], [],
+                                       max(0.0, deadline - time.time()))
+        if not readable:
+            raise RuntimeError(f"node {', '.join(waiting.values())} not "
+                               f"ready after {READY_TIMEOUT_S} s")
+        for f in readable:
+            node_id = waiting.pop(f)
+            if f.readline() != READY + "\n":
+                raise RuntimeError(f"node {node_id} exited before it was "
+                                   "ready; the run was not started")
+    epoch = time.time() + START_MARGIN_S
+    for node_id, p in procs.items():
+        try:
+            p.stdin.write(f"{epoch!r}\n")
+            p.stdin.close()
+        except BrokenPipeError:
+            raise RuntimeError(f"node {node_id} exited before the start; "
+                               "the run was not started") from None
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir: Path,
@@ -667,13 +713,23 @@ def _sleep_until(transport: UdpTransport, t_due: float) -> float:
     return now
 
 
+def _await_epoch() -> float:
+    """Tell the parent this node is set up; return the epoch it sends."""
+    print(READY, flush=True)
+    line = sys.stdin.readline()
+    if not line:
+        raise RuntimeError("input closed before the epoch was sent")
+    return float(line)
+
+
 def mssp_node_main(cfg: ScenarioConfig, node_id: str, out_dir: Path,
-                   epoch: float, dump_frames: bool = False) -> int:
+                   dump_frames: bool = False) -> int:
     node = make_mssp(cfg, node_id, out_dir, dump_frames)
-    transport = UdpTransport(node_id, cfg.node_addr(node_id), epoch)
+    transport = UdpTransport(node_id, cfg.node_addr(node_id))
     veh_addr = cfg.node_addr("veh")
     t_end = cfg.duration_cap_s + STOP_TAIL_S
     try:
+        transport.epoch = _await_epoch()
         while (now := _sleep_until(transport,
                                    min(node.frame_clock, t_end))) < t_end:
             # a camera drops frames when processing stalls: skip any backlog
@@ -691,13 +747,14 @@ def mssp_node_main(cfg: ScenarioConfig, node_id: str, out_dir: Path,
         transport.close()
 
 
-def vehicle_node_main(cfg: ScenarioConfig, out_dir: Path, epoch: float) -> int:
+def vehicle_node_main(cfg: ScenarioConfig, out_dir: Path) -> int:
     dt = cfg.dt
     vehicle = VehicleRun(cfg)
-    transport = UdpTransport("veh", cfg.node_addr("veh"), epoch)
+    transport = UdpTransport("veh", cfg.node_addr("veh"))
     mssp_addrs = [cfg.node_addr(mid) for mid in cfg.mssp_ids()]
     step_i = 0
     try:
+        transport.epoch = _await_epoch()
         while True:
             now = _sleep_until(transport, step_i * dt)
             if now - step_i * dt > 10 * dt:

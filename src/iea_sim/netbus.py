@@ -198,17 +198,17 @@ class UdpTransport:
     A background thread drains the socket into a queue; node logic pulls
     received messages synchronously via drain(), which logs each one in
     `records` as (t_received, sender, node_id, bytes, latency). Timestamps
-    are seconds since a shared epoch (valid for one-way latency on a
-    single host).
+    are seconds since `epoch`, the shared `time.time()` of t = 0 (valid
+    for one-way latency on a single host); a node binds first and sets
+    `epoch` once it is known.
     """
 
-    def __init__(self, node_id: str, bind_addr: tuple[str, int], epoch: float):
+    def __init__(self, node_id: str, bind_addr: tuple[str, int]):
         self.node_id = node_id
-        self.epoch = epoch
+        self.epoch = 0.0
         self.records: list[tuple] = []
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         self._sock.bind(bind_addr)
-        self._sock.settimeout(0.1)
         self._inbox: queue.Queue = queue.Queue()
         self._closed = threading.Event()
         self._thread = threading.Thread(target=self._recv_loop, daemon=True)
@@ -218,14 +218,15 @@ class UdpTransport:
         return time.time() - self.epoch
 
     def _recv_loop(self):
-        while not self._closed.is_set():
+        while True:
             try:
                 data, _addr = self._sock.recvfrom(4096)
-            except socket.timeout:
-                continue
             except OSError:
                 break
-            self._inbox.put((self.now(), data))
+            if self._closed.is_set():
+                break
+            # wall time, not run time: `epoch` may not be set yet
+            self._inbox.put((time.time(), data))
 
     def send(self, msg: WireMessage, addr: tuple[str, int]) -> None:
         self._sock.sendto(encode(msg), addr)
@@ -234,18 +235,25 @@ class UdpTransport:
         out = []
         while True:
             try:
-                t_recv, data = self._inbox.get_nowait()
+                stamp, data = self._inbox.get_nowait()
             except queue.Empty:
                 return out
             try:
                 msg = decode(data)
             except DecodeError:
                 continue  # foreign traffic on the port; ignore
+            t_recv = stamp - self.epoch
             self.records.append((t_recv, msg.sender, self.node_id, len(data),
                                  t_recv - msg.t))
             out.append(msg)
 
     def close(self) -> None:
         self._closed.set()
-        self._sock.close()
+        try:
+            # wakes the blocked recvfrom at once; Linux does so although it
+            # raises ENOTCONN on an unconnected datagram socket
+            self._sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         self._thread.join(timeout=1.0)
+        self._sock.close()

@@ -2,8 +2,12 @@ import dataclasses
 import json
 import math
 import os
+import shutil
+import socket
 import subprocess
 import sys
+import threading
+import time
 import types
 from importlib import resources
 from pathlib import Path
@@ -35,6 +39,21 @@ class TestScenarioConfig:
     def test_bad_mode_rejected(self):
         with pytest.raises(ScenarioError):
             small_cfg(mode="networked")
+
+    @pytest.mark.parametrize("name", ["", "a\nb", "two words", "tab\there",
+                                      "bell\x07"])
+    def test_name_that_would_break_the_run_logs_rejected(self, name, tmp_path,
+                                                         capsys):
+        with pytest.raises(ScenarioError, match="scenario name"):
+            small_cfg(name=name)
+        obj = load_scenario("straight_3ms").to_json_obj()
+        obj["name"] = name
+        path = tmp_path / "named.json"
+        path.write_text(json.dumps(obj))
+        assert cli.main(["run", "--scenario", str(path),
+                         "--out", str(tmp_path / "out")]) == 1
+        assert "scenario name" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_bad_rate_rejected(self):
         with pytest.raises(ScenarioError):
@@ -294,6 +313,60 @@ class TestExportPlotData:
         assert len(cl_path.read_text().splitlines()) == 1
 
 
+class FakeNode:
+    """A node process behind stdin/stdout pipes, in place of `Popen`.
+
+    `start` says ready at once; `events` logs each ("ready", node id,
+    time.time()) and each ("epoch", node id, time.time(), line written to
+    the node's stdin). Subclasses change when it is ready and how it ends.
+    """
+
+    children: list = []
+    events: list = []
+
+    def __init__(self, args, stdin=None, stdout=None, text=False):
+        assert stdin == stdout == subprocess.PIPE and text
+        self.args = args
+        self.node_id = args[args.index("--id") + 1] if "--id" in args else "veh"
+        self.terminated = False
+        read_fd, self._write_fd = os.pipe()
+        self.stdout = open(read_fd)
+        self.stdin = types.SimpleNamespace(write=self._receive,
+                                           close=lambda: None)
+        self.children.append(self)
+        self.start()
+
+    def start(self):
+        self.say_ready()
+
+    def say_ready(self):
+        self.events.append(("ready", self.node_id, time.time()))
+        os.write(self._write_fd, f"{harness.READY}\n".encode())
+
+    def _receive(self, line):
+        self.events.append(("epoch", self.node_id, time.time(), line))
+
+    def poll(self):
+        return None
+
+    def wait(self, timeout=None):
+        return 0
+
+    def terminate(self):
+        self.terminated = True
+        if self._write_fd is not None:
+            os.close(self._write_fd)
+            self._write_fd = None
+
+
+def install_fake_nodes(monkeypatch, cls) -> list:
+    """Make run_distributed start `cls` nodes; returns the list of them."""
+    FakeNode.children, FakeNode.events = [], []
+    monkeypatch.setattr(harness, "subprocess", types.SimpleNamespace(
+        Popen=cls, TimeoutExpired=subprocess.TimeoutExpired))
+    return FakeNode.children
+
+
 class TestCli:
     def test_run_short_scenario(self, tmp_path, capsys):
         scen = {
@@ -316,26 +389,88 @@ class TestCli:
         assert summary["scenario"] == "cli_smoke"
         assert (tmp_path / "out" / "run.csv").exists()
 
+    def test_distributed_start_waits_for_every_node(self, tmp_path,
+                                                    monkeypatch, capsys):
+        class LateVehicle(FakeNode):
+            def start(self):
+                # the cameras say ready at once, the vehicle 0.2 s later
+                if self.node_id == "veh":
+                    threading.Timer(0.2, self.say_ready).start()
+                else:
+                    self.say_ready()
+
+            def wait(self, timeout=None):
+                # the vehicle leaves the logs of a short lockstep run
+                if self.node_id == "veh":
+                    out = Path(self.args[self.args.index("--out") + 1])
+                    for f in logs.iterdir():
+                        shutil.copy(f, out / f.name)
+                return 0
+
+        cfg = load_scenario("straight_3ms")
+        logs = tmp_path / "lockstep"
+        run_scenario(dataclasses.replace(cfg, duration_cap_s=2.0), logs)
+        children = install_fake_nodes(monkeypatch, LateVehicle)
+        rc = cli.main(["run", "--scenario", "straight_3ms", "--mode",
+                       "distributed", "--out", str(tmp_path / "out")])
+        assert rc == 0
+        node_ids = ["veh", *cfg.mssp_ids()]
+        assert sorted(c.node_id for c in children) == sorted(node_ids)
+        assert all("--epoch" not in c.args for c in children)
+        events = FakeNode.events
+        said_ready = [e for e in events if e[0] == "ready"]
+        epochs = [e for e in events if e[0] == "epoch"]
+        assert events == said_ready + epochs
+        assert sorted(e[1] for e in said_ready) == sorted(node_ids)
+        assert sorted(e[1] for e in epochs) == sorted(node_ids)
+        [line] = {e[3] for e in epochs}
+        assert line.endswith("\n")
+        assert float(line) > max(e[2] for e in said_ready)
+        assert all(c.terminated for c in children)
+
+    def test_distributed_node_never_ready_is_reported(self, tmp_path,
+                                                      monkeypatch, capsys):
+        class SilentVehicle(FakeNode):
+            def start(self):
+                if self.node_id != "veh":
+                    self.say_ready()
+
+        monkeypatch.setattr(harness, "READY_TIMEOUT_S", 0.3)
+        children = install_fake_nodes(monkeypatch, SilentVehicle)
+        t0 = time.monotonic()
+        rc = cli.main(["run", "--scenario", "distributed_smoke",
+                       "--out", str(tmp_path)])
+        assert time.monotonic() - t0 < 5.0
+        assert rc == 2
+        assert "node veh not ready" in capsys.readouterr().err
+        assert len(children) == 2
+        assert all(c.terminated for c in children)
+        assert not [e for e in FakeNode.events if e[0] == "epoch"]
+        assert not (tmp_path / "run.csv").exists()
+
+    def test_distributed_camera_port_taken_is_reported(self, tmp_path, capsys):
+        cfg = load_scenario("distributed_smoke")
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as taken:
+            taken.bind(cfg.node_addr("mssp1"))
+            rc = cli.main(["run", "--scenario", "distributed_smoke",
+                           "--out", str(tmp_path)])
+        assert rc == 2
+        assert ("node mssp1 exited before it was ready"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "run.csv").exists()
+        # the vehicle, ready and waiting for the epoch, was ended too
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as veh_port:
+            veh_port.bind(cfg.node_addr("veh"))
+
     def test_distributed_timeout_terminates_every_child(self, tmp_path,
                                                         monkeypatch, capsys):
-        children = []
-
-        class HangingPopen:
-            def __init__(self, args):
-                self.args = args
-                self.terminated = False
-                children.append(self)
-
+        class HangingPopen(FakeNode):
             def wait(self, timeout=None):
                 if not self.terminated:
                     raise subprocess.TimeoutExpired(self.args, timeout)
                 return -15
 
-            def terminate(self):
-                self.terminated = True
-
-        monkeypatch.setattr(harness, "subprocess", types.SimpleNamespace(
-            Popen=HangingPopen, TimeoutExpired=subprocess.TimeoutExpired))
+        children = install_fake_nodes(monkeypatch, HangingPopen)
         rc = cli.main(["run", "--scenario", "distributed_smoke",
                        "--out", str(tmp_path)])
         assert rc == 2
@@ -345,14 +480,11 @@ class TestCli:
 
     def test_distributed_camera_crash_is_reported(self, tmp_path,
                                                   monkeypatch, capsys):
-        children = []
-
-        class CrashedCameraPopen:
-            def __init__(self, args):
-                # the camera dies at once; the vehicle runs to completion
-                self.returncode = 1 if "mssp" in args else None
-                self.terminated = False
-                children.append(self)
+        class CrashedCameraPopen(FakeNode):
+            def start(self):
+                # the camera dies once started; the vehicle runs to completion
+                self.returncode = 1 if "mssp" in self.args else None
+                self.say_ready()
 
             def poll(self):
                 return self.returncode
@@ -360,11 +492,7 @@ class TestCli:
             def wait(self, timeout=None):
                 return 0 if self.returncode is None else self.returncode
 
-            def terminate(self):
-                self.terminated = True
-
-        monkeypatch.setattr(harness, "subprocess", types.SimpleNamespace(
-            Popen=CrashedCameraPopen, TimeoutExpired=subprocess.TimeoutExpired))
+        children = install_fake_nodes(monkeypatch, CrashedCameraPopen)
         rc = cli.main(["run", "--scenario", "distributed_smoke",
                        "--out", str(tmp_path)])
         assert rc == 2

@@ -119,8 +119,9 @@ class TestLockstepNetwork:
 class TestUdpTransport:
     def test_drain_returns_poses_and_logs_the_receiver(self):
         epoch = time.time()
-        veh = UdpTransport("veh", ("127.0.0.1", 0), epoch)
-        cam = UdpTransport("mssp1", ("127.0.0.1", 0), epoch)
+        veh = UdpTransport("veh", ("127.0.0.1", 0))
+        cam = UdpTransport("mssp1", ("127.0.0.1", 0))
+        veh.epoch = cam.epoch = epoch
         try:
             addr = cam._sock.getsockname()
             with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as junk:
@@ -139,7 +140,10 @@ class TestUdpTransport:
                                                    len(encode(msg)))
             assert latency >= 0.0 and t_recv >= msg.t
         finally:
-            veh.close()
-            cam.close()
-        assert not cam._thread.is_alive()
-        assert not veh._thread.is_alive()
+            # each receive thread is blocked in recvfrom; close() must wake
+            # it, not wait for its join timeout
+            for transport in (cam, veh):
+                t0 = time.monotonic()
+                transport.close()
+                assert not transport._thread.is_alive()
+                assert time.monotonic() - t0 < 0.5
