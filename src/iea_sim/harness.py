@@ -702,17 +702,6 @@ def run_scenario(cfg: ScenarioConfig, out_dir: Path,
 # ---------------------------------------------------------------------------
 # distributed node mains (invoked by the CLI in each spawned process)
 
-def _sleep_until(transport: UdpTransport, t_due: float) -> float:
-    """Sleep until the run clock reaches t_due and return the clock.
-
-    Arrivals are stamped by the transport's receive thread, so waking
-    before the due time would gain nothing.
-    """
-    while (now := transport.now()) < t_due:
-        time.sleep(t_due - now)
-    return now
-
-
 def _await_epoch() -> float:
     """Tell the parent this node is set up; return the epoch it sends."""
     print(READY, flush=True)
@@ -720,6 +709,14 @@ def _await_epoch() -> float:
     if not line:
         raise RuntimeError("input closed before the epoch was sent")
     return float(line)
+
+
+def _close(transport: UdpTransport) -> None:
+    """Close a node's socket; report the datagrams it could not decode."""
+    transport.close()
+    if transport.rejected:
+        print(f"{transport.node_id}: ignored {transport.rejected} "
+              "undecodable datagram(s)", file=sys.stderr)
 
 
 def mssp_node_main(cfg: ScenarioConfig, node_id: str, out_dir: Path,
@@ -730,8 +727,7 @@ def mssp_node_main(cfg: ScenarioConfig, node_id: str, out_dir: Path,
     t_end = cfg.duration_cap_s + STOP_TAIL_S
     try:
         transport.epoch = _await_epoch()
-        while (now := _sleep_until(transport,
-                                   min(node.frame_clock, t_end))) < t_end:
+        while (now := transport.wait(min(node.frame_clock, t_end))) < t_end:
             # a camera drops frames when processing stalls: skip any backlog
             # beyond the most recent due frame instead of bursting through it
             behind = now - node.frame_clock
@@ -744,7 +740,7 @@ def mssp_node_main(cfg: ScenarioConfig, node_id: str, out_dir: Path,
                 transport.send(replace(est, t=transport.now()), veh_addr)
         return 0
     finally:
-        transport.close()
+        _close(transport)
 
 
 def vehicle_node_main(cfg: ScenarioConfig, out_dir: Path) -> int:
@@ -756,7 +752,7 @@ def vehicle_node_main(cfg: ScenarioConfig, out_dir: Path) -> int:
     try:
         transport.epoch = _await_epoch()
         while True:
-            now = _sleep_until(transport, step_i * dt)
+            now = transport.wait(step_i * dt)
             if now - step_i * dt > 10 * dt:
                 # processing stall: rejoin the schedule instead of bursting
                 # through the missed control steps
@@ -773,7 +769,7 @@ def vehicle_node_main(cfg: ScenarioConfig, out_dir: Path) -> int:
         vehicle.write(out_dir, transport.records)
         return 0
     finally:
-        transport.close()
+        _close(transport)
 
 
 # ---------------------------------------------------------------------------

@@ -17,10 +17,9 @@ from __future__ import annotations
 import heapq
 import json
 import math
-import queue
 import random
+import select
 import socket
-import threading
 import time
 from dataclasses import dataclass
 from typing import Union
@@ -195,65 +194,66 @@ class LockstepNetwork:
 class UdpTransport:
     """Real datagram sockets for distributed mode.
 
-    A background thread drains the socket into a queue; node logic pulls
-    received messages synchronously via drain(), which logs each one in
-    `records` as (t_received, sender, node_id, bytes, latency). Timestamps
-    are seconds since `epoch`, the shared `time.time()` of t = 0 (valid
-    for one-way latency on a single host); a node binds first and sets
-    `epoch` once it is known.
+    Each node is one thread. It waits for its next due time in wait(), a
+    `select` on its own non-blocking socket, and stamps every datagram
+    when it arrives. drain() decodes the stored arrivals and logs each one
+    in `records` as (t_received, sender, node_id, bytes, latency); a
+    datagram that does not decode is counted in `rejected`. Timestamps are
+    seconds since `epoch`, the shared `time.time()` of t = 0 (valid for
+    one-way latency on a single host); a node binds first and sets `epoch`
+    once it is known.
     """
 
     def __init__(self, node_id: str, bind_addr: tuple[str, int]):
         self.node_id = node_id
         self.epoch = 0.0
         self.records: list[tuple] = []
+        self.rejected = 0
+        self._arrivals: list[tuple[float, bytes]] = []
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         self._sock.bind(bind_addr)
-        self._inbox: queue.Queue = queue.Queue()
-        self._closed = threading.Event()
-        self._thread = threading.Thread(target=self._recv_loop, daemon=True)
-        self._thread.start()
+        self._sock.setblocking(False)
 
     def now(self) -> float:
         return time.time() - self.epoch
 
-    def _recv_loop(self):
+    def _receive(self) -> None:
         while True:
+            # wall time, not run time: `epoch` may not be set yet. Taken
+            # before the read: right after a wake the read itself takes tens
+            # of microseconds, which is not link latency.
+            stamp = time.time()
             try:
                 data, _addr = self._sock.recvfrom(4096)
-            except OSError:
-                break
-            if self._closed.is_set():
-                break
-            # wall time, not run time: `epoch` may not be set yet
-            self._inbox.put((time.time(), data))
+            except BlockingIOError:
+                return
+            self._arrivals.append((stamp, data))
+
+    def wait(self, t_due: float) -> float:
+        """Receive until the run clock reaches t_due and return the clock."""
+        while (now := self.now()) < t_due:
+            select.select([self._sock], [], [], t_due - now)
+            self._receive()
+        return now
 
     def send(self, msg: WireMessage, addr: tuple[str, int]) -> None:
         self._sock.sendto(encode(msg), addr)
 
     def drain(self) -> list[WireMessage]:
+        self._receive()
+        arrivals, self._arrivals = self._arrivals, []
         out = []
-        while True:
-            try:
-                stamp, data = self._inbox.get_nowait()
-            except queue.Empty:
-                return out
+        for stamp, data in arrivals:
             try:
                 msg = decode(data)
             except DecodeError:
-                continue  # foreign traffic on the port; ignore
+                self.rejected += 1  # foreign traffic on the port
+                continue
             t_recv = stamp - self.epoch
             self.records.append((t_recv, msg.sender, self.node_id, len(data),
                                  t_recv - msg.t))
             out.append(msg)
+        return out
 
     def close(self) -> None:
-        self._closed.set()
-        try:
-            # wakes the blocked recvfrom at once; Linux does so although it
-            # raises ENOTCONN on an unconnected datagram socket
-            self._sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        self._thread.join(timeout=1.0)
         self._sock.close()

@@ -90,12 +90,6 @@ class TrackerState:
     frames_lost: int = 0
 
 
-def blank_frame(width: int, height: int, t: float) -> Frame:
-    px = np.full((height, width), BACKGROUND_INTENSITY, dtype=np.uint8)
-    px.setflags(write=False)
-    return Frame(px, t, EMPTY_BOX)
-
-
 def _vehicle_corners(pose: Pose2D, length: float, width: float):
     c, s = math.cos(pose.psi), math.sin(pose.psi)
     hl, hw = length / 2.0, width / 2.0

@@ -20,6 +20,7 @@ from iea_sim.harness import (ScenarioConfig, ScenarioError, compare_runs,
                              point_to_polyline, read_run, read_run_csv,
                              run_columns, run_scenario, summarize,
                              write_run_csv)
+from iea_sim.netbus import UdpTransport
 
 from conftest import make_camera
 
@@ -499,6 +500,18 @@ class TestCli:
         assert "camera node mssp1 exited with status 1" in capsys.readouterr().err
         assert len(children) == 2
         assert all(c.terminated for c in children)
+
+    def test_node_reports_undecodable_datagrams_at_exit(self, capsys):
+        quiet = UdpTransport("veh", ("127.0.0.1", 0))
+        harness._close(quiet)
+        cam = UdpTransport("mssp1", ("127.0.0.1", 0))
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as junk:
+            junk.sendto(b"not a wire message", cam._sock.getsockname())
+        cam.wait(cam.now() + 0.05)
+        assert cam.drain() == []
+        harness._close(cam)
+        assert capsys.readouterr().err == ("mssp1: ignored 1 undecodable "
+                                           "datagram(s)\n")
 
     def test_run_unknown_scenario_exit_1(self, capsys):
         assert cli.main(["run", "--scenario", "nope"]) == 1

@@ -1,4 +1,5 @@
 import socket
+import threading
 import time
 from dataclasses import replace
 
@@ -135,15 +136,45 @@ class TestUdpTransport:
                 got += cam.drain()
             assert got == [msg]
             assert cam.drain() == []
+            assert cam.rejected == 1
             [(t_recv, sender, receiver, n_bytes, latency)] = cam.records
             assert (sender, receiver, n_bytes) == ("veh", "mssp1",
                                                    len(encode(msg)))
             assert latency >= 0.0 and t_recv >= msg.t
         finally:
-            # each receive thread is blocked in recvfrom; close() must wake
-            # it, not wait for its join timeout
             for transport in (cam, veh):
-                t0 = time.monotonic()
                 transport.close()
-                assert not transport._thread.is_alive()
-                assert time.monotonic() - t0 < 0.5
+                assert transport._sock.fileno() == -1
+
+    def test_wait_stamps_each_datagram_on_arrival(self):
+        veh = UdpTransport("veh", ("127.0.0.1", 0))
+        cam = UdpTransport("mssp1", ("127.0.0.1", 0))
+        veh.epoch = cam.epoch = time.time()
+        sent = []
+
+        def send():
+            sent.append(replace(POSE, t=veh.now()))
+            veh.send(sent[-1], cam._sock.getsockname())
+
+        timer = threading.Timer(0.05, send)
+        try:
+            t_due = cam.now() + 0.3
+            timer.start()
+            assert cam.wait(t_due) >= t_due
+            timer.join()
+            assert cam.drain() == sent
+            # stamped while waiting, not at the drain 0.25 s later
+            [(t_recv, *_rest)] = cam.records
+            assert 0.0 <= t_recv - sent[0].t < 0.1
+        finally:
+            timer.cancel()
+            veh.close()
+            cam.close()
+
+    def test_transport_starts_no_thread(self):
+        before = threading.active_count()
+        transport = UdpTransport("veh", ("127.0.0.1", 0))
+        try:
+            assert threading.active_count() == before
+        finally:
+            transport.close()

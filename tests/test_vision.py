@@ -10,8 +10,10 @@ from iea_sim.geometry import Pose2D, PixelPoint, WorldPoint, \
     back_project_ground, in_image, project
 from iea_sim.vision import (BACKGROUND_INTENSITY, EMPTY_BOX, SEARCHING,
                             TRACKING, VEHICLE_INTENSITY, TrackerState,
-                            blank_frame, detect_by_subtraction, render_frame,
-                            track_step, write_pgm)
+                            detect_by_subtraction, render_frame, track_step,
+                            write_pgm)
+
+from conftest import make_camera
 
 DIMS = (4.5, 2.0)
 
@@ -20,6 +22,13 @@ DIMS = (4.5, 2.0)
 poses = st.one_of(st.none(), st.builds(
     Pose2D, st.floats(-10.0, 70.0), st.floats(-20.0, 20.0),
     st.floats(-math.pi, math.pi)))
+
+
+def _blank(width, height, t=0.0):
+    """A rendered frame with no vehicle in it."""
+    camera = make_camera(cx=width / 2, cy=height / 2, width=width,
+                         height=height)
+    return render_frame(camera, None, DIMS, t)
 
 
 def _frame_from_array(arr, t=0.0):
@@ -66,7 +75,7 @@ class TestRenderFrame:
         assert (fr.pixels[outside] == BACKGROUND_INTENSITY).all()
 
     def test_only_noise_free_frames_carry_a_box(self, default_camera):
-        assert blank_frame(80, 60, 0.0).painted == EMPTY_BOX
+        assert _blank(80, 60).painted == EMPTY_BOX
         assert render_frame(default_camera, None, DIMS, 0.0).painted == EMPTY_BOX
         noisy = render_frame(default_camera, Pose2D(20, 0, 0), DIMS, 0.0,
                              noise_sigma=2.0, rng=np.random.default_rng(3))
@@ -85,7 +94,7 @@ class TestRenderFrame:
 
 class TestDetectBySubtraction:
     def test_identical_frames_yield_none(self, default_camera):
-        bg = blank_frame(80, 60, 0.0)
+        bg = _blank(80, 60)
         assert detect_by_subtraction(bg, bg) is None
 
     def test_box_is_exactly_the_painted_rectangle(self, default_camera):
@@ -97,7 +106,7 @@ class TestDetectBySubtraction:
             (us.min(), vs.min(), us.max(), vs.max())
 
     def test_larger_of_two_blobs_wins(self):
-        bg = blank_frame(60, 60, 0.0)
+        bg = _blank(60, 60)
         cur = np.full((60, 60), BACKGROUND_INTENSITY, dtype=np.uint8)
         cur[10:20, 10:20] = 220      # 100 px blob
         cur[40:43, 40:43] = 220      # 9 px noise patch
@@ -105,23 +114,23 @@ class TestDetectBySubtraction:
         assert (box.u_min, box.v_min, box.u_max, box.v_max) == (10, 10, 19, 19)
 
     def test_small_blob_below_min_area_ignored(self):
-        bg = blank_frame(60, 60, 0.0)
+        bg = _blank(60, 60)
         cur = np.full((60, 60), BACKGROUND_INTENSITY, dtype=np.uint8)
         cur[5:8, 5:8] = 220  # 9 px < min_area 25
         assert detect_by_subtraction(bg, _frame_from_array(cur)) is None
 
     def test_dimension_mismatch_raises(self):
         with pytest.raises(ValueError):
-            detect_by_subtraction(blank_frame(10, 10, 0.0),
-                                  blank_frame(11, 10, 0.0))
+            detect_by_subtraction(_blank(10, 10),
+                                  _blank(11, 10))
 
     def test_negative_threshold_raises(self):
-        bg = blank_frame(10, 10, 0.0)
+        bg = _blank(10, 10)
         with pytest.raises(ValueError, match="threshold"):
             detect_by_subtraction(bg, bg, threshold=-1)
         # the shape check comes first
         with pytest.raises(ValueError, match="dimensions"):
-            detect_by_subtraction(bg, blank_frame(11, 10, 0.0), threshold=-1)
+            detect_by_subtraction(bg, _blank(11, 10), threshold=-1)
 
     @settings(max_examples=60, deadline=None)
     @given(poses, poses, st.integers(0, 255), st.integers(1, 60))
@@ -140,7 +149,7 @@ class TestDetectBySubtraction:
     @given(st.integers(0, 40), st.integers(0, 40),
            st.integers(5, 19), st.integers(5, 19))
     def test_box_tightness(self, u0, v0, w, h):
-        bg = blank_frame(64, 64, 0.0)
+        bg = _blank(64, 64)
         cur = np.full((64, 64), BACKGROUND_INTENSITY, dtype=np.uint8)
         u1, v1 = min(63, u0 + w), min(63, v0 + h)
         cur[v0:v1 + 1, u0:u1 + 1] = 220
@@ -166,7 +175,7 @@ class TestTrackStep:
     def test_empty_scene_never_detects(self, default_camera):
         state = TrackerState()
         for i in range(20):
-            state, det = track_step(state, blank_frame(80, 60, i * 0.05))
+            state, det = track_step(state, _blank(80, 60, i * 0.05))
             assert det is None
         assert state.mode == SEARCHING
 
