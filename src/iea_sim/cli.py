@@ -4,7 +4,7 @@
               [--out DIR] [--dump-frames]
   iea-sim compare A B
   iea-sim export LOG [--out DIR]
-  iea-sim node --role mssp|vehicle [--id ID] --scenario F --out DIR
+  iea-sim node --id veh|mssp1|mssp2|... --scenario F --out DIR
       (prints `ready` once set up, then reads t = 0 as a time.time()
        from one stdin line)
 
@@ -52,8 +52,8 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="output directory (default: next to the log)")
 
     node = sub.add_parser("node", help="run a single node process (distributed)")
-    node.add_argument("--role", choices=["mssp", "vehicle"], required=True)
-    node.add_argument("--id", default=None, help="MSSP node id, e.g. mssp2")
+    node.add_argument("--id", required=True,
+                      help="veh for the vehicle, else a camera id, e.g. mssp2")
     node.add_argument("--scenario", required=True)
     node.add_argument("--out", required=True)
     node.add_argument("--dump-frames", action="store_true")
@@ -91,12 +91,10 @@ def _cmd_export(args) -> int:
 
 def _cmd_node(args) -> int:
     cfg = load_scenario(args.scenario)
-    if args.role == "mssp":
-        if not args.id:
-            raise ScenarioError("--id is required for --role mssp")
-        return mssp_node_main(cfg, args.id, Path(args.out),
-                              dump_frames=args.dump_frames)
-    return vehicle_node_main(cfg, Path(args.out))
+    if args.id == "veh":
+        return vehicle_node_main(cfg, Path(args.out))
+    return mssp_node_main(cfg, args.id, Path(args.out),
+                          dump_frames=args.dump_frames)
 
 
 def main(argv=None) -> int:

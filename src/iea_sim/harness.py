@@ -340,30 +340,32 @@ def _parse_value(col: str, v: str):
 def read_run_csv(path: Path) -> tuple[dict, list[str], list[dict]]:
     """Comment-line metadata, header and parsed rows of a run-log CSV.
 
-    A row whose field count differs from the header's (a torn write, say)
-    raises ValueError naming the file and the line.
+    Fields are split by `csv`, the mirror of `_write_csv`, so a quoted
+    field that holds a comma stays one field. A row whose field count
+    differs from the header's (a torn write, say) raises ValueError naming
+    the file and the line.
     """
     meta: dict = {}
     rows: list[dict] = []
-    with open(path, encoding="utf-8") as f:
-        first = f.readline().strip()
-        if first.startswith("#"):
+    with open(path, encoding="utf-8", newline="") as f:
+        first = f.readline()
+        comment = first.startswith("#")
+        if comment:
             for part in first[1:].split():
                 if "=" in part:
                     k, v = part.split("=", 1)
                     meta[k] = v
-            header = f.readline().strip()
         else:
-            header = first
-        cols = header.split(",")
-        for lineno, line in enumerate(f, start=2 + first.startswith("#")):
-            line = line.rstrip("\n")
-            if not line:
+            f.seek(0)
+        reader = csv.reader(f)
+        cols = next(reader, [""])
+        for vals in reader:
+            if not vals:
                 continue
-            vals = line.split(",")
             if len(vals) != len(cols):
-                raise ValueError(f"{path}, line {lineno}: {len(vals)} fields "
-                                 f"under a {len(cols)}-column header")
+                raise ValueError(f"{path}, line {reader.line_num + comment}: "
+                                 f"{len(vals)} fields under a "
+                                 f"{len(cols)}-column header")
             rows.append({c: _parse_value(c, v) for c, v in zip(cols, vals)})
     return meta, cols, rows
 
@@ -624,17 +626,15 @@ def run_distributed(cfg: ScenarioConfig, out_dir: Path,
     out_dir.mkdir(parents=True, exist_ok=True)
     scenario_path = out_dir / "scenario.json"
     _write_json(scenario_path, cfg.to_json_obj())
-    common = ["--scenario", str(scenario_path), "--out", str(out_dir)]
-    roles = {mid: ["--role", "mssp", "--id", mid, *common]
-             + (["--dump-frames"] if dump_frames else [])
-             for mid in cfg.mssp_ids()}
-    roles["veh"] = ["--role", "vehicle", *common]
+    common = (["--scenario", str(scenario_path), "--out", str(out_dir)]
+              + (["--dump-frames"] if dump_frames else []))
     timeout = cfg.duration_cap_s + 30.0
     procs = {}
     try:
-        for node_id, role in roles.items():
+        for node_id in [*cfg.mssp_ids(), "veh"]:
             procs[node_id] = subprocess.Popen(
-                [sys.executable, "-m", "iea_sim.cli", "node", *role],
+                [sys.executable, "-m", "iea_sim.cli", "node",
+                 "--id", node_id, *common],
                 stdin=PIPE, stdout=PIPE, text=True)
         _start_nodes(procs)
         try:

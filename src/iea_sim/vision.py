@@ -2,9 +2,10 @@
 
 Stands in for a real roadside camera feed: the renderer paints the
 vehicle's ground rectangle into a flat grayscale frame, the detector
-differences against a stored background, and the tracker runs a
-Searching / Tracking state machine with gated nearest-centroid
-re-association and background re-acquisition on loss.
+differences against a stored background and labels the 4-connected
+foreground components from the mask's row runs, in numpy alone, and the
+tracker runs a Searching / Tracking state machine with gated
+nearest-centroid re-association and background re-acquisition on loss.
 
 A noise-free rendered frame records the box it painted; outside it every
 pixel is background. When both frames of a difference carry such a box,
@@ -20,7 +21,6 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy import ndimage
 
 from .geometry import CameraModel, Pose2D, WorldPoint, project
 
@@ -181,26 +181,68 @@ def _foreground_components(background: Frame, current: Frame,
         a, b = a[v_box:v1, u_box:u1], b[v_box:v1, u_box:u1]
     # |a - b| in uint8 without widening casts
     mask = np.maximum(a, b) - np.minimum(a, b) > threshold
-    if np.count_nonzero(mask) < min_area:
-        return []
-    rows = np.any(mask, axis=1).nonzero()[0]
-    cols = np.any(mask, axis=0).nonzero()[0]
-    r0, r1, c0, c1 = rows[0], rows[-1], cols[0], cols[-1]
-    sub = mask[r0:r1 + 1, c0:c1 + 1]
-    labels, n = ndimage.label(sub)  # default structure = 4-connectivity
-    out = []
-    for idx, sl in enumerate(ndimage.find_objects(labels), start=1):
-        comp = labels[sl] == idx
-        area = int(comp.sum())
-        if area < min_area:
-            continue
-        vs, us = comp.nonzero()
-        v_off, u_off = sl[0].start + r0 + v_box, sl[1].start + c0 + u_box
-        box = BoundingBox(int(us.min() + u_off), int(vs.min() + v_off),
-                          int(us.max() + u_off), int(vs.max() + v_off))
-        centroid = (float(us.mean() + u_off), float(vs.mean() + v_off))
-        out.append((area, box, centroid))
-    return out
+    return _components(mask, min_area, v_box, u_box)
+
+
+def _components(mask: np.ndarray, min_area: int, v_off: int, u_off: int):
+    """4-connected components of a boolean mask as (area, bbox, centroid).
+
+    Components come in raster order of their first pixel and those under
+    min_area are left out; (v_off, u_off) is the frame position of the
+    mask's top-left pixel. Works on row runs: a run joins each run of the
+    row above that shares a column with it, and each component is labelled
+    by its first run.
+    """
+    h, w = mask.shape
+    stride = w + 1  # a background column ends every row's last run
+    flat = np.zeros(h * stride + 1, dtype=bool)
+    flat[1:].reshape(h, stride)[:, :w] = mask
+    edges = np.flatnonzero(flat[1:] != flat[:-1])
+    starts, ends = edges[0::2], edges[1::2]  # half-open, as row * stride + col
+    n = len(starts)
+    # the runs of the row above that overlap run i are the count[i] runs
+    # from lo[i] on; pair each with run i
+    lo = np.searchsorted(ends, starts - stride, side="right")
+    count = np.maximum(np.searchsorted(starts, ends - stride) - lo, 0)
+    below = np.repeat(np.arange(n), count)
+    above = np.arange(len(below)) - np.repeat(np.cumsum(count) - count - lo,
+                                              count)
+    # every label is a run of the same component, no later than its own;
+    # hook the later root of each split pair onto the earlier, then jump
+    # every label to its root
+    label = np.arange(n)
+    while True:
+        while ((root := label[label]) != label).any():
+            label = root
+        a, b = label[below], label[above]
+        split = a != b
+        if not split.any():
+            break
+        np.minimum.at(label, np.maximum(a[split], b[split]),
+                      np.minimum(a[split], b[split]))
+    first, comp = np.unique(label, return_inverse=True)
+    row, col0 = np.divmod(starts, stride)
+    col1 = ends - row * stride
+    length = col1 - col0
+    area = np.bincount(comp, length).astype(np.int64)
+    u_min = np.full(len(first), w)
+    np.minimum.at(u_min, comp, col0)
+    u_max = np.zeros(len(first), dtype=np.int64)
+    np.maximum.at(u_max, comp, col1 - 1)
+    v_min = row[first]
+    v_max = np.zeros(len(first), dtype=np.int64)
+    np.maximum.at(v_max, comp, row)
+    # the mean of the offsets from the box corner, plus the corner: the
+    # centroid's rounding, which the golden digests pin to the last bit
+    u_sum = np.bincount(comp, (col0 + col1 - 1) * length // 2)
+    v_sum = np.bincount(comp, row * length)
+    cu = (u_sum - area * u_min) / area + (u_min + u_off)
+    cv = (v_sum - area * v_min) / area + (v_min + v_off)
+    columns = (area, u_min + u_off, v_min + v_off, u_max + u_off,
+               v_max + v_off, cu, cv)
+    return [(n_px, BoundingBox(u0, v0, u1, v1), (x, y))
+            for n_px, u0, v0, u1, v1, x, y
+            in zip(*(col[area >= min_area].tolist() for col in columns))]
 
 
 def detect_by_subtraction(background: Frame, current: Frame,

@@ -19,7 +19,7 @@ from iea_sim.harness import (ScenarioConfig, ScenarioError, compare_runs,
                              export_plot_data, load_scenario,
                              point_to_polyline, read_run, read_run_csv,
                              run_columns, run_scenario, summarize,
-                             write_run_csv)
+                             write_net_csv, write_run_csv)
 from iea_sim.netbus import UdpTransport
 
 from conftest import make_camera
@@ -186,6 +186,16 @@ class TestRunCsvRoundtrip:
         assert meta["mssps"].split(",") == mids
         assert cols == run_columns(mids)
         assert back == rows  # repr-format floats parse back bit-identically
+
+    def test_field_with_a_comma_roundtrips(self, tmp_path):
+        # any process on loopback can send a well-formed datagram whose
+        # sender holds a comma; the node logs it as received
+        records = [(0.5, "a,b", "veh", 120, 0.001),
+                   (0.52, "mssp1", "veh", 118, 0.0015)]
+        path = tmp_path / "net_metrics.csv"
+        write_net_csv(path, records)
+        _meta, _cols, back = read_run_csv(path)
+        assert [tuple(r.values()) for r in back] == records
 
 
 def _assert_json_close(a, b, path="$"):
@@ -484,7 +494,7 @@ class TestCli:
         class CrashedCameraPopen(FakeNode):
             def start(self):
                 # the camera dies once started; the vehicle runs to completion
-                self.returncode = 1 if "mssp" in self.args else None
+                self.returncode = 1 if self.node_id != "veh" else None
                 self.say_ready()
 
             def poll(self):
@@ -512,6 +522,32 @@ class TestCli:
         harness._close(cam)
         assert capsys.readouterr().err == ("mssp1: ignored 1 undecodable "
                                            "datagram(s)\n")
+
+    def test_runs_without_scipy(self, tmp_path):
+        # numpy is the only runtime dependency: with scipy unimportable the
+        # CLI loads and a noisy run, which labels whole frames, completes
+        doc = json.loads((resources.files("iea_sim") / "scenarios"
+                          / "distributed_smoke.json").read_text())
+        doc.update(mode="lockstep", duration_cap_s=2.0, noise_sigma=8.0)
+        scenario = tmp_path / "noisy.json"
+        scenario.write_text(json.dumps(doc))
+        code = ("import sys; sys.modules['scipy'] = None; "
+                "from iea_sim import cli; sys.exit(cli.main(sys.argv[1:]))")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "run", "--scenario", str(scenario),
+             "--out", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "out" / "run.csv").exists()
+
+    def test_node_takes_its_role_from_its_id(self, tmp_path, capsys):
+        args = ["--scenario", "distributed_smoke", "--out", str(tmp_path)]
+        assert cli.main(["node", "--id", "mssp9", *args]) == 1
+        assert "error:" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            cli.main(["node", "--role", "mssp", "--id", "mssp1", *args])
 
     def test_run_unknown_scenario_exit_1(self, capsys):
         assert cli.main(["run", "--scenario", "nope"]) == 1

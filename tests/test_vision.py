@@ -161,6 +161,81 @@ class TestDetectBySubtraction:
         assert box.v_min == vs.min() and box.v_max == vs.max()
 
 
+def _flood_fill_components(mask, min_area, v_off, u_off):
+    """Reference labeller: a 4-connected flood fill from each unlabelled
+    pixel in raster order, centroids rounded as the mean offset from the
+    box corner plus the corner."""
+    cells = mask.tolist()
+    h, w = len(cells), len(cells[0])
+    seen = [[False] * w for _ in range(h)]
+    out = []
+    for v in range(h):
+        for u in range(w):
+            if not cells[v][u] or seen[v][u]:
+                continue
+            seen[v][u] = True
+            stack, pixels = [(v, u)], []
+            while stack:
+                y, x = stack.pop()
+                pixels.append((y, x))
+                for ny, nx in ((y - 1, x), (y + 1, x), (y, x - 1), (y, x + 1)):
+                    if (0 <= ny < h and 0 <= nx < w and cells[ny][nx]
+                            and not seen[ny][nx]):
+                        seen[ny][nx] = True
+                        stack.append((ny, nx))
+            if len(pixels) < min_area:
+                continue
+            vs, us = [p[0] for p in pixels], [p[1] for p in pixels]
+            u0, v0 = min(us), min(vs)
+            box = vision.BoundingBox(u0 + u_off, v0 + v_off,
+                                     max(us) + u_off, max(vs) + v_off)
+            centroid = (sum(x - u0 for x in us) / len(us) + (u0 + u_off),
+                        sum(y - v0 for y in vs) / len(vs) + (v0 + v_off))
+            out.append((len(pixels), box, centroid))
+    return out
+
+
+def _mask(rows):
+    return np.array([[c == "#" for c in r] for r in rows])
+
+
+class TestComponents:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 60), st.integers(1, 60), st.floats(0.05, 0.7),
+           st.integers(1, 6), st.integers(0, 800), st.integers(0, 600),
+           st.integers(0, 2**32 - 1))
+    def test_matches_flood_fill(self, h, w, density, min_area, v_off, u_off,
+                                seed):
+        mask = np.random.default_rng(seed).random((h, w)) < density
+        # repr: the same order, areas, boxes and centroid bits
+        assert (repr(vision._components(mask, min_area, v_off, u_off))
+                == repr(_flood_fill_components(mask, min_area, v_off, u_off)))
+
+    @pytest.mark.parametrize("rows", [
+        ["#"],
+        ["....."] * 3,
+        ["#####"] * 7,
+        # a U whose arms join only on its last row, and a dot that starts
+        # after the right arm in raster order
+        ["#.....#..#",
+         "#.....#...",
+         "#######..."],
+    ], ids=["one_pixel", "all_false", "all_true", "u_shape"])
+    def test_shapes(self, rows):
+        mask = _mask(rows)
+        comps = vision._components(mask, 1, 3, 5)
+        assert repr(comps) == repr(_flood_fill_components(mask, 1, 3, 5))
+        assert sum(c[0] for c in comps) == mask.sum()
+
+    def test_u_shape_is_one_component_before_the_dot(self):
+        comps = vision._components(_mask(["#.....#..#",
+                                          "#.....#...",
+                                          "#######..."]), 1, 0, 0)
+        assert [(area, box) for area, box, _ in comps] == [
+            (11, vision.BoundingBox(0, 0, 6, 2)),
+            (1, vision.BoundingBox(9, 0, 9, 0))]
+
+
 def _drive_through(camera, x_start, x_end, v=3.0, fps=20.0, y=0.0):
     """Yield (t, pose, frame) for a constant-speed traversal."""
     t, x = 0.0, x_start
