@@ -91,6 +91,10 @@ def _cmd_export(args) -> int:
 
 def _cmd_node(args) -> int:
     cfg = load_scenario(args.scenario)
+    ids = ["veh", *cfg.mssp_ids()]
+    if args.id not in ids:
+        raise ValueError(f"--id {args.id!r} names no node of scenario "
+                         f"{cfg.name!r}; valid ids: {', '.join(ids)}")
     if args.id == "veh":
         return vehicle_node_main(cfg, Path(args.out))
     return mssp_node_main(cfg, args.id, Path(args.out),

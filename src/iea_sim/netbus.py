@@ -6,6 +6,12 @@ One UTF-8 JSON object per datagram:
   Estimate: {"kind":"est","sender":"mssp2","seq":N,"t":S,"mssp_id":"mssp2",
              "x":X,"y":Y,"t_capture":S}
 
+`encode` fills one fixed template per kind: numbers are written as
+`repr` writes them and names as JSON strings, so the bytes equal
+`json.dumps(fields, separators=(",", ":"))`. It rejects what `decode`
+would refuse: a non-finite or non-numeric number, a negative `seq` or a
+name that is not a string raises ValueError at the sender.
+
 Two transports share this codec: a seeded lockstep queue with injected
 uniform latency and Bernoulli drops (deterministic delivery order, ties on
 delivery time broken by sender then seq), and real UDP sockets for the
@@ -22,6 +28,7 @@ import select
 import socket
 import time
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Union
 
 MAX_DATAGRAM_BYTES = 1400
@@ -60,18 +67,51 @@ class EstimateMessage:
 WireMessage = Union[PoseMessage, EstimateMessage]
 
 
+_POSE_TEMPLATE = ('{"kind":"pose","sender":%s,"seq":%s,"t":%s,"x":%s,"y":%s,'
+                  '"psi":%s,"v":%s}')
+_EST_TEMPLATE = ('{"kind":"est","sender":%s,"seq":%s,"t":%s,"mssp_id":%s,'
+                 '"x":%s,"y":%s,"t_capture":%s}')
+
+
+def _text(key, v) -> str:
+    if not isinstance(v, str):
+        raise ValueError(f"field {key!r} is not a string")
+    return encode_basestring_ascii(v)  # what json.dumps(v) calls
+
+
+def _seq(v) -> str:
+    if not isinstance(v, int) or isinstance(v, bool) or v < 0:
+        raise ValueError("field 'seq' is not a non-negative integer")
+    return int.__repr__(v)
+
+
+def _number(key, v) -> str:
+    if isinstance(v, float):
+        if math.isfinite(v):
+            return float.__repr__(v)
+    elif isinstance(v, int) and not isinstance(v, bool):
+        return int.__repr__(v)
+    raise ValueError(f"field {key!r} is not a finite number")
+
+
 def encode(msg: WireMessage) -> bytes:
-    """Serialize to one JSON datagram; floats use shortest exact repr."""
+    """Serialize to one JSON datagram; floats use shortest exact repr.
+
+    Raises ValueError for a field that `decode` would refuse.
+    """
     if isinstance(msg, PoseMessage):
-        obj = {"kind": "pose", "sender": msg.sender, "seq": msg.seq, "t": msg.t,
-               "x": msg.x, "y": msg.y, "psi": msg.psi, "v": msg.v}
+        text = _POSE_TEMPLATE % (
+            _text("sender", msg.sender), _seq(msg.seq), _number("t", msg.t),
+            _number("x", msg.x), _number("y", msg.y),
+            _number("psi", msg.psi), _number("v", msg.v))
     elif isinstance(msg, EstimateMessage):
-        obj = {"kind": "est", "sender": msg.sender, "seq": msg.seq, "t": msg.t,
-               "mssp_id": msg.mssp_id, "x": msg.x, "y": msg.y,
-               "t_capture": msg.t_capture}
+        text = _EST_TEMPLATE % (
+            _text("sender", msg.sender), _seq(msg.seq), _number("t", msg.t),
+            _text("mssp_id", msg.mssp_id), _number("x", msg.x),
+            _number("y", msg.y), _number("t_capture", msg.t_capture))
     else:
         raise TypeError(f"not a wire message: {type(msg)!r}")
-    data = json.dumps(obj, separators=(",", ":")).encode("utf-8")
+    data = text.encode("ascii")
     if len(data) > MAX_DATAGRAM_BYTES:
         raise OversizeDatagramError(f"datagram of {len(data)} bytes exceeds limit")
     return data

@@ -67,20 +67,58 @@ class CellLayout:
     def from_cameras(cls, cameras: list[CameraModel],
                      vehicle_dims: tuple[float, float] = DEFAULT_VEHICLE_DIMS
                      ) -> "CellLayout":
-        """Scan the corridor for each camera's full-vehicle-visible x-interval."""
+        """Scan the corridor for each camera's full-vehicle-visible x-interval.
+
+        Along the scan line each corner's visible set is the line's crossing
+        of a convex ground region, so the fully visible grid indices form
+        one run. From the index under the image center, bisect for its first
+        and last index; if that index is not visible, test every one.
+        """
         intervals = []
         for cam in cameras:
             lo = cam.position.x
             hi = cam.position.x + 20.0 * cam.position.z  # generous far bound
             xs = np.arange(lo, hi, CELL_SCAN_RESOLUTION)
-            vis = [vehicle_fully_visible(cam, float(x), CELL_SCAN_Y, vehicle_dims)
-                   for x in xs]
-            if not any(vis):
-                raise ValueError(f"camera at x={cam.position.x} sees no cell")
-            first = vis.index(True)
-            last = len(vis) - 1 - vis[::-1].index(True)
+
+            def visible(i):
+                return vehicle_fully_visible(cam, float(xs[i]), CELL_SCAN_Y,
+                                             vehicle_dims)
+
+            center = _center_index(cam, xs)
+            if center is not None and visible(center):
+                first = _bisect(visible, center, -1)
+                last = _bisect(visible, center, len(xs))
+            else:
+                vis = [i for i in range(len(xs)) if visible(i)]
+                if not vis:
+                    raise ValueError(f"camera at x={cam.position.x} sees no cell")
+                first, last = vis[0], vis[-1]
             intervals.append((float(xs[first]), float(xs[last])))
         return cls(tuple(intervals))
+
+
+def _center_index(camera: CameraModel, xs: np.ndarray) -> Optional[int]:
+    """Scan index nearest the ground point under the image center, or None."""
+    ground = back_project_ground(camera, PixelPoint(camera.cx, camera.cy))
+    if ground is None:
+        return None
+    i = round((ground.x - xs[0]) / CELL_SCAN_RESOLUTION)
+    return i if 0 <= i < len(xs) else None
+
+
+def _bisect(visible, inside: int, outside: int) -> int:
+    """The visible index nearest `outside` in a run holding `inside`.
+
+    `outside` lies beyond the run (it may be one past either end of the
+    scan); every index between `inside` and the run's end is visible.
+    """
+    while abs(outside - inside) > 1:
+        mid = (inside + outside) // 2
+        if visible(mid):
+            inside = mid
+        else:
+            outside = mid
+    return inside
 
 
 class MsspNode:

@@ -7,11 +7,16 @@ foreground components from the mask's row runs, in numpy alone, and the
 tracker runs a Searching / Tracking state machine with gated
 nearest-centroid re-association and background re-acquisition on loss.
 
-A noise-free rendered frame records the box it painted; outside it every
-pixel is background. When both frames of a difference carry such a box,
-the detector examines only their union, so its cost scales with the
-vehicle's footprint instead of the frame. Noisy and hand-built frames
-carry no box and are differenced over the whole frame.
+A noise-free rendered frame records the box it painted and holds only
+the pixels inside it (its patch); outside the box every pixel is
+background. When both frames of a difference carry such a box, the
+detector builds the union of the two boxes from their patches and
+examines only that, so rendering and detection cost scale with the
+vehicle's footprint instead of the frame. The full frame array is built
+on first use of `Frame.pixels`: for a frame dump, to add noise, or to
+difference against a frame without a box. Noisy and hand-built frames
+carry no box, hold the full array and are differenced over the whole
+frame.
 """
 
 from __future__ import annotations
@@ -35,23 +40,52 @@ SEARCHING = "searching"
 TRACKING = "tracking"
 
 EMPTY_BOX = (0, 0, 0, 0)  # a painted box that holds no pixel
+_NO_PIXELS = np.zeros((0, 0), dtype=np.uint8)  # the patch of EMPTY_BOX
+_NO_PIXELS.setflags(write=False)
 
 
-@dataclass(frozen=True)
 class Frame:
-    pixels: np.ndarray  # (height, width) uint8, read-only
-    capture_time: float
-    # half-open (v0, v1, u0, u1) box outside which every pixel equals
-    # BACKGROUND_INTENSITY; None when unknown
-    painted: Optional[tuple[int, int, int, int]] = None
+    """One grayscale (height, width) uint8 frame taken at `capture_time`.
+
+    `painted` is a half-open (v0, v1, u0, u1) box outside which every pixel
+    equals BACKGROUND_INTENSITY, or None when unknown; `patch` holds the
+    pixels inside it. `Frame(pixels, t)` wraps a full array and carries no
+    box; a frame made `from_patch` keeps only its patch, and `pixels`
+    builds the full read-only array on first use.
+    """
+
+    __slots__ = ("capture_time", "painted", "patch", "height", "width",
+                 "_pixels")
+
+    def __init__(self, pixels: np.ndarray, capture_time: float):
+        self.capture_time = capture_time
+        self.painted = self.patch = None
+        self.height, self.width = pixels.shape
+        self._pixels = pixels
+
+    @classmethod
+    def from_patch(cls, patch: np.ndarray, capture_time: float,
+                   painted: tuple[int, int, int, int],
+                   height: int, width: int) -> "Frame":
+        """A frame that is background outside `painted` and `patch` inside."""
+        frame = cls.__new__(cls)
+        frame.capture_time = capture_time
+        frame.painted = painted
+        frame.patch = patch
+        frame.height, frame.width = height, width
+        frame._pixels = None
+        return frame
 
     @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
+    def pixels(self) -> np.ndarray:
+        if self._pixels is None:
+            px = np.full((self.height, self.width), BACKGROUND_INTENSITY,
+                         dtype=np.uint8)
+            v0, v1, u0, u1 = self.painted
+            px[v0:v1, u0:u1] = self.patch
+            px.setflags(write=False)
+            self._pixels = px
+        return self._pixels
 
 
 @dataclass(frozen=True)
@@ -110,45 +144,51 @@ def render_frame(camera: CameraModel, vehicle: Optional[Pose2D],
     an rng is supplied). A vehicle behind the camera or fully outside the
     image yields a pure background frame. A noise-free frame records the
     clipped bounding box of the painted quad (empty if nothing was
-    painted); a noisy frame records none.
+    painted) and holds only the pixels inside it; a noisy frame records
+    none and holds the full array.
     """
-    px = np.full((camera.height, camera.width), BACKGROUND_INTENSITY, dtype=np.uint8)
     painted = EMPTY_BOX
+    patch = _NO_PIXELS
     quad = None
     if vehicle is not None:
         pts = [project(camera, c) for c in _vehicle_corners(vehicle, *vehicle_dims)]
         if all(p is not None for p in pts):
-            quad = np.array([[p.u, p.v] for p in pts])
+            quad = [(p.u, p.v) for p in pts]
     if quad is not None:
-        u0 = max(0, math.ceil(quad[:, 0].min()))
-        u1 = min(camera.width - 1, math.floor(quad[:, 0].max()))
-        v0 = max(0, math.ceil(quad[:, 1].min()))
-        v1 = min(camera.height - 1, math.floor(quad[:, 1].max()))
+        us, vs = zip(*quad)
+        u0 = max(0, math.ceil(min(us)))
+        u1 = min(camera.width - 1, math.floor(max(us)))
+        v0 = max(0, math.ceil(min(vs)))
+        v1 = min(camera.height - 1, math.floor(max(vs)))
         if u0 <= u1 and v0 <= v1:
-            uu, vv = np.meshgrid(np.arange(u0, u1 + 1), np.arange(v0, v1 + 1))
-            inside = np.ones(uu.shape, dtype=bool)
+            # one row of u and one column of v broadcast to the box: the
+            # same float arithmetic per pixel as a full coordinate grid
+            uu = np.arange(u0, u1 + 1)
+            vv = np.arange(v0, v1 + 1)[:, None]
+            edges = list(zip(quad, quad[1:] + quad[:1]))
+            inside = np.ones((len(vv), len(uu)), dtype=bool)
             # convex quad: consistent sign of the edge cross products
             area = 0.0
-            for i in range(4):
-                x1, y1 = quad[i]
-                x2, y2 = quad[(i + 1) % 4]
+            for (x1, y1), (x2, y2) in edges:
                 area += x1 * y2 - x2 * y1
             sign = 1.0 if area >= 0 else -1.0
-            for i in range(4):
-                x1, y1 = quad[i]
-                x2, y2 = quad[(i + 1) % 4]
+            for (x1, y1), (x2, y2) in edges:
                 cross = (x2 - x1) * (vv - y1) - (y2 - y1) * (uu - x1)
                 inside &= sign * cross >= 0
-            px[v0:v1 + 1, u0:u1 + 1][inside] = VEHICLE_INTENSITY
+            patch = np.where(inside, np.uint8(VEHICLE_INTENSITY),
+                             np.uint8(BACKGROUND_INTENSITY))
+            patch.setflags(write=False)
             painted = (v0, v1 + 1, u0, u1 + 1)
+    frame = Frame.from_patch(patch, t, painted, camera.height, camera.width)
     if noise_sigma > 0.0:
         if rng is None:
             raise ValueError("noise_sigma > 0 requires an rng")
+        px = frame.pixels
         noisy = px.astype(np.float64) + rng.normal(0.0, noise_sigma, px.shape)
         px = np.clip(np.rint(noisy), 0, 255).astype(np.uint8)
-        painted = None
-    px.setflags(write=False)
-    return Frame(px, t, painted)
+        px.setflags(write=False)
+        frame = Frame(px, t)
+    return frame
 
 
 def _box_union(a, b):
@@ -160,25 +200,42 @@ def _box_union(a, b):
     return min(a[0], b[0]), max(a[1], b[1]), min(a[2], b[2]), max(a[3], b[3])
 
 
+def _in_box(frame: Frame, box) -> np.ndarray:
+    """A painted frame's pixels inside a box that holds its painted box.
+
+    An empty painted box pastes nothing: each of its slices has equal ends.
+    """
+    if frame.painted == box:
+        return frame.patch
+    v0, v1, u0, u1 = box
+    pv0, pv1, pu0, pu1 = frame.painted
+    out = np.full((v1 - v0, u1 - u0), BACKGROUND_INTENSITY, dtype=np.uint8)
+    out[pv0 - v0:pv1 - v0, pu0 - u0:pu1 - u0] = frame.patch
+    return out
+
+
 def _foreground_components(background: Frame, current: Frame,
                            threshold: int, min_area: int):
     """4-connected foreground components as (area, bbox, centroid) tuples.
 
     When both frames carry a painted box, only the union of the two boxes
-    is differenced: outside it both frames are background, which a
-    non-negative threshold never counts as foreground.
+    is differenced, each frame's part of it built from its patch: outside
+    it both frames are background, which a non-negative threshold never
+    counts as foreground.
     """
-    if background.pixels.shape != current.pixels.shape:
+    if (background.height, background.width) != (current.height, current.width):
         raise ValueError("frame dimensions differ between background and current")
     if threshold < 0:
         raise ValueError("threshold must be non-negative")
-    a, b = background.pixels, current.pixels
     v_box = u_box = 0
     if background.painted is not None and current.painted is not None:
-        v_box, v1, u_box, u1 = _box_union(background.painted, current.painted)
+        box = _box_union(background.painted, current.painted)
+        v_box, v1, u_box, u1 = box
         if v_box >= v1 or u_box >= u1:
             return []
-        a, b = a[v_box:v1, u_box:u1], b[v_box:v1, u_box:u1]
+        a, b = _in_box(background, box), _in_box(current, box)
+    else:
+        a, b = background.pixels, current.pixels
     # |a - b| in uint8 without widening casts
     mask = np.maximum(a, b) - np.minimum(a, b) > threshold
     return _components(mask, min_area, v_box, u_box)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -45,3 +46,14 @@ def run_6ms(tmp_path_factory):
 @pytest.fixture(scope="session")
 def run_baseline_3ms(tmp_path_factory):
     return _run("baseline_truth_3ms", tmp_path_factory, "baseline3")
+
+
+@pytest.fixture(scope="session")
+def run_noisy_smoke(tmp_path_factory):
+    """A short lockstep distributed_smoke run with pixel noise and drops:
+    the noisy render and the dense detector path."""
+    base = load_scenario("distributed_smoke")
+    cfg = dataclasses.replace(
+        base, mode="lockstep", seed=17, duration_cap_s=4.0, noise_sigma=8.0,
+        link=dataclasses.replace(base.link, drop_probability=0.05))
+    return run_scenario(cfg, tmp_path_factory.mktemp("noisy"))

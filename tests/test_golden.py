@@ -1,4 +1,5 @@
-"""Golden output digests of the bundled lockstep scenarios.
+"""Golden output digests of the bundled lockstep scenarios and of a short
+noisy lockstep run.
 
 The determinism test only compares two runs of one build; these digests
 pin the outputs across code versions. A change that alters any of these
@@ -30,6 +31,14 @@ GOLDEN = {
         "estimates.csv": "658d836254de5e7bee6290eb29409247ab3d66a4a16b26d77db235ba3f8eee92",
         "net_metrics.csv": "9f69e414b4b34d7139d93bcc93ab18703445181f28a09c5e8b44a08a85a6ff1f",
         "summary.json": "6d5793dc9d39f717b19da9677bbb598525041afb660870b2525e7f0ec52e818c",
+    },
+    # pixel noise and drops: the noisy render and the dense detector
+    "run_noisy_smoke": {
+        "scenario.json": "aab5bd336f925cc183c1d30d1886c18be69a80a12b4c6b8ede7d57ef575484fb",
+        "run.csv": "ee3fccccc4c2964ef1eb48360cb1c068727353327b865c6703bbb5a18df4d3fc",
+        "estimates.csv": "6bf5589f26e68cb3d4fa1b094188ea96b7954e4fab14043bb5fe5a995ecf05e3",
+        "net_metrics.csv": "04f00e2a17aec6436ea7f02a5b18e60e23aea822def29ffd17c132dedfca720f",
+        "summary.json": "466d1e2afd6e1c67450b052e2c6bd806f907fc5fe4e55396e1b8f2f0097ab58a",
     },
 }
 

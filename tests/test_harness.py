@@ -545,7 +545,9 @@ class TestCli:
     def test_node_takes_its_role_from_its_id(self, tmp_path, capsys):
         args = ["--scenario", "distributed_smoke", "--out", str(tmp_path)]
         assert cli.main(["node", "--id", "mssp9", *args]) == 1
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: --id 'mssp9'")
+        assert "valid ids: veh, mssp1" in err
         with pytest.raises(SystemExit):
             cli.main(["node", "--role", "mssp", "--id", "mssp1", *args])
 

@@ -1,3 +1,5 @@
+import json
+import math
 import socket
 import threading
 import time
@@ -53,6 +55,44 @@ class TestCodec:
             assert isinstance(msg, (PoseMessage, EstimateMessage))
         except DecodeError:
             pass  # the only permitted failure mode
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_encode_matches_json_dumps(self, data):
+        # finite ints and floats as json.dumps writes them; names that need
+        # escaping, including control and non-ASCII characters
+        number = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                           st.integers(-2**70, 2**70))
+        name = st.text(max_size=20)
+        if data.draw(st.booleans()):
+            kind = "pose"
+            msg = PoseMessage(data.draw(name), data.draw(st.integers(0, 2**64)),
+                              *(data.draw(number) for _ in range(5)))
+        else:
+            kind = "est"
+            msg = EstimateMessage(data.draw(name),
+                                  data.draw(st.integers(0, 2**64)),
+                                  data.draw(number), data.draw(name),
+                                  *(data.draw(number) for _ in range(3)))
+        fields = {"kind": kind, **vars(msg)}
+        assert encode(msg) == json.dumps(
+            fields, separators=(",", ":")).encode("utf-8")
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_encode_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="'t'"):
+            encode(replace(POSE, t=bad))
+        with pytest.raises(ValueError, match="'t_capture'"):
+            encode(replace(EST, t_capture=bad))
+        with pytest.raises(ValueError, match="'y'"):
+            encode(replace(EST, y=bad))
+
+    def test_encode_rejects_what_decode_refuses(self):
+        for msg in (replace(POSE, seq=-1), replace(POSE, x=True),
+                    replace(POSE, v="3"), replace(EST, mssp_id=None),
+                    replace(POSE, sender=7)):
+            with pytest.raises(ValueError):
+                encode(msg)
 
     def test_oversize_datagram_rejected(self):
         big = EstimateMessage(sender="m" * 2000, seq=1, t=0.0, mssp_id="x",

@@ -1,13 +1,18 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iea_sim.control import ControllerParams, WaypointPlan
 from iea_sim.dynamics import VehicleParams, VehicleState
 from iea_sim.geometry import Pose2D
 from iea_sim.netbus import EstimateMessage, PoseMessage
-from iea_sim.nodes import (DRIVING, STOPPED, WAITING_FOR_FIRST_FIX, CellLayout,
-                           MsspNode, VehicleNode, vehicle_fully_visible)
+from iea_sim import nodes
+from iea_sim.nodes import (CELL_SCAN_RESOLUTION, CELL_SCAN_Y, DRIVING, STOPPED,
+                           WAITING_FOR_FIRST_FIX, CellLayout, MsspNode,
+                           VehicleNode, vehicle_fully_visible)
 
 from conftest import make_camera
 
@@ -30,6 +35,17 @@ class TestVehicleFullyVisible:
         assert not vehicle_fully_visible(default_camera, 2.5, 0.0)
 
 
+def _full_scan(cam, dims):
+    """Reference cell scan: test every grid position along the corridor."""
+    xs = np.arange(cam.position.x, cam.position.x + 20.0 * cam.position.z,
+                   CELL_SCAN_RESOLUTION)
+    vis = [i for i, x in enumerate(xs)
+           if vehicle_fully_visible(cam, float(x), CELL_SCAN_Y, dims)]
+    if not vis:
+        return None
+    return float(xs[vis[0]]), float(xs[vis[-1]])
+
+
 class TestCellLayout:
     def test_consecutive_cells_must_overlap(self):
         with pytest.raises(ValueError):
@@ -49,6 +65,31 @@ class TestCellLayout:
         # grazing far edge one pixel of margin is worth roughly half a meter
         assert 30.0 + 1.4 < lo < 30.0 + 1.5 + 2.25 + 0.2
         assert 30.0 + 54.5 - 2.25 - 1.0 < hi < 30.0 + 54.5 - 2.25 + 0.1
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(-50.0, 50.0), st.floats(-12.0, 12.0), st.floats(3.0, 15.0),
+           st.floats(0.2, 1.4), st.floats(-0.4, 0.4), st.floats(1.0, 8.0),
+           st.floats(0.5, 3.0))
+    def test_matches_full_scan(self, x, y, z, pitch, yaw, length, width):
+        cam = make_camera(x=x, y=y, z=z, pitch=pitch, yaw=yaw)
+        expected = _full_scan(cam, (length, width))
+        if expected is None:
+            with pytest.raises(ValueError, match="sees no cell"):
+                CellLayout.from_cameras([cam], (length, width))
+        else:
+            layout = CellLayout.from_cameras([cam], (length, width))
+            assert layout.intervals == (expected,)
+
+    def test_off_center_camera_takes_the_full_scan(self):
+        # the scan line crosses the view off its center: the ground under
+        # the image center is not a visible position, yet others are
+        cam = make_camera(y=10.0)
+        xs = np.arange(0.0, 180.0, CELL_SCAN_RESOLUTION)
+        center = nodes._center_index(cam, xs)
+        assert not vehicle_fully_visible(cam, float(xs[center]), CELL_SCAN_Y)
+        expected = _full_scan(cam, nodes.DEFAULT_VEHICLE_DIMS)
+        assert expected is not None
+        assert CellLayout.from_cameras([cam]).intervals == (expected,)
 
 
 class TestMsspNode:

@@ -3,8 +3,10 @@
 `perfbench/tracer.py` wraps the functions listed in its ENTRY_POINTS and
 reads two drop counters; `perfbench/tracer.py` and `perfbench/worker.py`
 replace `harness.time` and `harness.subprocess` with namespaces that hold
-only the names below. A rename then fails here, not as failed traced
-benchmark runs. These tests only read `perfbench/`.
+only the names below. `perfbench/micro.py` builds fixed inputs with the
+public vision, codec and summary API and times it. A rename or an API
+change then fails here, not as failed benchmark runs. These tests only
+read `perfbench/`.
 """
 
 import ast
@@ -23,12 +25,16 @@ REPLACED_MODULES = {"time": {"time", "sleep"},
                     "subprocess": {"Popen", "TimeoutExpired"}}
 
 
-def _tracer():
+def _perfbench(name):
     spec = importlib.util.spec_from_file_location(
-        "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+        f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _tracer():
+    return _perfbench("tracer")
 
 
 def test_every_entry_point_resolves():
@@ -56,3 +62,14 @@ def test_harness_uses_only_the_replaced_names():
     assert used, "harness no longer uses time or subprocess"
     for module, attr in used:
         assert attr in REPLACED_MODULES[module], f"harness uses {module}.{attr}"
+
+
+def test_micro_inputs_run():
+    micro = _perfbench("micro")
+    timings = micro.micro_timings(0.0)
+    assert set(timings) == {
+        "render_frame_clean", "render_frame_noisy", "detect_sparse",
+        "detect_dense", "back_project_ground", "encode", "decode",
+        "summarize"}
+    for name, t in timings.items():
+        assert t["n"] >= micro.MIN_CALLS and t["us_p50"] > 0, name

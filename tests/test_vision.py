@@ -92,6 +92,85 @@ class TestRenderFrame:
         assert (a.pixels == b.pixels).all()
 
 
+def _reference_render(camera, vehicle, dims, t, noise_sigma=0.0, rng=None):
+    """Reference renderer: paints a full frame through a coordinate grid
+    over the quad's box; returns (pixels, painted)."""
+    px = np.full((camera.height, camera.width), BACKGROUND_INTENSITY,
+                 dtype=np.uint8)
+    painted = EMPTY_BOX
+    quad = None
+    if vehicle is not None:
+        pts = [project(camera, c)
+               for c in vision._vehicle_corners(vehicle, *dims)]
+        if all(p is not None for p in pts):
+            quad = np.array([[p.u, p.v] for p in pts])
+    if quad is not None:
+        u0 = max(0, math.ceil(quad[:, 0].min()))
+        u1 = min(camera.width - 1, math.floor(quad[:, 0].max()))
+        v0 = max(0, math.ceil(quad[:, 1].min()))
+        v1 = min(camera.height - 1, math.floor(quad[:, 1].max()))
+        if u0 <= u1 and v0 <= v1:
+            uu, vv = np.meshgrid(np.arange(u0, u1 + 1), np.arange(v0, v1 + 1))
+            inside = np.ones(uu.shape, dtype=bool)
+            area = 0.0
+            for i in range(4):
+                x1, y1 = quad[i]
+                x2, y2 = quad[(i + 1) % 4]
+                area += x1 * y2 - x2 * y1
+            sign = 1.0 if area >= 0 else -1.0
+            for i in range(4):
+                x1, y1 = quad[i]
+                x2, y2 = quad[(i + 1) % 4]
+                cross = (x2 - x1) * (vv - y1) - (y2 - y1) * (uu - x1)
+                inside &= sign * cross >= 0
+            px[v0:v1 + 1, u0:u1 + 1][inside] = VEHICLE_INTENSITY
+            painted = (v0, v1 + 1, u0, u1 + 1)
+    if noise_sigma > 0.0:
+        noisy = px.astype(np.float64) + rng.normal(0.0, noise_sigma, px.shape)
+        px = np.clip(np.rint(noisy), 0, 255).astype(np.uint8)
+        painted = None
+    return px, painted
+
+
+class TestRenderMatchesReference:
+    @settings(max_examples=150, deadline=None)
+    @given(poses, st.floats(1.0, 8.0), st.floats(0.5, 3.0),
+           st.floats(0.3, 1.4), st.floats(3.0, 15.0))
+    def test_noise_free(self, pose, length, width, pitch, z):
+        camera = make_camera(z=z, pitch=pitch)
+        fr = render_frame(camera, pose, (length, width), 0.5)
+        px, painted = _reference_render(camera, pose, (length, width), 0.5)
+        assert fr.painted == painted
+        v0, v1, u0, u1 = painted
+        assert fr.patch.shape == (v1 - v0, u1 - u0)
+        assert (fr.patch == px[v0:v1, u0:u1]).all()
+        assert fr.pixels.dtype == np.uint8 and not fr.pixels.flags.writeable
+        assert (fr.pixels == px).all()
+        assert (fr.height, fr.width) == px.shape
+
+    def test_pixels_on_an_edge_are_painted(self, default_camera):
+        # the near edge of this pose projects exactly onto pixel row 400,
+        # where the edge's cross product is exactly zero
+        pose = Pose2D(7.7798948565259165, 0.0, 0.0)
+        assert all(project(default_camera, WorldPoint(pose.x - 2.25, dy)).v
+                   == 400.0 for dy in (1.0, -1.0))
+        fr = render_frame(default_camera, pose, DIMS, 0.0)
+        px, painted = _reference_render(default_camera, pose, DIMS, 0.0)
+        assert fr.painted == painted and painted[1] == 401
+        assert (fr.pixels == px).all()
+        assert (fr.pixels[400] == VEHICLE_INTENSITY).any()
+
+    @settings(max_examples=10, deadline=None)
+    @given(poses, st.integers(0, 2**32 - 1))
+    def test_noisy(self, default_camera, pose, seed):
+        fr = render_frame(default_camera, pose, DIMS, 0.5, 8.0,
+                          np.random.default_rng(seed))
+        px, painted = _reference_render(default_camera, pose, DIMS, 0.5, 8.0,
+                                        np.random.default_rng(seed))
+        assert fr.painted is painted is None
+        assert (fr.pixels == px).all()
+
+
 class TestDetectBySubtraction:
     def test_identical_frames_yield_none(self, default_camera):
         bg = _blank(80, 60)
