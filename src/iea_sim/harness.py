@@ -94,6 +94,17 @@ class ScenarioConfig:
                                 "characters")
         if not self.cameras:
             raise ScenarioError("scenario needs at least one camera")
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
+            raise ScenarioError(f"seed must be an integer, not {self.seed!r}")
+        if not (_numbers((self.noise_sigma,), 1) and self.noise_sigma >= 0):
+            raise ScenarioError("noise_sigma must be a non-negative number, "
+                                f"not {self.noise_sigma!r}")
+        if not _numbers(self.vehicle_start, 3):
+            raise ScenarioError("vehicle.start must be three numbers "
+                                f"[x, y, psi], not {self.vehicle_start!r}")
+        if not (_numbers(self.vehicle_dims, 2) and min(self.vehicle_dims) > 0):
+            raise ScenarioError("vehicle.dims must be two positive numbers "
+                                f"[length, width], not {self.vehicle_dims!r}")
         if self.duration_cap_s <= 0:
             raise ScenarioError("duration cap must be positive")
         if self.mode not in ("lockstep", "distributed"):
@@ -142,6 +153,14 @@ class ScenarioConfig:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "ScenarioConfig":
         return _from_doc(cls, obj, SCENARIO_KEYS, "scenario")
+
+
+def _numbers(value, n: int) -> bool:
+    """`value` is a list or tuple of n finite numbers, none of them a bool
+    (not math.isfinite, which overflows on an int beyond float range)."""
+    return (isinstance(value, (list, tuple)) and len(value) == n
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                    and abs(v) <= sys.float_info.max for v in value))
 
 
 # scenario.json key path -> attribute path, in file order. An (attribute,

@@ -26,6 +26,7 @@ import math
 import random
 import select
 import socket
+import sys
 import time
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
@@ -119,7 +120,9 @@ def encode(msg: WireMessage) -> bytes:
 
 def _float(obj, key) -> float:
     v = obj[key]
-    if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
+    # not math.isfinite, which overflows on an int beyond float range
+    if (not isinstance(v, (int, float)) or isinstance(v, bool)
+            or not abs(v) <= sys.float_info.max):
         raise DecodeError(f"field {key!r} is not a finite number")
     return float(v)
 
@@ -128,7 +131,9 @@ def decode(data: bytes) -> WireMessage:
     """Parse a datagram; raises DecodeError on anything malformed."""
     try:
         obj = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError: bad UTF-8, bad JSON or an int over Python's digit
+        # limit; RecursionError: arrays or objects nested too deep
         raise DecodeError(str(exc)) from exc
     if not isinstance(obj, dict):
         raise DecodeError("datagram is not a JSON object")

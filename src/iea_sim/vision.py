@@ -7,16 +7,12 @@ foreground components from the mask's row runs, in numpy alone, and the
 tracker runs a Searching / Tracking state machine with gated
 nearest-centroid re-association and background re-acquisition on loss.
 
-A noise-free rendered frame records the box it painted and holds only
-the pixels inside it (its patch); outside the box every pixel is
-background. When both frames of a difference carry such a box, the
-detector builds the union of the two boxes from their patches and
-examines only that, so rendering and detection cost scale with the
-vehicle's footprint instead of the frame. The full frame array is built
-on first use of `Frame.pixels`: for a frame dump, to add noise, or to
-difference against a frame without a box. Noisy and hand-built frames
-carry no box, hold the full array and are differenced over the whole
-frame.
+Every frame carries a box outside which every pixel is background and
+holds only the pixels inside it (its patch). A noise-free rendered frame's
+box is the one it painted the vehicle into; a noisy or hand-built frame's
+box is the whole image. The detector differences only the union of the
+two frames' boxes, so rendering and detection cost scale with the
+vehicle's footprint on noise-free frames and with the image on noisy ones.
 """
 
 from __future__ import annotations
@@ -48,20 +44,18 @@ class Frame:
     """One grayscale (height, width) uint8 frame taken at `capture_time`.
 
     `painted` is a half-open (v0, v1, u0, u1) box outside which every pixel
-    equals BACKGROUND_INTENSITY, or None when unknown; `patch` holds the
-    pixels inside it. `Frame(pixels, t)` wraps a full array and carries no
-    box; a frame made `from_patch` keeps only its patch, and `pixels`
-    builds the full read-only array on first use.
+    equals BACKGROUND_INTENSITY, and `patch` holds the pixels inside it.
+    `Frame(pixels, t)` wraps a full array as the box (0, height, 0, width);
+    a frame made `from_patch` holds only the pixels inside its box.
     """
 
-    __slots__ = ("capture_time", "painted", "patch", "height", "width",
-                 "_pixels")
+    __slots__ = ("capture_time", "painted", "patch", "height", "width")
 
     def __init__(self, pixels: np.ndarray, capture_time: float):
         self.capture_time = capture_time
-        self.painted = self.patch = None
         self.height, self.width = pixels.shape
-        self._pixels = pixels
+        self.painted = (0, self.height, 0, self.width)
+        self.patch = pixels
 
     @classmethod
     def from_patch(cls, patch: np.ndarray, capture_time: float,
@@ -73,19 +67,15 @@ class Frame:
         frame.painted = painted
         frame.patch = patch
         frame.height, frame.width = height, width
-        frame._pixels = None
         return frame
 
     @property
     def pixels(self) -> np.ndarray:
-        if self._pixels is None:
-            px = np.full((self.height, self.width), BACKGROUND_INTENSITY,
-                         dtype=np.uint8)
-            v0, v1, u0, u1 = self.painted
-            px[v0:v1, u0:u1] = self.patch
-            px.setflags(write=False)
-            self._pixels = px
-        return self._pixels
+        """The full frame, read-only; a view, so that a wrapped array stays
+        writeable to its owner."""
+        px = _in_box(self, (0, self.height, 0, self.width)).view()
+        px.setflags(write=False)
+        return px
 
 
 @dataclass(frozen=True)
@@ -144,8 +134,8 @@ def render_frame(camera: CameraModel, vehicle: Optional[Pose2D],
     an rng is supplied). A vehicle behind the camera or fully outside the
     image yields a pure background frame. A noise-free frame records the
     clipped bounding box of the painted quad (empty if nothing was
-    painted) and holds only the pixels inside it; a noisy frame records
-    none and holds the full array.
+    painted) and holds only the pixels inside it; a noisy frame's box is
+    the whole image.
     """
     painted = EMPTY_BOX
     patch = _NO_PIXELS
@@ -201,7 +191,7 @@ def _box_union(a, b):
 
 
 def _in_box(frame: Frame, box) -> np.ndarray:
-    """A painted frame's pixels inside a box that holds its painted box.
+    """A frame's pixels inside a box that holds its painted box.
 
     An empty painted box pastes nothing: each of its slices has equal ends.
     """
@@ -218,27 +208,23 @@ def _foreground_components(background: Frame, current: Frame,
                            threshold: int, min_area: int):
     """4-connected foreground components as (area, bbox, centroid) tuples.
 
-    When both frames carry a painted box, only the union of the two boxes
-    is differenced, each frame's part of it built from its patch: outside
-    it both frames are background, which a non-negative threshold never
-    counts as foreground.
+    Only the union of the two frames' boxes is differenced, each frame's
+    part of it built from its patch: outside it both frames are
+    background, which a non-negative threshold never counts as foreground.
+    Two full-image boxes difference the two patches as they are.
     """
     if (background.height, background.width) != (current.height, current.width):
         raise ValueError("frame dimensions differ between background and current")
     if threshold < 0:
         raise ValueError("threshold must be non-negative")
-    v_box = u_box = 0
-    if background.painted is not None and current.painted is not None:
-        box = _box_union(background.painted, current.painted)
-        v_box, v1, u_box, u1 = box
-        if v_box >= v1 or u_box >= u1:
-            return []
-        a, b = _in_box(background, box), _in_box(current, box)
-    else:
-        a, b = background.pixels, current.pixels
+    box = _box_union(background.painted, current.painted)
+    v0, v1, u0, u1 = box
+    if v0 >= v1 or u0 >= u1:
+        return []
+    a, b = _in_box(background, box), _in_box(current, box)
     # |a - b| in uint8 without widening casts
     mask = np.maximum(a, b) - np.minimum(a, b) > threshold
-    return _components(mask, min_area, v_box, u_box)
+    return _components(mask, min_area, v0, u0)
 
 
 def _components(mask: np.ndarray, min_area: int, v_off: int, u_off: int):

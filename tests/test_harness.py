@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import shutil
 import socket
 import subprocess
@@ -96,6 +97,25 @@ class TestScenarioConfig:
         assert cli.main(["run", "--scenario", str(path),
                          "--out", str(tmp_path / "out")]) == 1
         assert "typo_key" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("noise_sigma", -8), ("noise_sigma", "8"), ("noise_sigma", math.nan),
+        ("seed", "x"), ("seed", 1.5), ("seed", True),
+        ("vehicle.dims", [4.5]), ("vehicle.dims", [4.5, 0.0]),
+        ("vehicle.start", "abc"), ("vehicle.start", [0.0, 0.0, None]),
+        ("vehicle.start", [10**400, 0.0, 0.0])])
+    def test_malformed_value_rejected(self, key, value, tmp_path, capsys):
+        obj = load_scenario("straight_3ms").to_json_obj()
+        section, _, leaf = key.rpartition(".")
+        (obj[section] if section else obj)[leaf] = value
+        with pytest.raises(ScenarioError, match=re.escape(key)):
+            ScenarioConfig.from_json_obj(obj)
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(obj))
+        assert cli.main(["run", "--scenario", str(path),
+                         "--out", str(tmp_path / "out")]) == 1
+        assert key in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_unknown_bundled_name(self):

@@ -13,6 +13,13 @@ from iea_sim.netbus import (DecodeError, EstimateMessage, LinkConfig,
                             LockstepNetwork, OversizeDatagramError,
                             PoseMessage, UdpTransport, decode, encode)
 
+# datagrams that json.loads accepts or refuses in ways other than a
+# JSONDecodeError: a number beyond float range, and nesting past the
+# recursion limit that still fits one 4096-byte read
+HOSTILE = [b'{"kind":"pose","sender":"veh","seq":1,"t":1' + b"0" * 400
+           + b',"x":0,"y":0,"psi":0,"v":0}',
+           b"[" * 4000]
+
 POSE = PoseMessage(sender="veh", seq=3, t=1.25, x=12.5, y=-0.75,
                    psi=0.12345678901234567, v=3.0)
 EST = EstimateMessage(sender="mssp2", seq=9, t=2.5, mssp_id="mssp2",
@@ -55,6 +62,11 @@ class TestCodec:
             assert isinstance(msg, (PoseMessage, EstimateMessage))
         except DecodeError:
             pass  # the only permitted failure mode
+
+    @pytest.mark.parametrize("data", HOSTILE, ids=["huge_int", "deep_nesting"])
+    def test_hostile_datagram_is_decode_error(self, data):
+        with pytest.raises(DecodeError):
+            decode(data)
 
     @settings(max_examples=300)
     @given(st.data())
@@ -166,7 +178,8 @@ class TestUdpTransport:
         try:
             addr = cam._sock.getsockname()
             with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as junk:
-                junk.sendto(b"\xffnot a wire message", addr)
+                for data in [b"\xffnot a wire message", *HOSTILE]:
+                    junk.sendto(data, addr)
             msg = replace(POSE, t=veh.now())
             veh.send(msg, addr)
             got = []
@@ -176,7 +189,7 @@ class TestUdpTransport:
                 got += cam.drain()
             assert got == [msg]
             assert cam.drain() == []
-            assert cam.rejected == 1
+            assert cam.rejected == 1 + len(HOSTILE)
             [(t_recv, sender, receiver, n_bytes, latency)] = cam.records
             assert (sender, receiver, n_bytes) == ("veh", "mssp1",
                                                    len(encode(msg)))

@@ -74,13 +74,18 @@ class TestRenderFrame:
         outside[v0:v1, u0:u1] = False
         assert (fr.pixels[outside] == BACKGROUND_INTENSITY).all()
 
-    def test_only_noise_free_frames_carry_a_box(self, default_camera):
+    def test_every_frame_carries_a_box(self, default_camera):
+        # blank frames paint nothing; noisy and wrapped frames are their
+        # whole image, held as is
         assert _blank(80, 60).painted == EMPTY_BOX
         assert render_frame(default_camera, None, DIMS, 0.0).painted == EMPTY_BOX
         noisy = render_frame(default_camera, Pose2D(20, 0, 0), DIMS, 0.0,
                              noise_sigma=2.0, rng=np.random.default_rng(3))
-        assert noisy.painted is None
-        assert vision.Frame(noisy.pixels, 0.0).painted is None
+        assert noisy.painted == (0, 600, 0, 800)
+        px = np.full((60, 80), BACKGROUND_INTENSITY, dtype=np.uint8)
+        wrapped = vision.Frame(px, 0.0)
+        assert wrapped.painted == (0, 60, 0, 80) and wrapped.patch is px
+        assert not wrapped.pixels.flags.writeable and px.flags.writeable
 
     def test_noise_requires_rng_and_is_seed_stable(self, default_camera):
         with pytest.raises(ValueError):
@@ -94,7 +99,8 @@ class TestRenderFrame:
 
 def _reference_render(camera, vehicle, dims, t, noise_sigma=0.0, rng=None):
     """Reference renderer: paints a full frame through a coordinate grid
-    over the quad's box; returns (pixels, painted)."""
+    over the quad's box; returns (pixels, painted), where a noisy frame's
+    box is the whole image."""
     px = np.full((camera.height, camera.width), BACKGROUND_INTENSITY,
                  dtype=np.uint8)
     painted = EMPTY_BOX
@@ -128,7 +134,7 @@ def _reference_render(camera, vehicle, dims, t, noise_sigma=0.0, rng=None):
     if noise_sigma > 0.0:
         noisy = px.astype(np.float64) + rng.normal(0.0, noise_sigma, px.shape)
         px = np.clip(np.rint(noisy), 0, 255).astype(np.uint8)
-        painted = None
+        painted = (0, camera.height, 0, camera.width)
     return px, painted
 
 
@@ -167,8 +173,8 @@ class TestRenderMatchesReference:
                           np.random.default_rng(seed))
         px, painted = _reference_render(default_camera, pose, DIMS, 0.5, 8.0,
                                         np.random.default_rng(seed))
-        assert fr.painted is painted is None
-        assert (fr.pixels == px).all()
+        assert fr.painted == painted == (0, 600, 0, 800)
+        assert (fr.patch == px).all() and (fr.pixels == px).all()
 
 
 class TestDetectBySubtraction:
@@ -216,14 +222,16 @@ class TestDetectBySubtraction:
     def test_sparse_path_matches_dense(self, default_camera, bg_pose, cur_pose,
                                        threshold, min_area):
         # the background may hold the vehicle's ghost, as after a tracker
-        # loss; rebuilt frames carry no box and take the dense path
+        # loss; the same pixels wrapped as full-image frames difference the
+        # whole image, alone or against a patch frame
         bg = render_frame(default_camera, bg_pose, DIMS, 0.0)
         cur = render_frame(default_camera, cur_pose, DIMS, 0.05)
+        full_bg = vision.Frame(bg.pixels, 0.0)
+        full_cur = vision.Frame(cur.pixels, 0.05)
         sparse = vision._foreground_components(bg, cur, threshold, min_area)
-        dense = vision._foreground_components(
-            vision.Frame(bg.pixels, 0.0), vision.Frame(cur.pixels, 0.05),
-            threshold, min_area)
-        assert sparse == dense
+        for a, b in ((full_bg, full_cur), (bg, full_cur), (full_bg, cur)):
+            assert vision._foreground_components(a, b, threshold,
+                                                 min_area) == sparse
 
     @given(st.integers(0, 40), st.integers(0, 40),
            st.integers(5, 19), st.integers(5, 19))
