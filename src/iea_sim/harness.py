@@ -2,8 +2,9 @@
 
 A scenario is one JSON document (cameras, waypoint plan, controller and
 link parameters, mode, seed). Reading and writing it are both derived from
-the key table `SCENARIO_KEYS`; defaults come from the dataclass fields and
-unknown keys are rejected.
+the key table `SCENARIO_KEYS`; defaults come from the dataclass fields,
+each value must fit its field's annotation (numbers finite), and unknown
+keys are rejected.
 
 Runs execute either in single-process lockstep (deterministic:
 byte-identical CSVs for identical scenario+seed) or distributed, with one
@@ -40,7 +41,7 @@ from typing import Optional
 import numpy as np
 
 from .control import ControllerParams, WaypointPlan
-from .dynamics import VehicleParams, VehicleState
+from .dynamics import MAX_STEP_S, VehicleParams, VehicleState
 from .fusion import DEFAULT_STALENESS_TIMEOUT, FusionState
 from .geometry import Pose2D, CameraModel
 from .netbus import (EstimateMessage, LinkConfig, LockstepNetwork,
@@ -94,25 +95,32 @@ class ScenarioConfig:
                                 "characters")
         if not self.cameras:
             raise ScenarioError("scenario needs at least one camera")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise ScenarioError(f"seed must be an integer, not {self.seed!r}")
-        if not (_numbers((self.noise_sigma,), 1) and self.noise_sigma >= 0):
-            raise ScenarioError("noise_sigma must be a non-negative number, "
+        # the seed enters np.random.default_rng, which refuses a negative one
+        if (not isinstance(self.seed, int) or isinstance(self.seed, bool)
+                or self.seed < 0):
+            raise ScenarioError("seed must be a non-negative integer, "
+                                f"not {self.seed!r}")
+        if not self.noise_sigma >= 0:
+            raise ScenarioError("noise_sigma must be non-negative, "
                                 f"not {self.noise_sigma!r}")
-        if not _numbers(self.vehicle_start, 3):
-            raise ScenarioError("vehicle.start must be three numbers "
-                                f"[x, y, psi], not {self.vehicle_start!r}")
-        if not (_numbers(self.vehicle_dims, 2) and min(self.vehicle_dims) > 0):
+        if not min(self.vehicle_dims) > 0:
             raise ScenarioError("vehicle.dims must be two positive numbers "
                                 f"[length, width], not {self.vehicle_dims!r}")
-        if self.duration_cap_s <= 0:
-            raise ScenarioError("duration cap must be positive")
+        if not self.duration_cap_s > 0:
+            raise ScenarioError("duration_cap_s must be positive, "
+                                f"not {self.duration_cap_s!r}")
         if self.mode not in ("lockstep", "distributed"):
             raise ScenarioError(f"unknown mode {self.mode!r}")
         if self.position_source not in ("cameras", "truth"):
             raise ScenarioError(f"unknown position source {self.position_source!r}")
-        if self.control_rate_hz <= 0 or self.frame_rate_hz <= 0:
-            raise ScenarioError("rates must be positive")
+        # a control step longer than dynamics.MAX_STEP_S fails at the first step
+        if not self.control_rate_hz >= 1.0 / MAX_STEP_S:
+            raise ScenarioError(f"control_rate_hz must be at least "
+                                f"{1.0 / MAX_STEP_S!r}, not "
+                                f"{self.control_rate_hz!r}")
+        if not self.frame_rate_hz > 0:
+            raise ScenarioError("frame_rate_hz must be positive, "
+                                f"not {self.frame_rate_hz!r}")
         if not 1024 <= self.base_port <= 65535 - len(self.cameras):
             raise ScenarioError("base_port leaves no room for distinct node ports")
         if self.camera_spacing_m is not None and len(self.cameras) > 1:
@@ -153,14 +161,6 @@ class ScenarioConfig:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "ScenarioConfig":
         return _from_doc(cls, obj, SCENARIO_KEYS, "scenario")
-
-
-def _numbers(value, n: int) -> bool:
-    """`value` is a list or tuple of n finite numbers, none of them a bool
-    (not math.isfinite, which overflows on an int beyond float range)."""
-    return (isinstance(value, (list, tuple)) and len(value) == n
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                    and abs(v) <= sys.float_info.max for v in value))
 
 
 # scenario.json key path -> attribute path, in file order. An (attribute,
@@ -237,6 +237,12 @@ def _from_doc(cls, doc, keys: dict, where: str):
         attr = keys[path]
         if isinstance(attr, str):
             value = _frozen(value)
+            hint = cls
+            for name in attr.split("."):
+                hint = _hints(hint)[name]
+            if not _fits(value, hint):
+                raise ScenarioError(f"{where}.{path} must be {_kind(hint)}, "
+                                    f"not {_thawed(value)!r}")
         elif isinstance(value, list):
             attr, entry_keys = attr
             entry_cls = typing.get_args(_hints(cls)[attr])[0]
@@ -247,6 +253,39 @@ def _from_doc(cls, doc, keys: dict, where: str):
         owner, _, leaf = attr.rpartition(".")
         (kwargs[owner] if owner else kwargs)[leaf] = value
     return _construct(cls, kwargs)
+
+
+def _fits(value, hint) -> bool:
+    """`value` has the type `hint`: a number is finite and not a bool (by
+    abs, not math.isfinite, which overflows on an int beyond float range)."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if hint is float:
+        return (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and abs(value) <= sys.float_info.max)
+    if hint is int:
+        return isinstance(value, int) and not isinstance(value, bool)
+    if origin is tuple:
+        if not isinstance(value, tuple):
+            return False
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        return len(value) == len(args) and all(map(_fits, value, args))
+    if origin is typing.Union:
+        return any(_fits(value, a) for a in args)
+    return isinstance(value, hint)
+
+
+def _kind(hint) -> str:
+    """How a scenario document writes a value of type `hint`."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is tuple:
+        if args[-1] is Ellipsis:
+            return f"[{_kind(args[0])}, ...]"
+        return f"[{', '.join(map(_kind, args))}]"
+    if origin is typing.Union:
+        return " or ".join(map(_kind, args))
+    return {float: "a finite number", int: "an integer", str: "a string",
+            type(None): "null"}[hint]
 
 
 def _flatten(doc, keys: dict, where: str, section: str = "") -> dict:
@@ -564,20 +603,31 @@ class VehicleRun:
         self.mssp_ids = cfg.mssp_ids()
         self.rows: RowList = []
         self.est_records: list[tuple] = []
+        self.rejected = 0  # estimates dropped unlogged, see `step`
         self.t_stop: Optional[float] = None
 
     def step(self, t: float, inbox: list):
         """Step the node at time t and log the inbox and the row.
 
+        An estimate that names no camera of the scenario, or was captured
+        after t, is counted in `rejected` and neither logged nor fused. The
+        first would be fused as one more cell; fusion refuses the second
+        with a ValueError, which would end the node.
+
         Returns the pose to broadcast and whether the run is over: it ends
         STOP_TAIL_S after the stop, or earlier once the vehicle stands.
         """
+        accepted = []
         for msg in inbox:
             if isinstance(msg, EstimateMessage):
+                if msg.mssp_id not in self.mssp_ids or msg.t_capture > t:
+                    self.rejected += 1
+                    continue
                 self.est_records.append((msg.mssp_id, msg.seq, msg.t_capture,
                                          t, msg.x, msg.y))
+            accepted.append(msg)
         state = self.node.state
-        res = self.node.step(t, inbox, self.dt)
+        res = self.node.step(t, accepted, self.dt)
         row = {"t": t, "true_x": state.pose.x, "true_y": state.pose.y,
                "true_psi": state.pose.psi, "true_v": state.v,
                "fused_x": None if res.fused is None else res.fused[0],
@@ -789,6 +839,10 @@ def vehicle_node_main(cfg: ScenarioConfig, out_dir: Path) -> int:
         return 0
     finally:
         _close(transport)
+        if vehicle.rejected:
+            print(f"veh: ignored {vehicle.rejected} estimate(s) from no camera "
+                  "of the scenario or captured after their reception",
+                  file=sys.stderr)
 
 
 # ---------------------------------------------------------------------------

@@ -25,8 +25,8 @@ from . import control, dynamics, vision
 from .control import ControllerParams, ControllerState, WaypointPlan
 from .dynamics import DbwCommand, VehicleParams, VehicleState
 from .fusion import FusionState, PositionEstimate
-from .geometry import CameraModel, Pose2D, PixelPoint, WorldPoint, \
-    back_project_ground, in_image, project
+from .geometry import CameraModel, Pose2D, PixelPoint, back_project_ground, \
+    camera_matrix
 from .netbus import EstimateMessage, PoseMessage
 
 WAITING_FOR_FIRST_FIX = "waiting_for_first_fix"
@@ -39,18 +39,6 @@ DEFAULT_VEHICLE_DIMS = (4.5, 2.0)
 BORDER_MARGIN_PX = 1
 CELL_SCAN_Y = 0.0           # lateral position of the cell scan [m]
 CELL_SCAN_RESOLUTION = 0.1  # step of the cell scan along the corridor [m]
-
-
-def vehicle_fully_visible(camera: CameraModel, x: float, y: float,
-                          vehicle_dims: tuple[float, float] = DEFAULT_VEHICLE_DIMS
-                          ) -> bool:
-    """All four corners of the (axis-aligned) vehicle rectangle project in-image."""
-    hl, hw = vehicle_dims[0] / 2.0, vehicle_dims[1] / 2.0
-    for dx, dy in ((hl, hw), (hl, -hw), (-hl, -hw), (-hl, hw)):
-        px = project(camera, WorldPoint(x + dx, y + dy, 0.0))
-        if px is None or not in_image(camera, px, margin=BORDER_MARGIN_PX):
-            return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -69,56 +57,36 @@ class CellLayout:
                      ) -> "CellLayout":
         """Scan the corridor for each camera's full-vehicle-visible x-interval.
 
-        Along the scan line each corner's visible set is the line's crossing
-        of a convex ground region, so the fully visible grid indices form
-        one run. From the index under the image center, bisect for its first
-        and last index; if that index is not visible, test every one.
+        Every grid position along the scan line is tested in one numpy pass
+        per camera: the (axis-aligned) vehicle rectangle centred there is
+        fully visible when each of its four corners lies in front of the
+        camera and inside the image, BORDER_MARGIN_PX clear of its edges.
+        The cell runs from the first visible position to the last.
         """
+        hl, hw = vehicle_dims[0] / 2.0, vehicle_dims[1] / 2.0
+        m = BORDER_MARGIN_PX
         intervals = []
         for cam in cameras:
             lo = cam.position.x
             hi = cam.position.x + 20.0 * cam.position.z  # generous far bound
             xs = np.arange(lo, hi, CELL_SCAN_RESOLUTION)
-
-            def visible(i):
-                return vehicle_fully_visible(cam, float(xs[i]), CELL_SCAN_Y,
-                                             vehicle_dims)
-
-            center = _center_index(cam, xs)
-            if center is not None and visible(center):
-                first = _bisect(visible, center, -1)
-                last = _bisect(visible, center, len(xs))
-            else:
-                vis = [i for i in range(len(xs)) if visible(i)]
-                if not vis:
-                    raise ValueError(f"camera at x={cam.position.x} sees no cell")
-                first, last = vis[0], vis[-1]
-            intervals.append((float(xs[first]), float(xs[last])))
+            P = camera_matrix(cam)
+            visible = np.ones(len(xs), dtype=bool)
+            for dx, dy in ((hl, hw), (hl, -hw), (-hl, -hw), (-hl, hw)):
+                h = P @ np.stack([xs + dx, np.full_like(xs, CELL_SCAN_Y + dy),
+                                  np.zeros_like(xs), np.ones_like(xs)])
+                # a corner behind the camera (h[2] <= 0) is not visible; its
+                # division below may give inf or nan, which every test fails
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    u, v = h[0] / h[2], h[1] / h[2]
+                visible &= ((h[2] > 0.0)
+                            & (m <= u) & (u <= cam.width - 1 - m)
+                            & (m <= v) & (v <= cam.height - 1 - m))
+            kept = np.flatnonzero(visible)
+            if not kept.size:
+                raise ValueError(f"camera at x={cam.position.x} sees no cell")
+            intervals.append((float(xs[kept[0]]), float(xs[kept[-1]])))
         return cls(tuple(intervals))
-
-
-def _center_index(camera: CameraModel, xs: np.ndarray) -> Optional[int]:
-    """Scan index nearest the ground point under the image center, or None."""
-    ground = back_project_ground(camera, PixelPoint(camera.cx, camera.cy))
-    if ground is None:
-        return None
-    i = round((ground.x - xs[0]) / CELL_SCAN_RESOLUTION)
-    return i if 0 <= i < len(xs) else None
-
-
-def _bisect(visible, inside: int, outside: int) -> int:
-    """The visible index nearest `outside` in a run holding `inside`.
-
-    `outside` lies beyond the run (it may be one past either end of the
-    scan); every index between `inside` and the run's end is visible.
-    """
-    while abs(outside - inside) > 1:
-        mid = (inside + outside) // 2
-        if visible(mid):
-            inside = mid
-        else:
-            outside = mid
-    return inside
 
 
 class MsspNode:
@@ -212,7 +180,7 @@ class VehicleNode:
         self.grace_period = grace_period
         self.position_source = position_source
         self.cstate = ControllerState()
-        self.phase = DRIVING if position_source == "truth" else WAITING_FOR_FIRST_FIX
+        self.phase = WAITING_FOR_FIRST_FIX
         self.pose_seq = 0
         self.last_fix_time: Optional[float] = None
         self.been_in_last_cell = False
@@ -230,24 +198,16 @@ class VehicleNode:
             if fused[0] >= self.cells.intervals[-1][0]:
                 self.been_in_last_cell = True
 
-        if self.phase == WAITING_FOR_FIRST_FIX:
-            if fused is not None:
-                self.phase = DRIVING
-            else:
-                self.last_cmd = DbwCommand(self.cparams.v_cruise, 0.0)
+        # the truth-fed baseline feeds back the true position, every other
+        # run the fused fix; either goes with the true heading (IMU), and
+        # the true position never enters the control path in camera mode
+        feedback = ((self.state.pose.x, self.state.pose.y)
+                    if self.position_source == "truth" else fused)
+        if self.phase == WAITING_FOR_FIRST_FIX and feedback is not None:
+            self.phase = DRIVING
 
         if self.phase == DRIVING:
-            if self.position_source == "truth":
-                feedback = (self.state.pose.x, self.state.pose.y)
-            else:
-                feedback = fused
-            if (self.position_source == "cameras" and fused is None
-                    and self.been_in_last_cell
-                    and now - self.last_fix_time > self.grace_period):
-                self.phase = STOPPED
-            elif feedback is not None:
-                # fused position + true heading (IMU); true position never
-                # enters the control path in camera mode
+            if feedback is not None:
                 ctrl_pose = Pose2D(feedback[0], feedback[1], self.state.pose.psi)
                 target, self.cstate = control.select_target(
                     self.path, self.cstate, ctrl_pose, self.plan.lookahead_m)
@@ -256,7 +216,12 @@ class VehicleNode:
                 self.last_cmd = cmd
                 if self.cstate.path_complete:
                     self.phase = STOPPED
-            # feedback None without stop condition: hold the last command
+            elif (self.been_in_last_cell
+                  and now - self.last_fix_time > self.grace_period):
+                # no cell lies ahead to give a fix; truth feedback is never
+                # None, so the baseline never takes this stop
+                self.phase = STOPPED
+            # no feedback before the grace stop: hold the last command
 
         if self.phase == STOPPED:
             self.last_cmd = DbwCommand(0.0, 0.0)

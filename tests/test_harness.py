@@ -21,7 +21,8 @@ from iea_sim.harness import (ScenarioConfig, ScenarioError, compare_runs,
                              point_to_polyline, read_run, read_run_csv,
                              run_columns, run_scenario, summarize,
                              write_net_csv, write_run_csv)
-from iea_sim.netbus import UdpTransport
+from iea_sim.netbus import EstimateMessage, UdpTransport
+from iea_sim.nodes import DRIVING, WAITING_FOR_FIRST_FIX
 
 from conftest import make_camera
 
@@ -104,7 +105,13 @@ class TestScenarioConfig:
         ("seed", "x"), ("seed", 1.5), ("seed", True),
         ("vehicle.dims", [4.5]), ("vehicle.dims", [4.5, 0.0]),
         ("vehicle.start", "abc"), ("vehicle.start", [0.0, 0.0, None]),
-        ("vehicle.start", [10**400, 0.0, 0.0])])
+        ("vehicle.start", [10**400, 0.0, 0.0]),
+        # every number finite, every field of its type, each error naming
+        # its key; and what would fail only once the run is under way
+        ("duration_cap_s", math.nan), ("vehicle.tau_v", math.nan),
+        ("fusion.staleness_timeout_s", math.inf), ("controller.kp", "x"),
+        ("frame_rate_hz", math.inf), ("plan.waypoints", [[0, 0], [1, math.nan]]),
+        ("seed", -1), ("control_rate_hz", 5)])
     def test_malformed_value_rejected(self, key, value, tmp_path, capsys):
         obj = load_scenario("straight_3ms").to_json_obj()
         section, _, leaf = key.rpartition(".")
@@ -117,6 +124,19 @@ class TestScenarioConfig:
                          "--out", str(tmp_path / "out")]) == 1
         assert key in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_readme_tables_list_every_key(self):
+        # the README's scenario and camera-entry tables are kept by hand
+        text = (ROOT / "README.md").read_text(encoding="utf-8")
+        section = text.split("## Scenario files")[1].split("\n## ")[0]
+        listed = [[key for row in part.splitlines() if row.startswith("| `")
+                   for key in re.findall(r"`([^`]+)`", row.split("|")[1])]
+                  for part in section.split("| key | default | meaning |")[1:]]
+        assert len(listed) == 2
+        for keys, table in zip(listed, (harness.SCENARIO_KEYS,
+                                        harness.CAMERA_KEYS)):
+            assert len(keys) == len(set(keys))
+            assert set(keys) == set(table)
 
     def test_unknown_bundled_name(self):
         with pytest.raises(ScenarioError):
@@ -134,6 +154,28 @@ class TestScenarioConfig:
         cfg = load_scenario("straight_3ms")
         addrs = [cfg.node_addr(n) for n in ["veh"] + cfg.mssp_ids()]
         assert len(set(addrs)) == len(addrs)
+
+
+class TestVehicleRun:
+    def test_unusable_estimates_are_dropped_and_counted(self):
+        # one captured after its reception (fusion would raise), one from a
+        # camera the scenario does not have (it would be fused)
+        run = harness.VehicleRun(load_scenario("distributed_smoke"))
+        future = EstimateMessage(sender="mssp1", seq=1, t=1.0, mssp_id="mssp1",
+                                 x=10.0, y=0.0, t_capture=1.5)
+        stranger = EstimateMessage(sender="mssp9", seq=1, t=1.0,
+                                   mssp_id="mssp9", x=500.0, y=40.0,
+                                   t_capture=1.0)
+        run.step(1.0, [future, stranger])
+        assert run.rejected == 2
+        assert run.est_records == []
+        assert run.rows[-1]["fused_x"] is None
+        assert run.rows[-1]["phase"] == WAITING_FOR_FIRST_FIX
+        good = dataclasses.replace(future, seq=2, t_capture=1.0)
+        run.step(1.02, [good])
+        assert run.rejected == 2
+        assert run.est_records == [("mssp1", 2, 1.0, 1.02, 10.0, 0.0)]
+        assert run.rows[-1]["phase"] == DRIVING
 
 
 class TestReplay:

@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 
 from iea_sim.control import ControllerParams, WaypointPlan
 from iea_sim.dynamics import VehicleParams, VehicleState
-from iea_sim.geometry import Pose2D
+from iea_sim.geometry import Pose2D, WorldPoint, in_image, project
 from iea_sim.netbus import EstimateMessage, PoseMessage
-from iea_sim import nodes
-from iea_sim.nodes import (CELL_SCAN_RESOLUTION, CELL_SCAN_Y, DRIVING, STOPPED,
+from iea_sim.nodes import (BORDER_MARGIN_PX, CELL_SCAN_RESOLUTION, CELL_SCAN_Y,
+                           DEFAULT_VEHICLE_DIMS, DRIVING, STOPPED,
                            WAITING_FOR_FIRST_FIX, CellLayout, MsspNode,
-                           VehicleNode, vehicle_fully_visible)
+                           VehicleNode)
 
 from conftest import make_camera
 
@@ -21,6 +21,17 @@ DT = 0.02
 
 def pose_msg(x, y=0.0, psi=0.0, seq=1, t=0.0):
     return PoseMessage(sender="veh", seq=seq, t=t, x=x, y=y, psi=psi, v=3.0)
+
+
+def vehicle_fully_visible(camera, x, y, vehicle_dims=DEFAULT_VEHICLE_DIMS):
+    """Scalar reference of the cell scan: all four corners of the
+    (axis-aligned) vehicle rectangle project in-image."""
+    hl, hw = vehicle_dims[0] / 2.0, vehicle_dims[1] / 2.0
+    for dx, dy in ((hl, hw), (hl, -hw), (-hl, -hw), (-hl, hw)):
+        px = project(camera, WorldPoint(x + dx, y + dy, 0.0))
+        if px is None or not in_image(camera, px, margin=BORDER_MARGIN_PX):
+            return False
+    return True
 
 
 class TestVehicleFullyVisible:
@@ -81,13 +92,10 @@ class TestCellLayout:
             assert layout.intervals == (expected,)
 
     def test_off_center_camera_takes_the_full_scan(self):
-        # the scan line crosses the view off its center: the ground under
-        # the image center is not a visible position, yet others are
+        # the scan line crosses the view off its center, yet some positions
+        # along it are visible
         cam = make_camera(y=10.0)
-        xs = np.arange(0.0, 180.0, CELL_SCAN_RESOLUTION)
-        center = nodes._center_index(cam, xs)
-        assert not vehicle_fully_visible(cam, float(xs[center]), CELL_SCAN_Y)
-        expected = _full_scan(cam, nodes.DEFAULT_VEHICLE_DIMS)
+        expected = _full_scan(cam, DEFAULT_VEHICLE_DIMS)
         assert expected is not None
         assert CellLayout.from_cameras([cam]).intervals == (expected,)
 
@@ -244,6 +252,23 @@ class TestVehicleNode:
         slack = veh.fusion.staleness_timeout + 3 * DT
         assert stop_t - last_est_t <= veh.grace_period + slack
         assert veh.state.v < 0.2
+
+    def test_truth_fed_vehicle_drives_on_past_its_last_cell(self):
+        # the same early end of coverage as above, but fed the truth: the
+        # grace stop is for lost camera feedback, which the baseline never has
+        veh = make_vehicle(cells=((0.0, 20.0),), waypoints=((0, 0), (200, 0)),
+                           position_source="truth")
+        for i in range(1500):
+            t = i * DT
+            inbox = []
+            if veh.state.pose.x < 20.0:
+                inbox = [est_msg(veh.state.pose.x, veh.state.pose.y, t,
+                                 seq=i + 1)]
+            res = veh.step(t, inbox, DT)
+            assert res.phase == DRIVING
+        assert veh.been_in_last_cell
+        assert veh.state.pose.x > 80.0
+        assert veh.state.v == pytest.approx(ControllerParams().v_cruise)
 
     def test_control_follows_estimates_not_truth(self):
         # estimates biased +0.5 m in y: steering the estimate onto the
