@@ -796,13 +796,7 @@ def mssp_node_main(cfg: ScenarioConfig, node_id: str, out_dir: Path,
     t_end = cfg.duration_cap_s + STOP_TAIL_S
     try:
         transport.epoch = _await_epoch()
-        while (now := transport.wait(min(node.frame_clock, t_end))) < t_end:
-            # a camera drops frames when processing stalls: skip any backlog
-            # beyond the most recent due frame instead of bursting through it
-            behind = now - node.frame_clock
-            if behind > node.frame_period:
-                node.frame_clock += (int(behind / node.frame_period)
-                                     * node.frame_period)
+        while transport.wait(min(node.frame_clock, t_end)) < t_end:
             for est in node.step(transport.now(), transport.drain()):
                 # stamp the send time right before the socket write so the
                 # logged one-way latency excludes frame-processing time

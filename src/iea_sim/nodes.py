@@ -112,12 +112,19 @@ class MsspNode:
         self.est_seq = 0
 
     def step(self, now: float, inbox: list) -> list[EstimateMessage]:
-        """Consume pose messages, process any due camera frames, emit estimates."""
+        """Consume pose messages, process the most recent due camera frame
+        (skipping any older backlog), emit estimates."""
         for msg in inbox:
             if isinstance(msg, PoseMessage):
                 if self.last_pose is None or msg.seq > self.last_pose.seq:
                     self.last_pose = msg
         out = []
+        # a camera drops frames when processing stalls: skip any backlog
+        # beyond the most recent due frame instead of bursting through it
+        behind = now - self.frame_clock
+        if behind > self.frame_period:
+            self.frame_clock += (int(behind / self.frame_period)
+                                 * self.frame_period)
         while self.frame_clock <= now + 1e-12:
             t_frame = self.frame_clock
             self.frame_clock += self.frame_period

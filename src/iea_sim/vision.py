@@ -13,10 +13,17 @@ box is the one it painted the vehicle into; a noisy or hand-built frame's
 box is the whole image. The detector differences only the union of the
 two frames' boxes, so rendering and detection cost scale with the
 vehicle's footprint on noise-free frames and with the image on noisy ones.
+
+Pixel noise is rint(N(0, sigma)) at 2**-16 resolution: each pixel draws
+one uint16 slot i, and its offset is the inverse CDF of the rounded
+normal at (i + 1/2) / 2**16, so each offset's probability is within
+2**-16 of the exact one and offsets end at about +-4.3 sigma. The pixel
+is clip(painted + offset, 0, 255).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -31,6 +38,8 @@ DEFAULT_THRESHOLD = 30
 DEFAULT_MIN_AREA = 25
 GATE_PX = 80.0
 LOSS_LIMIT = 5
+NOISE_SLOTS = 1 << 16  # one uint16 draw per noisy pixel
+NOISE_OFFSET_CAP = 256  # an offset this large saturates any pixel
 
 SEARCHING = "searching"
 TRACKING = "tracking"
@@ -124,19 +133,53 @@ def _vehicle_corners(pose: Pose2D, length: float, width: float):
     return corners
 
 
+@functools.lru_cache(maxsize=16)
+def _noise_tables(sigma: float) -> tuple[np.ndarray, np.ndarray]:
+    """Each noise slot's offset, and the background pixel it makes.
+
+    Slot i's offset is the smallest k with
+    NOISE_SLOTS * Phi((k + 1/2) / sigma) >= i + 1/2, the inverse CDF of
+    rint(N(0, sigma)), capped at +-NOISE_OFFSET_CAP; its background pixel
+    is clip(BACKGROUND_INTENSITY + k, 0, 255). Both int16 and uint8 tables
+    are read-only and built once per sigma (for the last 16 sigmas used).
+    """
+    # no slot maps beyond 4.5 sigma; cap before rounding, so that a huge
+    # sigma does not overflow
+    k_max = math.ceil(min(4.5 * sigma, NOISE_OFFSET_CAP))
+    scale = sigma * math.sqrt(2.0)
+    # NOISE_SLOTS * Phi((k + 1/2) / sigma) for k = -k_max .. -1, from the
+    # lower tail's erfc; the upper half of the table mirrors the lower one
+    cdf = [NOISE_SLOTS / 2 * math.erfc((m - 0.5) / scale)
+           for m in range(k_max, 0, -1)]
+    lower = np.searchsorted(cdf, np.arange(NOISE_SLOTS // 2) + 0.5) - k_max
+    offsets = np.concatenate([lower, -lower[::-1]]).astype(np.int16)
+    background = np.clip(BACKGROUND_INTENSITY + offsets, 0, 255)
+    background = background.astype(np.uint8)
+    offsets.setflags(write=False)
+    background.setflags(write=False)
+    return offsets, background
+
+
 def render_frame(camera: CameraModel, vehicle: Optional[Pose2D],
                  vehicle_dims: tuple[float, float], t: float,
                  noise_sigma: float = 0.0,
                  rng: Optional[np.random.Generator] = None) -> Frame:
     """Render the vehicle's ground rectangle into a flat background frame.
 
-    Deterministic for identical inputs (noise only when noise_sigma > 0 and
-    an rng is supplied). A vehicle behind the camera or fully outside the
-    image yields a pure background frame. A noise-free frame records the
-    clipped bounding box of the painted quad (empty if nothing was
-    painted) and holds only the pixels inside it; a noisy frame's box is
-    the whole image.
+    Deterministic for identical inputs. A vehicle behind the camera or
+    fully outside the image yields a pure background frame. A noise-free
+    frame records the clipped bounding box of the painted quad (empty if
+    nothing was painted) and holds only the pixels inside it.
+
+    With noise_sigma > 0 (which requires an rng) the frame is noisy and
+    its box is the whole image: one `rng.integers(0, NOISE_SLOTS, (height,
+    width), dtype=np.uint16)` draw gives each pixel a slot, and the pixel
+    is clip(painted + T[slot], 0, 255), where T is the inverse CDF of
+    rint(N(0, noise_sigma)) at 2**-16 resolution (offsets end at about
+    +-4.3 sigma; see `_noise_tables`).
     """
+    if noise_sigma > 0.0 and rng is None:
+        raise ValueError("noise_sigma > 0 requires an rng")
     painted = EMPTY_BOX
     patch = _NO_PIXELS
     quad = None
@@ -169,16 +212,17 @@ def render_frame(camera: CameraModel, vehicle: Optional[Pose2D],
                              np.uint8(BACKGROUND_INTENSITY))
             patch.setflags(write=False)
             painted = (v0, v1 + 1, u0, u1 + 1)
-    frame = Frame.from_patch(patch, t, painted, camera.height, camera.width)
-    if noise_sigma > 0.0:
-        if rng is None:
-            raise ValueError("noise_sigma > 0 requires an rng")
-        px = frame.pixels
-        noisy = px.astype(np.float64) + rng.normal(0.0, noise_sigma, px.shape)
-        px = np.clip(np.rint(noisy), 0, 255).astype(np.uint8)
-        px.setflags(write=False)
-        frame = Frame(px, t)
-    return frame
+    if not noise_sigma > 0.0:
+        return Frame.from_patch(patch, t, painted, camera.height, camera.width)
+    offsets, background = _noise_tables(noise_sigma)
+    slots = rng.integers(0, NOISE_SLOTS, (camera.height, camera.width),
+                         dtype=np.uint16)
+    # outside the painted box every pixel is background: one table lookup
+    px = np.take(background, slots)
+    v0, v1, u0, u1 = painted
+    px[v0:v1, u0:u1] = np.clip(patch + offsets[slots[v0:v1, u0:u1]], 0, 255)
+    px.setflags(write=False)
+    return Frame(px, t)
 
 
 def _box_union(a, b):

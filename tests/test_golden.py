@@ -35,10 +35,10 @@ GOLDEN = {
     # pixel noise and drops: the noisy render and the dense detector
     "run_noisy_smoke": {
         "scenario.json": "aab5bd336f925cc183c1d30d1886c18be69a80a12b4c6b8ede7d57ef575484fb",
-        "run.csv": "ee3fccccc4c2964ef1eb48360cb1c068727353327b865c6703bbb5a18df4d3fc",
-        "estimates.csv": "6bf5589f26e68cb3d4fa1b094188ea96b7954e4fab14043bb5fe5a995ecf05e3",
-        "net_metrics.csv": "04f00e2a17aec6436ea7f02a5b18e60e23aea822def29ffd17c132dedfca720f",
-        "summary.json": "466d1e2afd6e1c67450b052e2c6bd806f907fc5fe4e55396e1b8f2f0097ab58a",
+        "run.csv": "dabba80fdc9c9260200d6d7ec677be921a50c5c485db8de611d154fae0d42fc9",
+        "estimates.csv": "aab27ef0a7e9a921547c1d5b5362adbe7c171e4e7f7ddee1b8f13d37cff5d412",
+        "net_metrics.csv": "b936d9604ab35e026164a444f7a45093fb53792f0da5341ba0db150e95859ca3",
+        "summary.json": "9932ae18801dcf98b4e3b6aa4cdcdf0d00a9d89c2067a11a8b14c29fcd18e132",
     },
 }
 

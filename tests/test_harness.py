@@ -192,6 +192,15 @@ class TestReplay:
             assert ((first.out_dir / name).read_bytes()
                     == (again.out_dir / name).read_bytes()), name
 
+    def test_huge_frame_rate_renders_one_frame_per_step(self, tmp_path):
+        # 2e7 frames fall due per control step; only the latest is rendered
+        cfg = dataclasses.replace(load_scenario("distributed_smoke"),
+                                  mode="lockstep", duration_cap_s=1.0,
+                                  frame_rate_hz=1e9)
+        start = time.perf_counter()
+        run_scenario(cfg, tmp_path / "run")
+        assert time.perf_counter() - start < 5.0
+
     def test_lockstep_drop_injection(self, tmp_path):
         base = load_scenario("distributed_smoke")
         cfg = dataclasses.replace(

@@ -158,10 +158,11 @@ class TestMsspNode:
         assert seqs == sorted(seqs)
         assert len(set(seqs)) == len(seqs)
 
-    def test_multiple_due_frames_processed_in_one_step(self):
+    def test_backlog_beyond_latest_due_frame_is_skipped(self):
         node = self._warmed()
         out = node.step(0.25, [pose_msg(20.0)])  # frames due at .05..+.25
-        assert len(out) == 5
+        assert [est.t_capture for est in out] == [0.25]
+        assert node.frame_seq == 2
 
 
 def make_vehicle(x0=0.0, y0=0.0, psi0=0.0, v0=3.0, waypoints=((0, 0), (300, 0)),

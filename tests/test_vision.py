@@ -1,4 +1,5 @@
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -8,10 +9,11 @@ from hypothesis import strategies as st
 from iea_sim import vision
 from iea_sim.geometry import Pose2D, PixelPoint, WorldPoint, \
     back_project_ground, in_image, project
-from iea_sim.vision import (BACKGROUND_INTENSITY, EMPTY_BOX, SEARCHING,
-                            TRACKING, VEHICLE_INTENSITY, TrackerState,
-                            detect_by_subtraction, render_frame, track_step,
-                            write_pgm)
+from iea_sim.vision import (BACKGROUND_INTENSITY, DEFAULT_THRESHOLD,
+                            EMPTY_BOX, NOISE_OFFSET_CAP, NOISE_SLOTS,
+                            SEARCHING, TRACKING, VEHICLE_INTENSITY,
+                            TrackerState, detect_by_subtraction,
+                            render_frame, track_step, write_pgm)
 
 from conftest import make_camera
 
@@ -132,8 +134,16 @@ def _reference_render(camera, vehicle, dims, t, noise_sigma=0.0, rng=None):
             px[v0:v1 + 1, u0:u1 + 1][inside] = VEHICLE_INTENSITY
             painted = (v0, v1 + 1, u0, u1 + 1)
     if noise_sigma > 0.0:
-        noisy = px.astype(np.float64) + rng.normal(0.0, noise_sigma, px.shape)
-        px = np.clip(np.rint(noisy), 0, 255).astype(np.uint8)
+        # the same one uint16 slot per pixel, mapped through the inverse CDF
+        # of rint(N(0, sigma)): the smallest k with
+        # Phi((k + 1/2) / sigma) >= (slot + 1/2) / 2**16
+        slots = rng.integers(0, 1 << 16, px.shape, dtype=np.uint16)
+        values, index = np.unique(slots, return_inverse=True)
+        normal = NormalDist(0.0, noise_sigma)
+        offsets = np.array([math.ceil(normal.inv_cdf((i + 0.5) / 65536) - 0.5)
+                            for i in values.tolist()])
+        px = np.clip(px + offsets[index.reshape(px.shape)], 0, 255)
+        px = px.astype(np.uint8)
         painted = (0, camera.height, 0, camera.width)
     return px, painted
 
@@ -175,6 +185,87 @@ class TestRenderMatchesReference:
                                         np.random.default_rng(seed))
         assert fr.painted == painted == (0, 600, 0, 800)
         assert (fr.patch == px).all() and (fr.pixels == px).all()
+
+
+SIGMAS = (1e-6, 0.3, 8.0, 1e4, 1e308)
+
+
+def _offset_pmf(offsets):
+    """Share of slots per offset, for offsets -NOISE_OFFSET_CAP .. +CAP."""
+    return np.bincount(offsets + NOISE_OFFSET_CAP,
+                       minlength=2 * NOISE_OFFSET_CAP + 1) / NOISE_SLOTS
+
+
+class TestNoiseTable:
+    @pytest.mark.parametrize("sigma", SIGMAS)
+    def test_pmf_within_one_slot_of_the_rounded_normal(self, sigma):
+        offsets, _ = vision._noise_tables(sigma)
+        assert offsets.shape == (NOISE_SLOTS,) and offsets.dtype == np.int16
+        # P(clip(rint(N(0, sigma)), -CAP, CAP) = k): an offset beyond the
+        # cap saturates any pixel just as the cap does
+        cdf = NormalDist(0.0, sigma).cdf
+        exact = np.diff([0.0] + [cdf(k + 0.5) for k in range(
+            -NOISE_OFFSET_CAP, NOISE_OFFSET_CAP)] + [1.0])
+        assert np.abs(_offset_pmf(offsets) - exact).max() <= 2.0 ** -16
+
+    @pytest.mark.parametrize("sigma", SIGMAS)
+    def test_symmetric_monotone_read_only_and_built_once(self, sigma):
+        offsets, background = vision._noise_tables(sigma)
+        assert (offsets == -offsets[::-1]).all()
+        assert (np.diff(offsets) >= 0).all()
+        assert background.dtype == np.uint8
+        assert (background
+                == np.clip(BACKGROUND_INTENSITY + offsets, 0, 255)).all()
+        assert not offsets.flags.writeable and not background.flags.writeable
+        again = vision._noise_tables(sigma)
+        assert again[0] is offsets and again[1] is background
+
+
+class TestNoisyFrames:
+    SIGMA = 8.0
+    POSE = Pose2D(20.0, 0.0, 0.0)
+
+    def _background_pixels(self, camera, seed):
+        """The noisy pixels outside the noise-free frame's painted box."""
+        v0, v1, u0, u1 = render_frame(camera, self.POSE, DIMS, 0.0).painted
+        assert v0 < v1 and u0 < u1
+        px = render_frame(camera, self.POSE, DIMS, 0.0, self.SIGMA,
+                          np.random.default_rng(seed)).pixels
+        outside = np.ones(px.shape, dtype=bool)
+        outside[v0:v1, u0:u1] = False
+        return px[outside].astype(np.int64)
+
+    def test_background_mean_and_std(self, default_camera):
+        bg = self._background_pixels(default_camera, 11)
+        # rint(N(0, sigma)) has variance sigma**2 + 1/12 (Sheppard)
+        std = math.sqrt(self.SIGMA ** 2 + 1 / 12)
+        standard_error = std / math.sqrt(bg.size)
+        assert abs(bg.mean() - BACKGROUND_INTENSITY) <= 4 * standard_error
+        assert abs(bg.std() / std - 1) <= 0.01
+
+    def test_share_over_threshold_between_two_frames(self, default_camera):
+        a = self._background_pixels(default_camera, 12)
+        b = self._background_pixels(default_camera, 13)
+        share = (np.abs(a - b) > DEFAULT_THRESHOLD).mean()
+        # the difference of two offsets drawn from the table's pmf
+        pmf = _offset_pmf(vision._noise_tables(self.SIGMA)[0])
+        diff = np.convolve(pmf, pmf[::-1])
+        lag = np.arange(len(diff)) - 2 * NOISE_OFFSET_CAP
+        p = diff[np.abs(lag) > DEFAULT_THRESHOLD].sum()
+        assert 0.005 < p < 0.01
+        assert abs(share - p) <= 4 * math.sqrt(p * (1 - p) / a.size)
+
+    def test_huge_sigma_saturates_every_pixel(self, default_camera):
+        fr = render_frame(default_camera, self.POSE, DIMS, 0.0, 1e308,
+                          np.random.default_rng(14))
+        assert set(np.unique(fr.pixels).tolist()) == {0, 255}
+
+    def test_one_uint16_draw_per_frame(self, default_camera):
+        rng, twin = np.random.default_rng(15), np.random.default_rng(15)
+        render_frame(default_camera, self.POSE, DIMS, 0.0, self.SIGMA, rng)
+        twin.integers(0, NOISE_SLOTS, (default_camera.height,
+                                       default_camera.width), dtype=np.uint16)
+        assert rng.bit_generator.state == twin.bit_generator.state
 
 
 class TestDetectBySubtraction:
