@@ -81,10 +81,11 @@ def select_target(path: list[tuple[float, float]], cstate: ControllerState,
         raise ValueError("empty path")
     here = (pose.x, pose.y)
     start = cstate.target_index
-    i = min(range(start, len(path)), key=lambda k: math.dist(path[k], here))
-    while i < len(path) - 1 and math.dist(path[i], here) < lookahead_m:
+    dist = [math.dist(p, here) for p in path[start:]]
+    i = start + dist.index(min(dist))
+    while i < len(path) - 1 and dist[i - start] < lookahead_m:
         i += 1
-    complete = i == len(path) - 1 and math.dist(path[i], here) < lookahead_m
+    complete = i == len(path) - 1 and dist[i - start] < lookahead_m
     return path[i], replace(cstate, target_index=i,
                             path_complete=cstate.path_complete or complete)
 

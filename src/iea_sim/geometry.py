@@ -153,16 +153,23 @@ def _camera_inverse(camera: CameraModel) -> np.ndarray:
     return Minv
 
 
+def project_xyz(P: np.ndarray, x: float, y: float, z: float = 0.0
+                ) -> Optional[tuple[float, float]]:
+    """(u, v) of the world point (x, y, z) under the camera matrix P; None
+    when the point is behind the camera (w <= 0)."""
+    h = P @ np.array([x, y, z, 1.0])
+    if h[2] <= 0.0:
+        return None
+    return float(h[0] / h[2]), float(h[1] / h[2])
+
+
 def project(camera: CameraModel, p: WorldPoint) -> Optional[PixelPoint]:
     """Project a world point; None when the point is behind the camera (w <= 0).
 
     Being outside the image bounds is not an error here; use in_image().
     """
-    P = camera_matrix(camera)
-    h = P @ np.array([p.x, p.y, p.z, 1.0])
-    if h[2] <= 0.0:
-        return None
-    return PixelPoint(float(h[0] / h[2]), float(h[1] / h[2]))
+    uv = project_xyz(camera_matrix(camera), p.x, p.y, p.z)
+    return None if uv is None else PixelPoint(*uv)
 
 
 def in_image(camera: CameraModel, px: PixelPoint, margin: float = 0.0) -> bool:

@@ -667,15 +667,16 @@ def run_lockstep(cfg: ScenarioConfig, out_dir: Path,
     mssps = ([make_mssp(cfg, mid, out_dir, dump_frames)
               for mid in cfg.mssp_ids()]
              if cfg.position_source == "cameras" else [])
+    mssp_ids = [m.id for m in mssps]
     vehicle = VehicleRun(cfg)
     for i in range(int(math.ceil(cfg.duration_cap_s / dt))):
         t = i * dt
         for m in mssps:
             for est in m.step(t, net.deliver(m.id, t)):
-                net.send(est, "veh", t)
+                net.send(est, ["veh"], t)
         pose_msg, done = vehicle.step(t, net.deliver("veh", t))
-        for m in mssps:
-            net.send(pose_msg, m.id, t + dt)
+        if mssp_ids:  # the truth-fed baseline runs no camera
+            net.send(pose_msg, mssp_ids, t + dt)
         if done:
             break
 

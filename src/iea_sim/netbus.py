@@ -14,8 +14,9 @@ name that is not a string raises ValueError at the sender.
 
 Two transports share this codec: a seeded lockstep queue with injected
 uniform latency and Bernoulli drops (deterministic delivery order, ties on
-delivery time broken by sender then seq), and real UDP sockets for the
-distributed mode. Node logic runs unmodified over either.
+delivery time broken by sender then seq), which encodes and decodes each
+message once however many nodes it is sent to, and real UDP sockets for
+the distributed mode. Node logic runs unmodified over either.
 """
 
 from __future__ import annotations
@@ -183,11 +184,13 @@ def latency_percentiles(samples: list[float]) -> dict:
 class LockstepNetwork:
     """Single-threaded simulated datagram network with injected latency.
 
-    Messages are encoded at send and decoded at delivery, so the wire
-    format is exercised even in lockstep. Delivery order is a pure
-    function of `seed`, the scenario seed: the heap is keyed on
-    (delivery_time, sender, seq, send_counter). Every delivery is logged
-    in `records` as (t_received, sender, receiver, bytes, latency).
+    `send` encodes a message and decodes those bytes once, so the wire
+    format is exercised even in lockstep, and every destination receives
+    that decoded message. Each link draws from its own rng, seeded from
+    `seed` (the scenario seed), and the heap is keyed on (delivery_time,
+    sender, seq, send_counter), so delivery order is a pure function of
+    `seed`. Every delivery is logged in `records` as (t_received, sender,
+    receiver, bytes, latency).
     """
 
     def __init__(self, cfg: LinkConfig, seed: int = 0):
@@ -208,29 +211,33 @@ class LockstepNetwork:
             self._rngs[key] = random.Random(f"{self.seed}|{src}|{dst}")
         return self._rngs[key]
 
-    def send(self, msg: WireMessage, dest: str, now: float) -> None:
-        if dest not in self._queues:
-            raise KeyError(f"unknown destination node {dest!r}")
+    def send(self, msg: WireMessage, dests: list[str], now: float) -> None:
+        """Send to each of `dests` in order; an id never registered raises
+        KeyError before any draw or enqueue."""
+        for dest in dests:
+            if dest not in self._queues:
+                raise KeyError(f"unknown destination node {dest!r}")
         data = encode(msg)
-        rng = self._rng(msg.sender, dest)
-        latency = rng.uniform(self.cfg.latency_min, self.cfg.latency_max)
-        dropped = (self.cfg.drop_probability > 0.0
-                   and rng.random() < self.cfg.drop_probability)
-        if dropped:
-            self.dropped += 1
-            return
-        self._counter += 1
-        heapq.heappush(self._queues[dest],
-                       (now + latency, msg.sender, msg.seq, self._counter, data))
+        nbytes, received = len(data), decode(data)
+        for dest in dests:
+            rng = self._rng(msg.sender, dest)
+            latency = rng.uniform(self.cfg.latency_min, self.cfg.latency_max)
+            if (self.cfg.drop_probability > 0.0
+                    and rng.random() < self.cfg.drop_probability):
+                self.dropped += 1
+                continue
+            self._counter += 1
+            heapq.heappush(self._queues[dest],
+                           (now + latency, msg.sender, msg.seq, self._counter,
+                            nbytes, received))
 
     def deliver(self, node_id: str, now: float) -> list[WireMessage]:
-        """Pop and decode all messages due at or before `now`."""
+        """Pop all messages due at or before `now`."""
         q = self._queues[node_id]
         out = []
         while q and q[0][0] <= now:
-            t_del, sender, _seq, _n, data = heapq.heappop(q)
-            msg = decode(data)
-            self.records.append((t_del, sender, node_id, len(data),
+            t_del, sender, _seq, _n, nbytes, msg = heapq.heappop(q)
+            self.records.append((t_del, sender, node_id, nbytes,
                                  t_del - msg.t))
             out.append(msg)
         return out

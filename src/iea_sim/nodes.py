@@ -118,44 +118,46 @@ class MsspNode:
             if isinstance(msg, PoseMessage):
                 if self.last_pose is None or msg.seq > self.last_pose.seq:
                     self.last_pose = msg
-        out = []
         # a camera drops frames when processing stalls: skip any backlog
-        # beyond the most recent due frame instead of bursting through it
+        # beyond the most recent due frame instead of bursting through it.
+        # Jump to a period short of it (the division may round either way),
+        # then step on with the due test and the arithmetic used below.
         behind = now - self.frame_clock
         if behind > self.frame_period:
-            self.frame_clock += (int(behind / self.frame_period)
+            self.frame_clock += ((int(behind / self.frame_period) - 1)
                                  * self.frame_period)
-        while self.frame_clock <= now + 1e-12:
-            t_frame = self.frame_clock
+        while self.frame_clock + self.frame_period <= now + 1e-12:
             self.frame_clock += self.frame_period
-            pose = None
-            if self.last_pose is not None:
-                # the scene replays the last synchronized pose (it lags the
-                # truth by the network + tick latency, as in a live system)
-                pose = Pose2D(self.last_pose.x, self.last_pose.y,
-                              self.last_pose.psi)
-            frame = vision.render_frame(self.camera, pose, self.vehicle_dims,
-                                        t_frame, self.noise_sigma, self.rng)
-            if self.dump_dir is not None:
-                vision.write_pgm(frame,
-                                 self.dump_dir / f"{self.id}_f{self.frame_seq}.pgm")
-            self.frame_seq += 1
-            self.tracker, det = vision.track_step(self.tracker, frame)
-            if det is None:
-                continue
-            # publish only while tracking and only fully-visible detections;
-            # a box touching the border back-projects with a large bias
-            if det.box.touches_border(self.camera.width, self.camera.height):
-                continue
-            ground = back_project_ground(self.camera,
-                                         PixelPoint(det.center_u, det.center_v))
-            if ground is None:
-                continue
-            self.est_seq += 1
-            out.append(EstimateMessage(sender=self.id, seq=self.est_seq, t=now,
-                                       mssp_id=self.id, x=ground.x, y=ground.y,
-                                       t_capture=det.capture_time))
-        return out
+        if self.frame_clock > now + 1e-12:
+            return []
+        t_frame = self.frame_clock
+        self.frame_clock += self.frame_period
+        pose = None
+        if self.last_pose is not None:
+            # the scene replays the last synchronized pose (it lags the
+            # truth by the network + tick latency, as in a live system)
+            pose = Pose2D(self.last_pose.x, self.last_pose.y,
+                          self.last_pose.psi)
+        frame = vision.render_frame(self.camera, pose, self.vehicle_dims,
+                                    t_frame, self.noise_sigma, self.rng)
+        if self.dump_dir is not None:
+            vision.write_pgm(frame,
+                             self.dump_dir / f"{self.id}_f{self.frame_seq}.pgm")
+        self.frame_seq += 1
+        self.tracker, det = vision.track_step(self.tracker, frame)
+        # publish only while tracking and only fully-visible detections;
+        # a box touching the border back-projects with a large bias
+        if det is None or det.box.touches_border(self.camera.width,
+                                                 self.camera.height):
+            return []
+        ground = back_project_ground(self.camera,
+                                     PixelPoint(det.center_u, det.center_v))
+        if ground is None:
+            return []
+        self.est_seq += 1
+        return [EstimateMessage(sender=self.id, seq=self.est_seq, t=now,
+                                mssp_id=self.id, x=ground.x, y=ground.y,
+                                t_capture=det.capture_time)]
 
 
 @dataclass

@@ -30,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import CameraModel, Pose2D, WorldPoint, project
+from .geometry import CameraModel, Pose2D, camera_matrix, project_xyz
 
 BACKGROUND_INTENSITY = 40
 VEHICLE_INTENSITY = 220
@@ -124,13 +124,11 @@ class TrackerState:
 
 
 def _vehicle_corners(pose: Pose2D, length: float, width: float):
+    """The (x, y) ground corners of the vehicle's rectangle, in order."""
     c, s = math.cos(pose.psi), math.sin(pose.psi)
     hl, hw = length / 2.0, width / 2.0
-    corners = []
-    for dx, dy in ((hl, hw), (hl, -hw), (-hl, -hw), (-hl, hw)):
-        corners.append(WorldPoint(pose.x + dx * c - dy * s,
-                                  pose.y + dx * s + dy * c, 0.0))
-    return corners
+    return [(pose.x + dx * c - dy * s, pose.y + dx * s + dy * c)
+            for dx, dy in ((hl, hw), (hl, -hw), (-hl, -hw), (-hl, hw))]
 
 
 @functools.lru_cache(maxsize=16)
@@ -184,9 +182,11 @@ def render_frame(camera: CameraModel, vehicle: Optional[Pose2D],
     patch = _NO_PIXELS
     quad = None
     if vehicle is not None:
-        pts = [project(camera, c) for c in _vehicle_corners(vehicle, *vehicle_dims)]
-        if all(p is not None for p in pts):
-            quad = [(p.u, p.v) for p in pts]
+        P = camera_matrix(camera)
+        quad = [project_xyz(P, x, y)
+                for x, y in _vehicle_corners(vehicle, *vehicle_dims)]
+        if None in quad:
+            quad = None
     if quad is not None:
         us, vs = zip(*quad)
         u0 = max(0, math.ceil(min(us)))
@@ -200,14 +200,16 @@ def render_frame(camera: CameraModel, vehicle: Optional[Pose2D],
             vv = np.arange(v0, v1 + 1)[:, None]
             edges = list(zip(quad, quad[1:] + quad[:1]))
             inside = np.ones((len(vv), len(uu)), dtype=bool)
-            # convex quad: consistent sign of the edge cross products
+            # convex quad: every edge's cross product (x2 - x1)(v - y1) -
+            # (y2 - y1)(u - x1) has the winding's sign (or is zero). Compare
+            # its two terms instead: for finite doubles fl(a - b) >= 0
+            # exactly when a >= b
             area = 0.0
             for (x1, y1), (x2, y2) in edges:
                 area += x1 * y2 - x2 * y1
-            sign = 1.0 if area >= 0 else -1.0
+            on_side = np.greater_equal if area >= 0 else np.less_equal
             for (x1, y1), (x2, y2) in edges:
-                cross = (x2 - x1) * (vv - y1) - (y2 - y1) * (uu - x1)
-                inside &= sign * cross >= 0
+                inside &= on_side((x2 - x1) * (vv - y1), (y2 - y1) * (uu - x1))
             patch = np.where(inside, np.uint8(VEHICLE_INTENSITY),
                              np.uint8(BACKGROUND_INTENSITY))
             patch.setflags(write=False)
@@ -307,7 +309,10 @@ def _components(mask: np.ndarray, min_area: int, v_off: int, u_off: int):
             break
         np.minimum.at(label, np.maximum(a[split], b[split]),
                       np.minimum(a[split], b[split]))
-    first, comp = np.unique(label, return_inverse=True)
+    # the roots, in order, are the components
+    root = label == np.arange(n)
+    first = np.flatnonzero(root)
+    comp = (np.cumsum(root) - 1)[label]
     row, col0 = np.divmod(starts, stride)
     col1 = ends - row * stride
     length = col1 - col0

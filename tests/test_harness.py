@@ -15,13 +15,13 @@ from pathlib import Path
 
 import pytest
 
-from iea_sim import cli, harness
+from iea_sim import cli, harness, netbus
 from iea_sim.harness import (ScenarioConfig, ScenarioError, compare_runs,
                              export_plot_data, load_scenario,
                              point_to_polyline, read_run, read_run_csv,
                              run_columns, run_scenario, summarize,
                              write_net_csv, write_run_csv)
-from iea_sim.netbus import EstimateMessage, UdpTransport
+from iea_sim.netbus import EstimateMessage, PoseMessage, UdpTransport
 from iea_sim.nodes import DRIVING, WAITING_FOR_FIRST_FIX
 
 from conftest import make_camera
@@ -200,6 +200,32 @@ class TestReplay:
         start = time.perf_counter()
         run_scenario(cfg, tmp_path / "run")
         assert time.perf_counter() - start < 5.0
+
+    def test_each_datagram_is_encoded_and_decoded_once(self, tmp_path,
+                                                       monkeypatch):
+        calls = {"encode": 0, "decode": 0, PoseMessage: 0, EstimateMessage: 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(netbus, "encode", counted("encode", netbus.encode))
+        monkeypatch.setattr(netbus, "decode", counted("decode", netbus.decode))
+        send = netbus.LockstepNetwork.send
+
+        def counted_send(net, msg, dests, now):
+            calls[type(msg)] += 1
+            return send(net, msg, dests, now)
+
+        monkeypatch.setattr(netbus.LockstepNetwork, "send", counted_send)
+        run = run_scenario(small_cfg(duration_cap_s=15.0), tmp_path / "run")
+        poses, estimates = calls[PoseMessage], calls[EstimateMessage]
+        assert poses == len(run.rows) and estimates > 0
+        assert calls["encode"] == calls["decode"] == poses + estimates
+        # each pose reaches all three cameras: deliveries outnumber datagrams
+        assert len(run.net_records) > 2 * poses
 
     def test_lockstep_drop_injection(self, tmp_path):
         base = load_scenario("distributed_smoke")

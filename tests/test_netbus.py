@@ -24,6 +24,7 @@ POSE = PoseMessage(sender="veh", seq=3, t=1.25, x=12.5, y=-0.75,
                    psi=0.12345678901234567, v=3.0)
 EST = EstimateMessage(sender="mssp2", seq=9, t=2.5, mssp_id="mssp2",
                       x=41.0000001, y=1.5, t_capture=2.45)
+CAMERAS = ("mssp1", "mssp2", "mssp3")
 
 
 class TestCodec:
@@ -116,20 +117,20 @@ class TestCodec:
 class TestLockstepNetwork:
     def _net(self, seed=0, **kw):
         net = LockstepNetwork(LinkConfig(**kw), seed)
-        net.register("veh")
-        net.register("mssp1")
+        for node_id in ("veh",) + CAMERAS:
+            net.register(node_id)
         return net
 
     def test_fixed_latency_delivery_time(self):
         net = self._net(latency_min=0.002, latency_max=0.002)
-        net.send(POSE, "mssp1", now=1.000)
+        net.send(POSE, ["mssp1"], now=1.000)
         assert net.deliver("mssp1", now=1.0019) == []
         assert net.deliver("mssp1", now=1.002) == [POSE]
 
     def test_full_drop(self):
         net = self._net(drop_probability=1.0)
         for i in range(20):
-            net.send(PoseMessage("veh", i, 0.0, 0, 0, 0, 0), "mssp1", 0.0)
+            net.send(PoseMessage("veh", i, 0.0, 0, 0, 0, 0), ["mssp1"], 0.0)
         assert net.deliver("mssp1", now=10.0) == []
         assert net.dropped == 20
 
@@ -138,7 +139,7 @@ class TestLockstepNetwork:
             net = self._net(seed=42, drop_probability=0.3)
             for i in range(50):
                 net.send(PoseMessage("veh", i, i * 0.1, 0, 0, 0, 0),
-                         "mssp1", i * 0.1)
+                         ["mssp1"], i * 0.1)
             out = net.deliver("mssp1", now=100.0)
             return [(m.seq, m.t) for m in out]
         assert schedule() == schedule()
@@ -147,7 +148,7 @@ class TestLockstepNetwork:
         net = self._net()  # defaults 1.5-2.0 ms
         for i in range(200):
             net.send(PoseMessage("veh", i, i * 0.02, 0, 0, 0, 0),
-                     "mssp1", i * 0.02)
+                     ["mssp1"], i * 0.02)
         net.deliver("mssp1", now=100.0)
         lats = [r[4] for r in net.records if r[2] == "mssp1"]
         assert len(lats) == 200
@@ -155,18 +156,54 @@ class TestLockstepNetwork:
 
     def test_delivery_order_ties_broken_by_sender_seq(self):
         net = self._net(latency_min=0.001, latency_max=0.001)
-        net.register("mssp2")
         a = PoseMessage("veh", 2, 0.0, 0, 0, 0, 0)
         b = PoseMessage("aaa", 9, 0.0, 0, 0, 0, 0)
-        net.send(a, "mssp1", 0.0)
-        net.send(b, "mssp1", 0.0)
+        net.send(a, ["mssp1"], 0.0)
+        net.send(b, ["mssp1"], 0.0)
         out = net.deliver("mssp1", 1.0)
         assert [m.sender for m in out] == ["aaa", "veh"]
 
     def test_unknown_destination(self):
         net = self._net()
         with pytest.raises(KeyError):
-            net.send(POSE, "nobody", 0.0)
+            net.send(POSE, ["nobody"], 0.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.floats(0.0, 1.0),
+           st.lists(st.sampled_from(CAMERAS), max_size=6))
+    def test_broadcast_equals_single_sends(self, seed, drop_probability,
+                                           dests):
+        one = self._net(seed, drop_probability=drop_probability)
+        each = self._net(seed, drop_probability=drop_probability)
+        for k in range(4):
+            pose = PoseMessage("veh", k + 1, 0.02 * k, 3.0 * k, 0.5, 0.1, 3)
+            est = replace(EST, seq=k + 1, t=0.02 * k)
+            for net in (one, each):
+                net.send(est, ["veh"], 0.02 * k)
+            one.send(pose, dests, 0.02 * k)
+            for dest in dests:
+                each.send(pose, [dest], 0.02 * k)
+        for node_id in ("veh",) + CAMERAS:
+            assert one.deliver(node_id, 10.0) == each.deliver(node_id, 10.0)
+        assert one.records == each.records
+        assert one.dropped == each.dropped
+        assert one._rngs.keys() == each._rngs.keys()
+        for link, rng in one._rngs.items():
+            assert rng.getstate() == each._rngs[link].getstate()
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.lists(st.sampled_from(CAMERAS)),
+           st.data())
+    def test_unknown_id_anywhere_raises_before_any_draw(self, seed, known,
+                                                        data):
+        net = self._net(seed, drop_probability=0.5)
+        at = data.draw(st.integers(0, len(known)))
+        with pytest.raises(KeyError):
+            net.send(POSE, known[:at] + ["nobody"] + known[at:], 0.0)
+        assert net._rngs == {} and net.dropped == 0
+        assert all(net.deliver(node_id, 10.0) == []
+                   for node_id in ("veh",) + CAMERAS)
+        assert net.records == []
 
 
 class TestUdpTransport:

@@ -10,9 +10,9 @@ from iea_sim.dynamics import VehicleParams, VehicleState
 from iea_sim.geometry import Pose2D, WorldPoint, in_image, project
 from iea_sim.netbus import EstimateMessage, PoseMessage
 from iea_sim.nodes import (BORDER_MARGIN_PX, CELL_SCAN_RESOLUTION, CELL_SCAN_Y,
-                           DEFAULT_VEHICLE_DIMS, DRIVING, STOPPED,
-                           WAITING_FOR_FIRST_FIX, CellLayout, MsspNode,
-                           VehicleNode)
+                           DEFAULT_FRAME_PERIOD, DEFAULT_VEHICLE_DIMS, DRIVING,
+                           STOPPED, WAITING_FOR_FIRST_FIX, CellLayout,
+                           MsspNode, VehicleNode)
 
 from conftest import make_camera
 
@@ -163,6 +163,25 @@ class TestMsspNode:
         out = node.step(0.25, [pose_msg(20.0)])  # frames due at .05..+.25
         assert [est.t_capture for est in out] == [0.25]
         assert node.frame_seq == 2
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_a_stall_renders_exactly_the_latest_due_frame(self, seed):
+        # a stall of k periods, from frame_clock = 0 and from random clock
+        # offsets; 0.3 / 0.05 is 5.999999999999999, so a skip by the
+        # rounded-down quotient alone leaves two frames due at now = 0.3
+        rng = np.random.default_rng(seed)
+        period = DEFAULT_FRAME_PERIOD
+        for k in range(2, 400):
+            start = 0.0 if seed == 0 else float(rng.uniform(0.0, 100.0))
+            # k * 0.05 rounded once (k / 20) and twice (k * period)
+            for now in (start + k / 20, start + k * period):
+                node = MsspNode("mssp1", make_camera(), frame_period=period)
+                node.frame_clock = start
+                node.step(now, [])
+                assert node.frame_seq == 1, (start, now)
+                t_frame = node.tracker.background.capture_time
+                assert t_frame <= now + 1e-12 < node.frame_clock
+                assert node.frame_clock == t_frame + period
 
 
 def make_vehicle(x0=0.0, y0=0.0, psi0=0.0, v0=3.0, waypoints=((0, 0), (300, 0)),

@@ -108,8 +108,8 @@ def _reference_render(camera, vehicle, dims, t, noise_sigma=0.0, rng=None):
     painted = EMPTY_BOX
     quad = None
     if vehicle is not None:
-        pts = [project(camera, c)
-               for c in vision._vehicle_corners(vehicle, *dims)]
+        pts = [project(camera, WorldPoint(x, y))
+               for x, y in vision._vehicle_corners(vehicle, *dims)]
         if all(p is not None for p in pts):
             quad = np.array([[p.u, p.v] for p in pts])
     if quad is not None:
@@ -148,12 +148,37 @@ def _reference_render(camera, vehicle, dims, t, noise_sigma=0.0, rng=None):
     return px, painted
 
 
+def _turned(pose, yaw):
+    """A pose around the default camera, turned with the camera's yaw."""
+    c, s = math.cos(yaw), math.sin(yaw)
+    return Pose2D(pose.x * c - pose.y * s, pose.x * s + pose.y * c,
+                  pose.psi + yaw)
+
+
+# a ground point whose camera-frame depth is `depth`, `side` metres to the
+# side of the optical axis, for a camera at (0, 0, z): a vehicle there has
+# corners near the camera's horizon plane, some of them behind it, or all
+# in front and some projected thousands of pixels outside the image
+near_horizon = st.tuples(st.floats(0.05, 4.0), st.floats(-3.0, 3.0),
+                         st.floats(-math.pi, math.pi))
+
+
+def _near_horizon_pose(depth, side, psi, pitch, yaw, z):
+    ahead = (depth - z * math.sin(pitch)) / math.cos(pitch)
+    return _turned(Pose2D(ahead, side, psi), yaw)
+
+
 class TestRenderMatchesReference:
-    @settings(max_examples=150, deadline=None)
-    @given(poses, st.floats(1.0, 8.0), st.floats(0.5, 3.0),
-           st.floats(0.3, 1.4), st.floats(3.0, 15.0))
-    def test_noise_free(self, pose, length, width, pitch, z):
-        camera = make_camera(z=z, pitch=pitch)
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(poses, near_horizon), st.floats(1.0, 8.0),
+           st.floats(0.5, 3.0), st.floats(0.3, 1.4), st.floats(3.0, 15.0),
+           st.floats(-math.pi, math.pi), st.floats(-0.5, 0.5))
+    def test_noise_free(self, pose, length, width, pitch, z, yaw, roll):
+        camera = make_camera(z=z, pitch=pitch, yaw=yaw, roll=roll)
+        if isinstance(pose, tuple):
+            pose = _near_horizon_pose(*pose, pitch, yaw, z)
+        elif pose is not None:
+            pose = _turned(pose, yaw)
         fr = render_frame(camera, pose, (length, width), 0.5)
         px, painted = _reference_render(camera, pose, (length, width), 0.5)
         assert fr.painted == painted
