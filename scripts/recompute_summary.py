@@ -10,7 +10,8 @@ import math
 import sys
 from pathlib import Path
 
-from iea_sim.harness import read_run, summarize
+from iea_sim.harness import read_run
+from iea_sim.runlog import summarize
 
 TOL = 1e-9
 

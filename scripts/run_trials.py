@@ -7,7 +7,8 @@ Usage: python scripts/run_trials.py [--out DIR] [--skip-distributed]
 import argparse
 from pathlib import Path
 
-from iea_sim.harness import load_scenario, run_scenario
+from iea_sim.harness import run_scenario
+from iea_sim.scenario import load_scenario
 
 SCENARIOS = ["straight_3ms", "straight_6ms", "baseline_truth_3ms",
              "distributed_smoke"]

@@ -19,9 +19,9 @@ import json
 import sys
 from pathlib import Path
 
-from .harness import (ScenarioError, compare_runs,
-                      export_plot_data, load_scenario, mssp_node_main,
-                      run_scenario, vehicle_node_main)
+from .harness import mssp_node_main, run_scenario, vehicle_node_main
+from .runlog import compare_runs, export_plot_data
+from .scenario import ScenarioError, load_scenario
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1

@@ -172,15 +172,6 @@ class LinkConfig:
             raise ValueError("drop_probability must be in [0, 1]")
 
 
-def latency_percentiles(samples: list[float]) -> dict:
-    if not samples:
-        return {"p50": None, "p95": None, "max": None, "n": 0}
-    s = sorted(samples)
-    def pct(p):
-        return s[min(len(s) - 1, int(p * len(s)))]
-    return {"p50": pct(0.50), "p95": pct(0.95), "max": s[-1], "n": len(s)}
-
-
 class LockstepNetwork:
     """Single-threaded simulated datagram network with injected latency.
 

@@ -4,7 +4,8 @@ import math
 import pytest
 
 from iea_sim.geometry import CameraModel, WorldPoint
-from iea_sim.harness import load_scenario, run_scenario
+from iea_sim.harness import run_scenario
+from iea_sim.scenario import load_scenario
 
 # intrinsics realizing a 53 m ground footprint at 9 m altitude, 45 deg pitch
 DEFAULT_FY = 418.7162709997704

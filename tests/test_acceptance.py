@@ -13,7 +13,9 @@ import numpy as np
 from iea_sim.geometry import (PixelPoint, Pose2D, WorldPoint,
                               back_project_depth, back_project_ground,
                               depth_approximation_report, in_image, project)
-from iea_sim.harness import compare_runs, load_scenario, run_scenario
+from iea_sim.harness import run_scenario
+from iea_sim.runlog import compare_runs
+from iea_sim.scenario import load_scenario
 from iea_sim.vision import TrackerState, render_frame, track_step
 
 from conftest import make_camera

@@ -15,18 +15,24 @@ from pathlib import Path
 
 import pytest
 
-from iea_sim import cli, harness, netbus
-from iea_sim.harness import (ScenarioConfig, ScenarioError, compare_runs,
-                             export_plot_data, load_scenario,
-                             point_to_polyline, read_run, read_run_csv,
-                             run_columns, run_scenario, summarize,
-                             write_net_csv, write_run_csv)
+from iea_sim import cli, harness, netbus, runlog, scenario
+from iea_sim.harness import read_run, run_scenario
+from iea_sim.runlog import (compare_runs, export_plot_data, point_to_polyline,
+                            read_run_csv, run_columns, summarize,
+                            write_net_csv, write_run_csv)
 from iea_sim.netbus import EstimateMessage, PoseMessage, UdpTransport
 from iea_sim.nodes import DRIVING, WAITING_FOR_FIRST_FIX
+from iea_sim.scenario import ScenarioConfig, ScenarioError, load_scenario
 
 from conftest import make_camera
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def _src_env() -> dict:
+    """The environment of a child interpreter that imports iea_sim from src."""
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
 
 
 def small_cfg(**kw):
@@ -125,6 +131,24 @@ class TestScenarioConfig:
         assert key in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_frame_rate_above_the_ceiling_rejected(self, tmp_path):
+        # a frame period under half an ulp of the frame clock never advances
+        # it, so the camera's due loop would never end
+        obj = load_scenario("distributed_smoke").to_json_obj()
+        obj.update(mode="lockstep", duration_cap_s=1.0, frame_rate_hz=1e19)
+        path = tmp_path / "fast.json"
+        path.write_text(json.dumps(obj))
+        proc = subprocess.run(
+            [sys.executable, "-m", "iea_sim.cli", "run", "--scenario",
+             str(path), "--out", str(tmp_path / "out")],
+            env=_src_env(), capture_output=True, text=True, timeout=20)
+        assert proc.returncode == 1
+        assert "frame_rate_hz" in proc.stderr and "1e+19" in proc.stderr
+        assert not (tmp_path / "out").exists()
+        with pytest.raises(ScenarioError, match="frame_rate_hz"):
+            small_cfg(frame_rate_hz=scenario.MAX_FRAME_RATE_HZ * 1.5)
+        small_cfg(frame_rate_hz=scenario.MAX_FRAME_RATE_HZ)
+
     def test_readme_tables_list_every_key(self):
         # the README's scenario and camera-entry tables are kept by hand
         text = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -133,8 +157,8 @@ class TestScenarioConfig:
                    for key in re.findall(r"`([^`]+)`", row.split("|")[1])]
                   for part in section.split("| key | default | meaning |")[1:]]
         assert len(listed) == 2
-        for keys, table in zip(listed, (harness.SCENARIO_KEYS,
-                                        harness.CAMERA_KEYS)):
+        for keys, table in zip(listed, (scenario.SCENARIO_KEYS,
+                                        scenario.CAMERA_KEYS)):
             assert len(keys) == len(set(keys))
             assert set(keys) == set(table)
 
@@ -176,6 +200,20 @@ class TestVehicleRun:
         assert run.rejected == 2
         assert run.est_records == [("mssp1", 2, 1.0, 1.02, 10.0, 0.0)]
         assert run.rows[-1]["phase"] == DRIVING
+
+    def test_scenario_json_is_written_once_before_the_run(self, tmp_path,
+                                                          monkeypatch):
+        written = []
+
+        def write_json(path, obj):
+            written.append(path.name)
+            runlog.write_json(path, obj)
+
+        monkeypatch.setattr(harness, "write_json", write_json)
+        cfg = dataclasses.replace(load_scenario("distributed_smoke"),
+                                  mode="lockstep", duration_cap_s=1.0)
+        run_scenario(cfg, tmp_path / "run")
+        assert written == ["scenario.json", "summary.json"]
 
 
 class TestReplay:
@@ -663,3 +701,17 @@ class TestCli:
                        "--out", str(tmp_path / "plots")])
         assert rc == 0
         assert (tmp_path / "plots" / "closed_loop.csv").exists()
+
+
+def test_scenario_runlog_harness_layering():
+    # scenario knows no run log, and neither knows the runtimes
+    code = ("import sys\n"
+            "import iea_sim.scenario\n"
+            "assert not {'iea_sim.runlog', 'iea_sim.harness'}"
+            " & set(sys.modules)\n"
+            "import iea_sim.runlog\n"
+            "assert 'iea_sim.harness' not in sys.modules\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=_src_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert not hasattr(netbus, "latency_percentiles")

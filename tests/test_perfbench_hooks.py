@@ -48,6 +48,24 @@ def test_every_entry_point_resolves():
             assert callable(owner), f"{name}: iea_sim.{mod_name}.{path}"
 
 
+def test_every_iea_sim_import_resolves():
+    # module-level imports and the lazy ones inside functions alike
+    # (worker._setup imports load_scenario only when a run starts)
+    imported = []
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.ImportFrom) and node.module
+                    and node.module.split(".")[0] == "iea_sim"):
+                owner = importlib.import_module(node.module)
+                for alias in node.names:
+                    imported.append(alias.name)
+                    submodule = f"{node.module}.{alias.name}"
+                    assert (hasattr(owner, alias.name)
+                            or importlib.util.find_spec(submodule)), (
+                        f"{path.name}: from {node.module} import {alias.name}")
+    assert "load_scenario" in imported
+
+
 def test_drop_counters_exist():
     assert FusionState().drops == 0
     assert LockstepNetwork(LinkConfig(), 0).dropped == 0
