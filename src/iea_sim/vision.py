@@ -14,11 +14,11 @@ box is the whole image. The detector differences only the union of the
 two frames' boxes, so rendering and detection cost scale with the
 vehicle's footprint on noise-free frames and with the image on noisy ones.
 
-Pixel noise is rint(N(0, sigma)) at 2**-16 resolution: each pixel draws
-one uint16 slot i, and its offset is the inverse CDF of the rounded
-normal at (i + 1/2) / 2**16, so each offset's probability is within
-2**-16 of the exact one and offsets end at about +-4.3 sigma. The pixel
-is clip(painted + offset, 0, 255).
+Pixel noise is rint(N(0, sigma)) at 2**-16 resolution: each pixel takes
+one 16-bit slot i, four to a 64-bit draw, and its offset is the inverse
+CDF of the rounded normal at (i + 1/2) / 2**16, so each offset's
+probability is within 2**-16 of the exact one and offsets end at about
++-4.3 sigma. The pixel is clip(painted + offset, 0, 255).
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ DEFAULT_THRESHOLD = 30
 DEFAULT_MIN_AREA = 25
 GATE_PX = 80.0
 LOSS_LIMIT = 5
-NOISE_SLOTS = 1 << 16  # one uint16 draw per noisy pixel
+NOISE_SLOTS = 1 << 16  # one 16-bit slot per noisy pixel
 NOISE_OFFSET_CAP = 256  # an offset this large saturates any pixel
 
 SEARCHING = "searching"
@@ -170,11 +170,15 @@ def render_frame(camera: CameraModel, vehicle: Optional[Pose2D],
     nothing was painted) and holds only the pixels inside it.
 
     With noise_sigma > 0 (which requires an rng) the frame is noisy and
-    its box is the whole image: one `rng.integers(0, NOISE_SLOTS, (height,
-    width), dtype=np.uint16)` draw gives each pixel a slot, and the pixel
-    is clip(painted + T[slot], 0, 255), where T is the inverse CDF of
-    rint(N(0, noise_sigma)) at 2**-16 resolution (offsets end at about
-    +-4.3 sigma; see `_noise_tables`).
+    its box is the whole image. For N = height * width pixels, one
+    `rng.integers(0, 1 << 64, ceil(N / 4), dtype=np.uint64)` draw gives
+    each pixel a slot: the little-endian 16-bit quarters of the words, in
+    raster order, with the spare bits of the last word dropped, so no bits
+    carry over to the next frame. When N % 4 == 0 these are the slots of
+    `rng.integers(0, NOISE_SLOTS, (height, width), dtype=np.uint16)` for
+    numpy's PCG64. The pixel is clip(painted + T[slot], 0, 255), where T is
+    the inverse CDF of rint(N(0, noise_sigma)) at 2**-16 resolution
+    (offsets end at about +-4.3 sigma; see `_noise_tables`).
     """
     if noise_sigma > 0.0 and rng is None:
         raise ValueError("noise_sigma > 0 requires an rng")
@@ -217,10 +221,14 @@ def render_frame(camera: CameraModel, vehicle: Optional[Pose2D],
     if not noise_sigma > 0.0:
         return Frame.from_patch(patch, t, painted, camera.height, camera.width)
     offsets, background = _noise_tables(noise_sigma)
-    slots = rng.integers(0, NOISE_SLOTS, (camera.height, camera.width),
-                         dtype=np.uint16)
-    # outside the painted box every pixel is background: one table lookup
-    px = np.take(background, slots)
+    n = camera.height * camera.width
+    words = rng.integers(0, 1 << 64, -(-n // 4), dtype=np.uint64)
+    slots = words.astype("<u8", copy=False).view("<u2")[:n].reshape(
+        camera.height, camera.width)
+    # outside the painted box every pixel is background: one table lookup.
+    # A uint16 slot always indexes inside the NOISE_SLOTS-entry table, so
+    # "wrap" never wraps; it only skips the per-index bounds check
+    px = np.take(background, slots, mode="wrap")
     v0, v1, u0, u1 = painted
     px[v0:v1, u0:u1] = np.clip(patch + offsets[slots[v0:v1, u0:u1]], 0, 255)
     px.setflags(write=False)
@@ -257,7 +265,9 @@ def _foreground_components(background: Frame, current: Frame,
     Only the union of the two frames' boxes is differenced, each frame's
     part of it built from its patch: outside it both frames are
     background, which a non-negative threshold never counts as foreground.
-    Two full-image boxes difference the two patches as they are.
+    Two full-image boxes difference the two patches as they are; only then
+    are one-pixel specks dropped before labelling (see `_components`):
+    only a noisy mask holds many, and on others the filter only costs time.
     """
     if (background.height, background.width) != (current.height, current.width):
         raise ValueError("frame dimensions differ between background and current")
@@ -270,10 +280,12 @@ def _foreground_components(background: Frame, current: Frame,
     a, b = _in_box(background, box), _in_box(current, box)
     # |a - b| in uint8 without widening casts
     mask = np.maximum(a, b) - np.minimum(a, b) > threshold
-    return _components(mask, min_area, v0, u0)
+    whole = box == (0, current.height, 0, current.width)
+    return _components(mask, min_area, v0, u0, drop_specks=whole)
 
 
-def _components(mask: np.ndarray, min_area: int, v_off: int, u_off: int):
+def _components(mask: np.ndarray, min_area: int, v_off: int, u_off: int,
+                drop_specks: bool = False):
     """4-connected components of a boolean mask as (area, bbox, centroid).
 
     Components come in raster order of their first pixel and those under
@@ -281,12 +293,23 @@ def _components(mask: np.ndarray, min_area: int, v_off: int, u_off: int):
     mask's top-left pixel. Works on row runs: a run joins each run of the
     row above that shares a column with it, and each component is labelled
     by its first run.
+
+    With drop_specks and min_area > 1, pixels with no foreground
+    4-neighbour are cleared before the run scan. Each is a one-pixel
+    component, which min_area leaves out anyway, so the output is the same;
+    on a noisy mask this removes nearly every run.
     """
     h, w = mask.shape
     stride = w + 1  # a background column ends every row's last run
-    flat = np.zeros(h * stride + 1, dtype=bool)
-    flat[1:].reshape(h, stride)[:, :w] = mask
-    edges = np.flatnonzero(flat[1:] != flat[:-1])
+    # a background row above and below: pixel (r, c) sits at
+    # (r + 1) * stride + c, and its 4-neighbours at +-1 and +-stride
+    flat = np.zeros((h + 2) * stride, dtype=bool)
+    body = flat[stride:-stride]
+    body.reshape(h, stride)[:, :w] = mask
+    if drop_specks and min_area > 1:
+        body &= (flat[stride - 1:-stride - 1] | flat[stride + 1:-stride + 1]
+                 | flat[:-2 * stride] | flat[2 * stride:])
+    edges = np.flatnonzero(body != flat[stride - 1:-stride - 1])
     starts, ends = edges[0::2], edges[1::2]  # half-open, as row * stride + col
     n = len(starts)
     # the runs of the row above that overlap run i are the count[i] runs

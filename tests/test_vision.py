@@ -288,9 +288,25 @@ class TestNoisyFrames:
     def test_one_uint16_draw_per_frame(self, default_camera):
         rng, twin = np.random.default_rng(15), np.random.default_rng(15)
         render_frame(default_camera, self.POSE, DIMS, 0.0, self.SIGMA, rng)
-        twin.integers(0, NOISE_SLOTS, (default_camera.height,
-                                       default_camera.width), dtype=np.uint16)
+        # four uint16 slots per 64-bit word
+        twin.integers(0, 1 << 64, default_camera.height
+                      * default_camera.width // 4, dtype=np.uint64)
         assert rng.bit_generator.state == twin.bit_generator.state
+
+    @pytest.mark.parametrize("width", [5, 6, 7])
+    def test_each_frame_draws_whole_words(self, width):
+        # 5 x 5, 6 x 5 and 7 x 5 pixels: N % 4 is 1, 2 and 3. Each frame
+        # takes ceil(N / 4) words and leaves no spare bits to the next
+        camera = make_camera(cx=width / 2, cy=2.5, width=width, height=5)
+        words = -(-width * 5 // 4)
+        rng = np.random.default_rng(16)
+        for k in range(3):
+            px = render_frame(camera, None, DIMS, 0.0, self.SIGMA, rng).pixels
+            twin = np.random.default_rng(16)
+            twin.integers(0, 1 << 64, k * words, dtype=np.uint64)
+            assert (render_frame(camera, None, DIMS, 0.0, self.SIGMA,
+                                 twin).pixels == px).all()
+            assert rng.bit_generator.state == twin.bit_generator.state
 
 
 class TestDetectBySubtraction:
@@ -429,6 +445,56 @@ class TestComponents:
         comps = vision._components(mask, 1, 3, 5)
         assert repr(comps) == repr(_flood_fill_components(mask, 1, 3, 5))
         assert sum(c[0] for c in comps) == mask.sum()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 100), st.integers(1, 200), st.floats(0.001, 0.05),
+           st.integers(1, 30), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_noise_like_masks_match_flood_fill(self, h, w, density, min_area,
+                                               drop_specks, seed):
+        mask = np.random.default_rng(seed).random((h, w)) < density
+        assert (repr(vision._components(mask, min_area, 7, 9,
+                                        drop_specks=drop_specks))
+                == repr(_flood_fill_components(mask, min_area, 7, 9)))
+
+    @pytest.mark.parametrize("drop_specks", [False, True])
+    @pytest.mark.parametrize("min_area", [1, 2])
+    @pytest.mark.parametrize("rows", [
+        # lone pixels at the four corners and along each border
+        ["#..#..#",
+         ".......",
+         "#.....#",
+         ".......",
+         "#..#..#"],
+        # the end of one row beside the start of the next: neighbours in
+        # the flat buffer only across the pad column
+        ["....#",
+         "#...."],
+        # vertical dominoes on the first and last rows
+        ["#...#.",
+         "#...#.",
+         "......",
+         ".#...#",
+         ".#...#"],
+    ], ids=["lone_border_pixels", "row_wrap", "edge_dominoes"])
+    def test_speck_shapes(self, rows, min_area, drop_specks):
+        mask = _mask(rows)
+        comps = vision._components(mask, min_area, 3, 5,
+                                   drop_specks=drop_specks)
+        assert repr(comps) == repr(_flood_fill_components(mask, min_area, 3,
+                                                          5))
+
+    def test_noisy_pair_matches_flood_fill(self, default_camera):
+        background = render_frame(default_camera, None, DIMS, 0.0, 8.0,
+                                  np.random.default_rng(17))
+        current = render_frame(default_camera, Pose2D(20.0, 0.0, 0.0), DIMS,
+                               0.05, 8.0, np.random.default_rng(18))
+        a = background.pixels.astype(np.int16)
+        mask = np.abs(a - current.pixels) > DEFAULT_THRESHOLD
+        comps = vision._foreground_components(background, current,
+                                              DEFAULT_THRESHOLD,
+                                              vision.DEFAULT_MIN_AREA)
+        assert comps and repr(comps) == repr(_flood_fill_components(
+            mask, vision.DEFAULT_MIN_AREA, 0, 0))
 
     def test_u_shape_is_one_component_before_the_dot(self):
         comps = vision._components(_mask(["#.....#..#",
