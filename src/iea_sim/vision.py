@@ -7,12 +7,16 @@ foreground components from the mask's row runs, in numpy alone, and the
 tracker runs a Searching / Tracking state machine with gated
 nearest-centroid re-association and background re-acquisition on loss.
 
-Every frame carries a box outside which every pixel is background and
-holds only the pixels inside it (its patch). A noise-free rendered frame's
-box is the one it painted the vehicle into; a noisy or hand-built frame's
-box is the whole image. The detector differences only the union of the
-two frames' boxes, so rendering and detection cost scale with the
-vehicle's footprint on noise-free frames and with the image on noisy ones.
+Every frame carries the box it painted the vehicle into and holds only
+the pixels inside it (its patch); outside the box every pixel is
+background. A noise-free frame's background is flat. A noisy frame keeps
+its 16-bit noise slots, and its background pixel is its slot's entry of a
+per-sigma table, built only where a pixel array is asked for. The
+detector differences only the union of the two frames' boxes from
+pixels. Between two noisy frames it compares the slots outside that box
+against per-pixel slot limits of the background, so rendering and
+detection cost scale with the vehicle's footprint, plus the noise draw
+and two slot comparisons per pixel on noisy frames.
 
 Pixel noise is rint(N(0, sigma)) at 2**-16 resolution: each pixel takes
 one 16-bit slot i, four to a 64-bit draw, and its offset is the inverse
@@ -52,30 +56,40 @@ _NO_PIXELS.setflags(write=False)
 class Frame:
     """One grayscale (height, width) uint8 frame taken at `capture_time`.
 
-    `painted` is a half-open (v0, v1, u0, u1) box outside which every pixel
-    equals BACKGROUND_INTENSITY, and `patch` holds the pixels inside it.
-    `Frame(pixels, t)` wraps a full array as the box (0, height, 0, width);
-    a frame made `from_patch` holds only the pixels inside its box.
+    `painted` is a half-open (v0, v1, u0, u1) box, `patch` holds the pixels
+    inside it and every pixel outside it is background. A noise-free
+    frame's background is BACKGROUND_INTENSITY. A noisy frame (`sigma` > 0)
+    keeps its read-only uint16 noise `slots`, one per pixel, and its
+    background pixel is `_noise_tables(sigma)[1][slot]`; `limits` caches
+    its `_slot_limits`. `Frame(pixels, t)` wraps a full noise-free array
+    as the box (0, height, 0, width); a frame made `from_patch` holds only
+    the pixels inside its box.
     """
 
-    __slots__ = ("capture_time", "painted", "patch", "height", "width")
+    __slots__ = ("capture_time", "painted", "patch", "height", "width",
+                 "slots", "sigma", "limits")
 
     def __init__(self, pixels: np.ndarray, capture_time: float):
         self.capture_time = capture_time
         self.height, self.width = pixels.shape
         self.painted = (0, self.height, 0, self.width)
         self.patch = pixels
+        self.slots, self.sigma, self.limits = None, 0.0, None
 
     @classmethod
     def from_patch(cls, patch: np.ndarray, capture_time: float,
                    painted: tuple[int, int, int, int],
-                   height: int, width: int) -> "Frame":
-        """A frame that is background outside `painted` and `patch` inside."""
+                   height: int, width: int,
+                   slots: Optional[np.ndarray] = None,
+                   sigma: float = 0.0) -> "Frame":
+        """A frame that is `patch` inside `painted` and background outside:
+        flat, or, with noise `slots` at `sigma`, each slot's background."""
         frame = cls.__new__(cls)
         frame.capture_time = capture_time
         frame.painted = painted
         frame.patch = patch
         frame.height, frame.width = height, width
+        frame.slots, frame.sigma, frame.limits = slots, sigma, None
         return frame
 
     @property
@@ -169,8 +183,8 @@ def render_frame(camera: CameraModel, vehicle: Optional[Pose2D],
     frame records the clipped bounding box of the painted quad (empty if
     nothing was painted) and holds only the pixels inside it.
 
-    With noise_sigma > 0 (which requires an rng) the frame is noisy and
-    its box is the whole image. For N = height * width pixels, one
+    With noise_sigma > 0 (which requires an rng) the frame is noisy; its
+    box is still the painted one. For N = height * width pixels, one
     `rng.integers(0, 1 << 64, ceil(N / 4), dtype=np.uint64)` draw gives
     each pixel a slot: the little-endian 16-bit quarters of the words, in
     raster order, with the spare bits of the last word dropped, so no bits
@@ -178,7 +192,9 @@ def render_frame(camera: CameraModel, vehicle: Optional[Pose2D],
     `rng.integers(0, NOISE_SLOTS, (height, width), dtype=np.uint16)` for
     numpy's PCG64. The pixel is clip(painted + T[slot], 0, 255), where T is
     the inverse CDF of rint(N(0, noise_sigma)) at 2**-16 resolution
-    (offsets end at about +-4.3 sigma; see `_noise_tables`).
+    (offsets end at about +-4.3 sigma; see `_noise_tables`). Only the
+    painted box's pixels are made here; the frame keeps the slots for the
+    rest.
     """
     if noise_sigma > 0.0 and rng is None:
         raise ValueError("noise_sigma > 0 requires an rng")
@@ -220,19 +236,18 @@ def render_frame(camera: CameraModel, vehicle: Optional[Pose2D],
             painted = (v0, v1 + 1, u0, u1 + 1)
     if not noise_sigma > 0.0:
         return Frame.from_patch(patch, t, painted, camera.height, camera.width)
-    offsets, background = _noise_tables(noise_sigma)
+    offsets, _ = _noise_tables(noise_sigma)
     n = camera.height * camera.width
     words = rng.integers(0, 1 << 64, -(-n // 4), dtype=np.uint64)
     slots = words.astype("<u8", copy=False).view("<u2")[:n].reshape(
         camera.height, camera.width)
-    # outside the painted box every pixel is background: one table lookup.
-    # A uint16 slot always indexes inside the NOISE_SLOTS-entry table, so
-    # "wrap" never wraps; it only skips the per-index bounds check
-    px = np.take(background, slots, mode="wrap")
+    slots.setflags(write=False)
     v0, v1, u0, u1 = painted
-    px[v0:v1, u0:u1] = np.clip(patch + offsets[slots[v0:v1, u0:u1]], 0, 255)
-    px.setflags(write=False)
-    return Frame(px, t)
+    patch = np.clip(patch + offsets[slots[v0:v1, u0:u1]], 0, 255)
+    patch = patch.astype(np.uint8)
+    patch.setflags(write=False)
+    return Frame.from_patch(patch, t, painted, camera.height, camera.width,
+                            slots, noise_sigma)
 
 
 def _box_union(a, b):
@@ -247,41 +262,90 @@ def _box_union(a, b):
 def _in_box(frame: Frame, box) -> np.ndarray:
     """A frame's pixels inside a box that holds its painted box.
 
-    An empty painted box pastes nothing: each of its slices has equal ends.
+    Outside the painted box a noisy frame's pixels are its slots'
+    background: one table lookup per pixel of the box. An empty painted
+    box pastes nothing: each of its slices has equal ends.
     """
     if frame.painted == box:
         return frame.patch
     v0, v1, u0, u1 = box
     pv0, pv1, pu0, pu1 = frame.painted
-    out = np.full((v1 - v0, u1 - u0), BACKGROUND_INTENSITY, dtype=np.uint8)
+    if frame.slots is None:
+        out = np.full((v1 - v0, u1 - u0), BACKGROUND_INTENSITY, dtype=np.uint8)
+    else:
+        # a uint16 slot always indexes inside the NOISE_SLOTS-entry table,
+        # so "wrap" never wraps; it only skips the per-index bounds check
+        out = np.take(_noise_tables(frame.sigma)[1],
+                      frame.slots[v0:v1, u0:u1], mode="wrap")
     out[pv0 - v0:pv1 - v0, pu0 - u0:pu1 - u0] = frame.patch
     return out
+
+
+def _slot_limits(frame: Frame, threshold: int):
+    """Per-pixel slot limits (lo, hi) of a noisy frame's background.
+
+    The background table is non-decreasing in the slot, so the slots whose
+    background differs from a background pixel b by more than threshold
+    are those below lo, the first slot with a value >= b - threshold, and
+    those above hi, the last slot with a value <= b + threshold. Both fit
+    uint16 because b is a table value. Outside the painted box they are
+    exact; inside it they are unused. Built once per frame and threshold
+    and kept in `frame.limits`.
+    """
+    if frame.limits is None or frame.limits[0] != threshold:
+        table = _noise_tables(frame.sigma)[1]
+        values = np.arange(256)
+        lo = np.searchsorted(table, values - threshold)[table]
+        hi = np.searchsorted(table, values + threshold, side="right")[table]
+        frame.limits = threshold, *(
+            np.take(lim.astype(np.uint16), frame.slots, mode="wrap")
+            for lim in (lo, hi - 1))
+    return frame.limits[1:]
 
 
 def _foreground_components(background: Frame, current: Frame,
                            threshold: int, min_area: int):
     """4-connected foreground components as (area, bbox, centroid) tuples.
 
-    Only the union of the two frames' boxes is differenced, each frame's
-    part of it built from its patch: outside it both frames are
-    background, which a non-negative threshold never counts as foreground.
-    Two full-image boxes difference the two patches as they are; only then
-    are one-pixel specks dropped before labelling (see `_components`):
-    only a noisy mask holds many, and on others the filter only costs time.
+    The union of the two frames' boxes is differenced from pixels, each
+    frame's part of it built from its patch (`_in_box`). Outside it both
+    frames are background: two flat ones are equal there, which a
+    non-negative threshold never counts as foreground, and two noisy ones
+    at one sigma differ where the current frame's slot lies outside the
+    background's slot limits (`_slot_limits`). A pair no run makes (one
+    frame noisy, or two sigmas) is differenced from pixels over the whole
+    image. Only whole-image masks drop one-pixel specks before labelling
+    (see `_components`): only a noisy mask holds many, and on others the
+    filter only costs time.
     """
     if (background.height, background.width) != (current.height, current.width):
         raise ValueError("frame dimensions differ between background and current")
     if threshold < 0:
         raise ValueError("threshold must be non-negative")
+    whole = (0, current.height, 0, current.width)
     box = _box_union(background.painted, current.painted)
+    if background.sigma != current.sigma:
+        box = whole
+    elif background.slots is not None:
+        lo, hi = _slot_limits(background, threshold)
+        mask = current.slots < lo
+        mask |= current.slots > hi
+        v0, v1, u0, u1 = box
+        mask[v0:v1, u0:u1] = _box_mask(background, current, box, threshold)
+        return _components(mask, min_area, 0, 0, drop_specks=True)
     v0, v1, u0, u1 = box
     if v0 >= v1 or u0 >= u1:
         return []
+    mask = _box_mask(background, current, box, threshold)
+    return _components(mask, min_area, v0, u0, drop_specks=box == whole)
+
+
+def _box_mask(background: Frame, current: Frame, box, threshold: int):
+    """Where the two frames differ by more than threshold inside a box
+    that holds both painted boxes."""
     a, b = _in_box(background, box), _in_box(current, box)
     # |a - b| in uint8 without widening casts
-    mask = np.maximum(a, b) - np.minimum(a, b) > threshold
-    whole = box == (0, current.height, 0, current.width)
-    return _components(mask, min_area, v0, u0, drop_specks=whole)
+    return np.maximum(a, b) - np.minimum(a, b) > threshold
 
 
 def _components(mask: np.ndarray, min_area: int, v_off: int, u_off: int,

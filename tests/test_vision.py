@@ -15,7 +15,7 @@ from iea_sim.vision import (BACKGROUND_INTENSITY, DEFAULT_THRESHOLD,
                             TrackerState, detect_by_subtraction,
                             render_frame, track_step, write_pgm)
 
-from conftest import make_camera
+from conftest import DEFAULT_FY, make_camera
 
 DIMS = (4.5, 2.0)
 
@@ -77,13 +77,17 @@ class TestRenderFrame:
         assert (fr.pixels[outside] == BACKGROUND_INTENSITY).all()
 
     def test_every_frame_carries_a_box(self, default_camera):
-        # blank frames paint nothing; noisy and wrapped frames are their
-        # whole image, held as is
+        # blank frames paint nothing; a noisy frame's box is the noise-free
+        # one, and outside it each pixel is its slot's background; wrapped
+        # frames are their whole image, held as is
         assert _blank(80, 60).painted == EMPTY_BOX
         assert render_frame(default_camera, None, DIMS, 0.0).painted == EMPTY_BOX
-        noisy = render_frame(default_camera, Pose2D(20, 0, 0), DIMS, 0.0,
-                             noise_sigma=2.0, rng=np.random.default_rng(3))
-        assert noisy.painted == (0, 600, 0, 800)
+        for pose in (None, Pose2D(20, 0, 0)):
+            clean = render_frame(default_camera, pose, DIMS, 0.0)
+            noisy = render_frame(default_camera, pose, DIMS, 0.0,
+                                 noise_sigma=2.0, rng=np.random.default_rng(3))
+            assert noisy.painted == clean.painted
+            _assert_background_outside_box(noisy)
         px = np.full((60, 80), BACKGROUND_INTENSITY, dtype=np.uint8)
         wrapped = vision.Frame(px, 0.0)
         assert wrapped.painted == (0, 60, 0, 80) and wrapped.patch is px
@@ -99,10 +103,20 @@ class TestRenderFrame:
         assert (a.pixels == b.pixels).all()
 
 
+def _assert_background_outside_box(noisy):
+    """A noisy frame's pixels are its slots' background outside its box
+    and its patch inside."""
+    v0, v1, u0, u1 = noisy.painted
+    table = vision._noise_tables(noisy.sigma)[1]
+    outside = np.ones((noisy.height, noisy.width), dtype=bool)
+    outside[v0:v1, u0:u1] = False
+    assert (noisy.pixels[outside] == table[noisy.slots][outside]).all()
+    assert (noisy.pixels[v0:v1, u0:u1] == noisy.patch).all()
+
+
 def _reference_render(camera, vehicle, dims, t, noise_sigma=0.0, rng=None):
     """Reference renderer: paints a full frame through a coordinate grid
-    over the quad's box; returns (pixels, painted), where a noisy frame's
-    box is the whole image."""
+    over the quad's box; returns (pixels, painted)."""
     px = np.full((camera.height, camera.width), BACKGROUND_INTENSITY,
                  dtype=np.uint8)
     painted = EMPTY_BOX
@@ -144,7 +158,6 @@ def _reference_render(camera, vehicle, dims, t, noise_sigma=0.0, rng=None):
                             for i in values.tolist()])
         px = np.clip(px + offsets[index.reshape(px.shape)], 0, 255)
         px = px.astype(np.uint8)
-        painted = (0, camera.height, 0, camera.width)
     return px, painted
 
 
@@ -208,8 +221,12 @@ class TestRenderMatchesReference:
                           np.random.default_rng(seed))
         px, painted = _reference_render(default_camera, pose, DIMS, 0.5, 8.0,
                                         np.random.default_rng(seed))
-        assert fr.painted == painted == (0, 600, 0, 800)
-        assert (fr.patch == px).all() and (fr.pixels == px).all()
+        assert fr.painted == painted == render_frame(default_camera, pose,
+                                                     DIMS, 0.5).painted
+        v0, v1, u0, u1 = painted
+        assert (fr.patch == px[v0:v1, u0:u1]).all()
+        assert (fr.pixels == px).all()
+        _assert_background_outside_box(fr)
 
 
 SIGMAS = (1e-6, 0.3, 8.0, 1e4, 1e308)
@@ -380,6 +397,15 @@ class TestDetectBySubtraction:
         assert box.v_min == vs.min() and box.v_max == vs.max()
 
 
+# a 40 x 30 camera that sees a quarter of the default camera's footprint,
+# and poses that put the vehicle in its view, partly out of it or beside it
+SMALL_CAMERA = make_camera(fx=DEFAULT_FY / 5, fy=DEFAULT_FY / 5, cx=20.0,
+                           cy=15.0, width=40, height=30)
+small_poses = st.one_of(st.none(), st.builds(
+    Pose2D, st.floats(5.0, 16.0), st.floats(-4.0, 4.0),
+    st.floats(-math.pi, math.pi)))
+
+
 def _flood_fill_components(mask, min_area, v_off, u_off):
     """Reference labeller: a 4-connected flood fill from each unlabelled
     pixel in raster order, centroids rounded as the mean offset from the
@@ -496,6 +522,45 @@ class TestComponents:
         assert comps and repr(comps) == repr(_flood_fill_components(
             mask, vision.DEFAULT_MIN_AREA, 0, 0))
 
+    @pytest.mark.parametrize("pairing", [
+        "one_sigma", "two_sigmas", "noisy_vs_clean", "clean_vs_noisy",
+        "wrapped_vs_noisy", "noisy_vs_wrapped"])
+    @settings(max_examples=25, deadline=None)
+    @given(small_poses, small_poses, st.sampled_from(SIGMAS),
+           st.sampled_from(SIGMAS), st.sampled_from((0, 1, 30, 255, 300)),
+           st.integers(1, 30), st.integers(0, 2**32 - 1))
+    def test_noisy_pairs_match_flood_fill(self, pairing, bg_pose, cur_pose,
+                                          sigma, other_sigma, threshold,
+                                          min_area, seed):
+        # the vehicle in the background, the current frame, both or neither;
+        # outside the union of the boxes two noisy frames at one sigma are
+        # compared by slot, and every other pair from built pixels
+        if pairing == "two_sigmas" and other_sigma == sigma:
+            other_sigma = SIGMAS[SIGMAS.index(sigma) - 1]
+        rng = np.random.default_rng(seed)
+
+        def frame(pose, t, noise_sigma):
+            return render_frame(SMALL_CAMERA, pose, DIMS, t, noise_sigma, rng)
+
+        bg_sigma, cur_sigma = {
+            "one_sigma": (sigma, sigma), "two_sigmas": (sigma, other_sigma),
+            "noisy_vs_clean": (sigma, 0.0), "clean_vs_noisy": (0.0, sigma),
+            "wrapped_vs_noisy": (sigma, sigma),
+            "noisy_vs_wrapped": (sigma, sigma)}[pairing]
+        bg, cur = frame(bg_pose, 0.0, bg_sigma), frame(cur_pose, 0.05, cur_sigma)
+        if pairing == "wrapped_vs_noisy":
+            bg = vision.Frame(bg.pixels, 0.0)
+        elif pairing == "noisy_vs_wrapped":
+            cur = vision.Frame(cur.pixels, 0.05)
+        a = bg.pixels.astype(np.int16)
+        # a second threshold on the same background, and the first again:
+        # limits cached for one threshold are not used for another
+        for thr in (threshold, DEFAULT_THRESHOLD, threshold):
+            mask = np.abs(a - cur.pixels) > thr
+            assert (repr(vision._foreground_components(bg, cur, thr,
+                                                       min_area))
+                    == repr(_flood_fill_components(mask, min_area, 0, 0)))
+
     def test_u_shape_is_one_component_before_the_dot(self):
         comps = vision._components(_mask(["#.....#..#",
                                           "#.....#...",
@@ -561,6 +626,32 @@ class TestTrackStep:
             assert det is None
         assert state.mode == SEARCHING
 
+    def test_noisy_track_survives_a_loss_as_pixels_do(self, default_camera):
+        # the vehicle in view, out of it until the tracker gives up, then a
+        # fresh background that holds its ghost, and a new track: every
+        # step equals the same frames wrapped as plain pixel arrays, so the
+        # new background's slot limits are its own
+        gone = Pose2D(500.0, 0.0, 0.0)
+        poses = ([None] + [Pose2D(20.0 + 0.15 * i, 0.0, 0.0) for i in range(3)]
+                 + [gone] * (vision.LOSS_LIMIT + 1)
+                 + [Pose2D(16.0, 1.0, 0.0)]
+                 + [Pose2D(22.0 + 0.15 * i, -1.0, 0.0) for i in range(3)])
+        rng = np.random.default_rng(19)
+        frames = [render_frame(default_camera, pose, DIMS, 0.05 * i, 8.0, rng)
+                  for i, pose in enumerate(poses)]
+        noisy, wrapped = TrackerState(), TrackerState()
+        modes, found = [], []
+        for fr in frames:
+            noisy, det = track_step(noisy, fr)
+            wrapped, twin = track_step(wrapped,
+                                       vision.Frame(fr.pixels, fr.capture_time))
+            assert det == twin and noisy.mode == wrapped.mode
+            modes.append(noisy.mode)
+            found.append(det is not None)
+        assert found == [False, True, True, True] + [False] * 7 + [True] * 3
+        assert modes[3] == TRACKING and modes[9:11] == [SEARCHING] * 2
+        assert noisy.background is frames[10]
+
     def test_pipeline_consistency_back_projection(self, default_camera):
         # noise-free detections back-project within 0.5 m of the true
         # center across the footprint; record the achieved maximum
@@ -587,3 +678,21 @@ class TestPgmDump:
         header = b"P5\n800 600\n255\n"
         assert data.startswith(header)
         assert data[len(header):] == fr.pixels.tobytes()
+
+    @pytest.mark.parametrize("pose,painted", [
+        (Pose2D(20.0, 0.0, 0.0), (123, 164, 378, 423)),
+        (Pose2D(20.0, 17.5, 0.0), (123, 164, 0, 88)),
+        (Pose2D(-10.0, 0.0, 0.0), EMPTY_BOX)],
+        ids=["in_view", "partly_out", "behind"])
+    def test_noisy_payload_is_the_reference_render(self, tmp_path,
+                                                   default_camera, pose,
+                                                   painted):
+        fr = render_frame(default_camera, pose, DIMS, 0.0, 8.0,
+                          np.random.default_rng(20))
+        px, _ = _reference_render(default_camera, pose, DIMS, 0.0, 8.0,
+                                  np.random.default_rng(20))
+        assert fr.painted == painted
+        path = tmp_path / "mssp1_f0.pgm"
+        write_pgm(fr, path)
+        assert path.read_bytes() == b"P5\n800 600\n255\n" + px.tobytes()
+        assert not fr.pixels.flags.writeable
