@@ -166,15 +166,10 @@ def project_xyz(P: np.ndarray, x: float, y: float, z: float = 0.0
 def project(camera: CameraModel, p: WorldPoint) -> Optional[PixelPoint]:
     """Project a world point; None when the point is behind the camera (w <= 0).
 
-    Being outside the image bounds is not an error here; use in_image().
+    A point outside the image bounds still projects to its pixel.
     """
     uv = project_xyz(camera_matrix(camera), p.x, p.y, p.z)
     return None if uv is None else PixelPoint(*uv)
-
-
-def in_image(camera: CameraModel, px: PixelPoint, margin: float = 0.0) -> bool:
-    return (margin <= px.u <= camera.width - 1 - margin
-            and margin <= px.v <= camera.height - 1 - margin)
 
 
 def back_project_ground(camera: CameraModel, p: PixelPoint) -> Optional[WorldPoint]:
@@ -191,46 +186,3 @@ def back_project_ground(camera: CameraModel, p: PixelPoint) -> Optional[WorldPoi
         return None
     c = camera.position
     return WorldPoint(float(c.x + lam * d[0]), float(c.y + lam * d[1]), 0.0)
-
-
-def back_project_depth(camera: CameraModel, p: PixelPoint, d: float) -> WorldPoint:
-    """Back-project a pixel to exact camera-frame depth d, via lam = d * ||m3||."""
-    if d <= 0:
-        raise ValueError("depth must be positive")
-    M = camera_matrix(camera)[:, :3]
-    lam = d * np.linalg.norm(M[2])
-    ray = _camera_inverse(camera) @ np.array([p.u, p.v, 1.0])
-    c = camera.position.as_array() + lam * ray
-    return WorldPoint(float(c[0]), float(c[1]), float(c[2]))
-
-
-def depth_approximation_report(camera: CameraModel, d: float,
-                               n_samples: int = 21) -> dict:
-    """Compare fixed-depth back-projection against ground-plane intersection.
-
-    Samples a pixel grid, back-projects each pixel both ways (depth d vs.
-    ray/ground intersection) and reports the max and mean 3D discrepancy,
-    plus the discrepancy at the principal point.
-    """
-    diffs = []
-    us = np.linspace(camera.width * 0.1, camera.width * 0.9, n_samples)
-    vs = np.linspace(camera.height * 0.1, camera.height * 0.9, n_samples)
-    for u in us:
-        for v in vs:
-            px = PixelPoint(float(u), float(v))
-            g = back_project_ground(camera, px)
-            if g is None:
-                continue
-            f = back_project_depth(camera, px, d)
-            diffs.append(math.dist((g.x, g.y, g.z), (f.x, f.y, f.z)))
-    axis_px = PixelPoint(camera.cx, camera.cy)
-    g0 = back_project_ground(camera, axis_px)
-    f0 = back_project_depth(camera, axis_px, d)
-    on_axis = math.dist((g0.x, g0.y, g0.z), (f0.x, f0.y, f0.z)) if g0 else math.nan
-    return {
-        "depth_m": d,
-        "max_discrepancy_m": max(diffs) if diffs else math.nan,
-        "mean_discrepancy_m": sum(diffs) / len(diffs) if diffs else math.nan,
-        "on_axis_discrepancy_m": on_axis,
-        "n_samples": len(diffs),
-    }

@@ -142,7 +142,8 @@ def decode(data: bytes) -> WireMessage:
         kind = obj["kind"]
         sender = obj["sender"]
         seq = obj["seq"]
-        if not isinstance(sender, str) or not isinstance(seq, int) or seq < 0:
+        if (not isinstance(sender, str) or not isinstance(seq, int)
+                or isinstance(seq, bool) or seq < 0):
             raise DecodeError("bad sender or seq")
         if kind == "pose":
             return PoseMessage(sender, seq, _float(obj, "t"), _float(obj, "x"),

@@ -12,11 +12,12 @@ the pixels inside it (its patch); outside the box every pixel is
 background. A noise-free frame's background is flat. A noisy frame keeps
 its 16-bit noise slots, and its background pixel is its slot's entry of a
 per-sigma table, built only where a pixel array is asked for. The
-detector differences only the union of the two frames' boxes from
-pixels. Between two noisy frames it compares the slots outside that box
-against per-pixel slot limits of the background, so rendering and
-detection cost scale with the vehicle's footprint, plus the noise draw
-and two slot comparisons per pixel on noisy frames.
+detector takes two frames at one sigma, as a camera's tracker makes
+them, and refuses any other pair. It differences only the union of the
+two frames' boxes from pixels. Between two noisy frames it compares the
+slots outside that box against per-pixel slot limits of the background,
+so rendering and detection cost scale with the vehicle's footprint, plus
+the noise draw and two slot comparisons per pixel on noisy frames.
 
 Pixel noise is rint(N(0, sigma)) at 2**-16 resolution: each pixel takes
 one 16-bit slot i, four to a 64-bit draw, and its offset is the inverse
@@ -61,41 +62,24 @@ class Frame:
     frame's background is BACKGROUND_INTENSITY. A noisy frame (`sigma` > 0)
     keeps its read-only uint16 noise `slots`, one per pixel, and its
     background pixel is `_noise_tables(sigma)[1][slot]`; `limits` caches
-    its `_slot_limits`. `Frame(pixels, t)` wraps a full noise-free array
-    as the box (0, height, 0, width); a frame made `from_patch` holds only
-    the pixels inside its box.
+    its `_slot_limits`.
     """
 
     __slots__ = ("capture_time", "painted", "patch", "height", "width",
                  "slots", "sigma", "limits")
 
-    def __init__(self, pixels: np.ndarray, capture_time: float):
+    def __init__(self, patch: np.ndarray, capture_time: float,
+                 painted: tuple[int, int, int, int], height: int, width: int,
+                 slots: Optional[np.ndarray] = None, sigma: float = 0.0):
         self.capture_time = capture_time
-        self.height, self.width = pixels.shape
-        self.painted = (0, self.height, 0, self.width)
-        self.patch = pixels
-        self.slots, self.sigma, self.limits = None, 0.0, None
-
-    @classmethod
-    def from_patch(cls, patch: np.ndarray, capture_time: float,
-                   painted: tuple[int, int, int, int],
-                   height: int, width: int,
-                   slots: Optional[np.ndarray] = None,
-                   sigma: float = 0.0) -> "Frame":
-        """A frame that is `patch` inside `painted` and background outside:
-        flat, or, with noise `slots` at `sigma`, each slot's background."""
-        frame = cls.__new__(cls)
-        frame.capture_time = capture_time
-        frame.painted = painted
-        frame.patch = patch
-        frame.height, frame.width = height, width
-        frame.slots, frame.sigma, frame.limits = slots, sigma, None
-        return frame
+        self.painted = painted
+        self.patch = patch
+        self.height, self.width = height, width
+        self.slots, self.sigma, self.limits = slots, sigma, None
 
     @property
     def pixels(self) -> np.ndarray:
-        """The full frame, read-only; a view, so that a wrapped array stays
-        writeable to its owner."""
+        """The full frame, as a read-only view."""
         px = _in_box(self, (0, self.height, 0, self.width)).view()
         px.setflags(write=False)
         return px
@@ -235,7 +219,7 @@ def render_frame(camera: CameraModel, vehicle: Optional[Pose2D],
             patch.setflags(write=False)
             painted = (v0, v1 + 1, u0, u1 + 1)
     if not noise_sigma > 0.0:
-        return Frame.from_patch(patch, t, painted, camera.height, camera.width)
+        return Frame(patch, t, painted, camera.height, camera.width)
     offsets, _ = _noise_tables(noise_sigma)
     n = camera.height * camera.width
     words = rng.integers(0, 1 << 64, -(-n // 4), dtype=np.uint64)
@@ -246,8 +230,8 @@ def render_frame(camera: CameraModel, vehicle: Optional[Pose2D],
     patch = np.clip(patch + offsets[slots[v0:v1, u0:u1]], 0, 255)
     patch = patch.astype(np.uint8)
     patch.setflags(write=False)
-    return Frame.from_patch(patch, t, painted, camera.height, camera.width,
-                            slots, noise_sigma)
+    return Frame(patch, t, painted, camera.height, camera.width, slots,
+                 noise_sigma)
 
 
 def _box_union(a, b):
@@ -307,37 +291,35 @@ def _foreground_components(background: Frame, current: Frame,
                            threshold: int, min_area: int):
     """4-connected foreground components as (area, bbox, centroid) tuples.
 
-    The union of the two frames' boxes is differenced from pixels, each
-    frame's part of it built from its patch (`_in_box`). Outside it both
-    frames are background: two flat ones are equal there, which a
-    non-negative threshold never counts as foreground, and two noisy ones
-    at one sigma differ where the current frame's slot lies outside the
-    background's slot limits (`_slot_limits`). A pair no run makes (one
-    frame noisy, or two sigmas) is differenced from pixels over the whole
-    image. Only whole-image masks drop one-pixel specks before labelling
-    (see `_components`): only a noisy mask holds many, and on others the
-    filter only costs time.
+    Both frames must have one size and one sigma: a tracker's background
+    comes from its own camera, at its sigma. The union of the two frames'
+    boxes is differenced from pixels, each frame's part of it built from
+    its patch (`_in_box`). Outside it both frames are background: two flat
+    ones are equal there, which a non-negative threshold never counts as
+    foreground, and two noisy ones differ where the current frame's slot
+    lies outside the background's slot limits (`_slot_limits`). Only the
+    noisy whole-image mask drops one-pixel specks before labelling (see
+    `_components`): it holds many, and on a box mask the filter only costs
+    time.
     """
     if (background.height, background.width) != (current.height, current.width):
         raise ValueError("frame dimensions differ between background and current")
     if threshold < 0:
         raise ValueError("threshold must be non-negative")
-    whole = (0, current.height, 0, current.width)
-    box = _box_union(background.painted, current.painted)
     if background.sigma != current.sigma:
-        box = whole
-    elif background.slots is not None:
+        raise ValueError("noise sigma differs between background and current")
+    box = _box_union(background.painted, current.painted)
+    v0, v1, u0, u1 = box
+    if background.slots is not None:
         lo, hi = _slot_limits(background, threshold)
         mask = current.slots < lo
         mask |= current.slots > hi
-        v0, v1, u0, u1 = box
         mask[v0:v1, u0:u1] = _box_mask(background, current, box, threshold)
         return _components(mask, min_area, 0, 0, drop_specks=True)
-    v0, v1, u0, u1 = box
     if v0 >= v1 or u0 >= u1:
         return []
     mask = _box_mask(background, current, box, threshold)
-    return _components(mask, min_area, v0, u0, drop_specks=box == whole)
+    return _components(mask, min_area, v0, u0)
 
 
 def _box_mask(background: Frame, current: Frame, box, threshold: int):

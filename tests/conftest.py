@@ -1,11 +1,14 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
-from iea_sim.geometry import CameraModel, WorldPoint
+from iea_sim.geometry import (CameraModel, PixelPoint, WorldPoint,
+                              back_project_ground, camera_matrix)
 from iea_sim.harness import run_scenario
 from iea_sim.scenario import load_scenario
+from iea_sim.vision import Frame
 
 # intrinsics realizing a 53 m ground footprint at 9 m altitude, 45 deg pitch
 DEFAULT_FY = 418.7162709997704
@@ -17,6 +20,62 @@ def make_camera(x=0.0, y=0.0, z=9.0, pitch=math.pi / 4, yaw=0.0, roll=0.0,
     return CameraModel(position=WorldPoint(x, y, z), roll=roll, pitch=pitch,
                        yaw=yaw, fx=fx, fy=fy, cx=cx, cy=cy,
                        width=width, height=height)
+
+
+def in_image(camera: CameraModel, px: PixelPoint, margin: float = 0.0) -> bool:
+    """Whether a pixel lies at least `margin` inside the image bounds."""
+    return (margin <= px.u <= camera.width - 1 - margin
+            and margin <= px.v <= camera.height - 1 - margin)
+
+
+def back_project_depth(camera: CameraModel, p: PixelPoint, d: float) -> WorldPoint:
+    """Back-project a pixel to exact camera-frame depth d, via lam = d * ||m3||."""
+    if d <= 0:
+        raise ValueError("depth must be positive")
+    M = camera_matrix(camera)[:, :3]
+    lam = d * np.linalg.norm(M[2])
+    ray = np.linalg.inv(M) @ np.array([p.u, p.v, 1.0])
+    c = camera.position.as_array() + lam * ray
+    return WorldPoint(float(c[0]), float(c[1]), float(c[2]))
+
+
+def depth_approximation_report(camera: CameraModel, d: float,
+                               n_samples: int = 21) -> dict:
+    """Compare fixed-depth back-projection against ground-plane intersection.
+
+    Samples a pixel grid, back-projects each pixel both ways (depth d vs.
+    ray/ground intersection) and reports the max and mean 3D discrepancy,
+    plus the discrepancy at the principal point.
+    """
+    diffs = []
+    us = np.linspace(camera.width * 0.1, camera.width * 0.9, n_samples)
+    vs = np.linspace(camera.height * 0.1, camera.height * 0.9, n_samples)
+    for u in us:
+        for v in vs:
+            px = PixelPoint(float(u), float(v))
+            g = back_project_ground(camera, px)
+            if g is None:
+                continue
+            f = back_project_depth(camera, px, d)
+            diffs.append(math.dist((g.x, g.y, g.z), (f.x, f.y, f.z)))
+    axis_px = PixelPoint(camera.cx, camera.cy)
+    g0 = back_project_ground(camera, axis_px)
+    f0 = back_project_depth(camera, axis_px, d)
+    on_axis = math.dist((g0.x, g0.y, g0.z), (f0.x, f0.y, f0.z)) if g0 else math.nan
+    return {
+        "depth_m": d,
+        "max_discrepancy_m": max(diffs) if diffs else math.nan,
+        "mean_discrepancy_m": sum(diffs) / len(diffs) if diffs else math.nan,
+        "on_axis_discrepancy_m": on_axis,
+        "n_samples": len(diffs),
+    }
+
+
+def frame_from_pixels(px: np.ndarray, t: float) -> Frame:
+    """A noise-free frame painted over its whole image: the dense reference
+    that the detector's box and slot paths are checked against."""
+    height, width = px.shape
+    return Frame(px, t, (0, height, 0, width), height, width)
 
 
 @pytest.fixture(scope="session")

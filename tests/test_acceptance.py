@@ -11,14 +11,14 @@ import time
 import numpy as np
 
 from iea_sim.geometry import (PixelPoint, Pose2D, WorldPoint,
-                              back_project_depth, back_project_ground,
-                              depth_approximation_report, in_image, project)
+                              back_project_ground, project)
 from iea_sim.harness import run_scenario
 from iea_sim.runlog import compare_runs
 from iea_sim.scenario import load_scenario
 from iea_sim.vision import TrackerState, render_frame, track_step
 
-from conftest import make_camera
+from conftest import (back_project_depth, depth_approximation_report,
+                      in_image, make_camera)
 
 VEHICLE_DIMS = (4.5, 2.0)
 

@@ -6,12 +6,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from iea_sim.geometry import (CameraModel, InvalidCameraError, PixelPoint,
-                              WorldPoint, back_project_depth,
-                              back_project_ground, camera_matrix,
-                              depth_approximation_report, in_image, project,
-                              wrap_angle)
+                              WorldPoint, back_project_ground, camera_matrix,
+                              project, wrap_angle)
 
-from conftest import DEFAULT_FY, make_camera
+from conftest import (DEFAULT_FY, back_project_depth,
+                      depth_approximation_report, in_image, make_camera)
 
 SQ2 = math.sqrt(2.0)
 

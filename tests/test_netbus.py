@@ -14,11 +14,14 @@ from iea_sim.netbus import (DecodeError, EstimateMessage, LinkConfig,
                             PoseMessage, UdpTransport, decode, encode)
 
 # datagrams that json.loads accepts or refuses in ways other than a
-# JSONDecodeError: a number beyond float range, and nesting past the
-# recursion limit that still fits one 4096-byte read
+# JSONDecodeError: a number beyond float range, nesting past the
+# recursion limit that still fits one 4096-byte read, and a boolean seq
+# from a known camera, which `encode` never writes
 HOSTILE = [b'{"kind":"pose","sender":"veh","seq":1,"t":1' + b"0" * 400
            + b',"x":0,"y":0,"psi":0,"v":0}',
-           b"[" * 4000]
+           b"[" * 4000,
+           b'{"kind":"est","sender":"mssp1","seq":true,"t":1.0,'
+           b'"mssp_id":"mssp1","x":0.0,"y":0.0,"t_capture":0.95}']
 
 POSE = PoseMessage(sender="veh", seq=3, t=1.25, x=12.5, y=-0.75,
                    psi=0.12345678901234567, v=3.0)
@@ -64,7 +67,8 @@ class TestCodec:
         except DecodeError:
             pass  # the only permitted failure mode
 
-    @pytest.mark.parametrize("data", HOSTILE, ids=["huge_int", "deep_nesting"])
+    @pytest.mark.parametrize("data", HOSTILE,
+                             ids=["huge_int", "deep_nesting", "bool_seq"])
     def test_hostile_datagram_is_decode_error(self, data):
         with pytest.raises(DecodeError):
             decode(data)

@@ -7,14 +7,14 @@ from hypothesis import strategies as st
 
 from iea_sim.control import ControllerParams, WaypointPlan
 from iea_sim.dynamics import VehicleParams, VehicleState
-from iea_sim.geometry import Pose2D, WorldPoint, in_image, project
+from iea_sim.geometry import Pose2D, WorldPoint, project
 from iea_sim.netbus import EstimateMessage, PoseMessage
 from iea_sim.nodes import (BORDER_MARGIN_PX, CELL_SCAN_RESOLUTION, CELL_SCAN_Y,
                            DEFAULT_FRAME_PERIOD, DEFAULT_VEHICLE_DIMS, DRIVING,
                            STOPPED, WAITING_FOR_FIRST_FIX, CellLayout,
                            MsspNode, VehicleNode)
 
-from conftest import make_camera
+from conftest import in_image, make_camera
 
 DT = 0.02
 

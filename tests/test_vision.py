@@ -8,14 +8,14 @@ from hypothesis import strategies as st
 
 from iea_sim import vision
 from iea_sim.geometry import Pose2D, PixelPoint, WorldPoint, \
-    back_project_ground, in_image, project
+    back_project_ground, project
 from iea_sim.vision import (BACKGROUND_INTENSITY, DEFAULT_THRESHOLD,
                             EMPTY_BOX, NOISE_OFFSET_CAP, NOISE_SLOTS,
                             SEARCHING, TRACKING, VEHICLE_INTENSITY,
                             TrackerState, detect_by_subtraction,
                             render_frame, track_step, write_pgm)
 
-from conftest import DEFAULT_FY, make_camera
+from conftest import DEFAULT_FY, frame_from_pixels, in_image, make_camera
 
 DIMS = (4.5, 2.0)
 
@@ -36,7 +36,7 @@ def _blank(width, height, t=0.0):
 def _frame_from_array(arr, t=0.0):
     px = np.asarray(arr, dtype=np.uint8)
     px.setflags(write=False)
-    return vision.Frame(px, t)
+    return frame_from_pixels(px, t)
 
 
 class TestRenderFrame:
@@ -89,7 +89,7 @@ class TestRenderFrame:
             assert noisy.painted == clean.painted
             _assert_background_outside_box(noisy)
         px = np.full((60, 80), BACKGROUND_INTENSITY, dtype=np.uint8)
-        wrapped = vision.Frame(px, 0.0)
+        wrapped = frame_from_pixels(px, 0.0)
         assert wrapped.painted == (0, 60, 0, 80) and wrapped.patch is px
         assert not wrapped.pixels.flags.writeable and px.flags.writeable
 
@@ -375,8 +375,8 @@ class TestDetectBySubtraction:
         # whole image, alone or against a patch frame
         bg = render_frame(default_camera, bg_pose, DIMS, 0.0)
         cur = render_frame(default_camera, cur_pose, DIMS, 0.05)
-        full_bg = vision.Frame(bg.pixels, 0.0)
-        full_cur = vision.Frame(cur.pixels, 0.05)
+        full_bg = frame_from_pixels(bg.pixels, 0.0)
+        full_cur = frame_from_pixels(cur.pixels, 0.05)
         sparse = vision._foreground_components(bg, cur, threshold, min_area)
         for a, b in ((full_bg, full_cur), (bg, full_cur), (full_bg, cur)):
             assert vision._foreground_components(a, b, threshold,
@@ -534,7 +534,8 @@ class TestComponents:
                                           min_area, seed):
         # the vehicle in the background, the current frame, both or neither;
         # outside the union of the boxes two noisy frames at one sigma are
-        # compared by slot, and every other pair from built pixels
+        # compared by slot. A pair whose sigmas differ is one no tracker
+        # makes, and is refused
         if pairing == "two_sigmas" and other_sigma == sigma:
             other_sigma = SIGMAS[SIGMAS.index(sigma) - 1]
         rng = np.random.default_rng(seed)
@@ -549,9 +550,13 @@ class TestComponents:
             "noisy_vs_wrapped": (sigma, sigma)}[pairing]
         bg, cur = frame(bg_pose, 0.0, bg_sigma), frame(cur_pose, 0.05, cur_sigma)
         if pairing == "wrapped_vs_noisy":
-            bg = vision.Frame(bg.pixels, 0.0)
+            bg = frame_from_pixels(bg.pixels, 0.0)
         elif pairing == "noisy_vs_wrapped":
-            cur = vision.Frame(cur.pixels, 0.05)
+            cur = frame_from_pixels(cur.pixels, 0.05)
+        if pairing != "one_sigma":
+            with pytest.raises(ValueError, match="sigma differs"):
+                vision._foreground_components(bg, cur, threshold, min_area)
+            return
         a = bg.pixels.astype(np.int16)
         # a second threshold on the same background, and the first again:
         # limits cached for one threshold are not used for another
@@ -560,6 +565,32 @@ class TestComponents:
             assert (repr(vision._foreground_components(bg, cur, thr,
                                                        min_area))
                     == repr(_flood_fill_components(mask, min_area, 0, 0)))
+
+    def test_mixed_sigma_pair_is_refused_after_the_size_check(
+            self, default_camera):
+        # a tracker whose background has another sigma than its frames
+        # refuses them, as the detector does; a size mismatch and a
+        # negative threshold are named first
+        clean = render_frame(default_camera, None, DIMS, 0.0)
+        noisy = render_frame(default_camera, Pose2D(20.0, 0.0, 0.0), DIMS,
+                             0.05, 8.0, np.random.default_rng(21))
+        for bg, cur in ((clean, noisy), (noisy, clean)):
+            with pytest.raises(ValueError, match="sigma differs"):
+                detect_by_subtraction(bg, cur)
+        tracking = TrackerState(mode=TRACKING,
+                                last_box=vision.BoundingBox(0, 0, 1, 1),
+                                background=clean)
+        for state in (TrackerState(background=clean), tracking):
+            with pytest.raises(ValueError, match="sigma differs"):
+                track_step(state, noisy)
+        small = render_frame(SMALL_CAMERA, None, DIMS, 0.0, 8.0,
+                             np.random.default_rng(22))
+        with pytest.raises(ValueError, match="dimensions"):
+            detect_by_subtraction(clean, small)
+        with pytest.raises(ValueError, match="dimensions"):
+            detect_by_subtraction(clean, small, threshold=-1)
+        with pytest.raises(ValueError, match="threshold"):
+            detect_by_subtraction(clean, noisy, threshold=-1)
 
     def test_u_shape_is_one_component_before_the_dot(self):
         comps = vision._components(_mask(["#.....#..#",
@@ -643,8 +674,8 @@ class TestTrackStep:
         modes, found = [], []
         for fr in frames:
             noisy, det = track_step(noisy, fr)
-            wrapped, twin = track_step(wrapped,
-                                       vision.Frame(fr.pixels, fr.capture_time))
+            wrapped, twin = track_step(
+                wrapped, frame_from_pixels(fr.pixels, fr.capture_time))
             assert det == twin and noisy.mode == wrapped.mode
             modes.append(noisy.mode)
             found.append(det is not None)
