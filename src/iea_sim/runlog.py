@@ -258,6 +258,9 @@ def compare_runs(run_a: Path, run_b: Path) -> dict:
     if t1 <= t0:
         raise ValueError("run logs cover disjoint time ranges")
     inside = [r for r in rows_a if t0 <= r["t"] <= t1]
+    if not inside:
+        raise ValueError(f"run A has no row in the time range "
+                         f"[{t0}, {t1}] that both runs cover")
     xb, yb = _truth_at([r["t"] for r in inside], rows_b)
     diffs = [math.hypot(r["true_x"] - x, r["true_y"] - y)
              for r, x, y in zip(inside, xb, yb)]

@@ -409,6 +409,20 @@ class TestCompareRuns:
         with pytest.raises(ValueError, match="disjoint"):
             compare_runs(mk("a.csv", 0.0), mk("b.csv", 100.0))
 
+    def test_no_row_of_a_in_the_common_range_rejected(self, tmp_path,
+                                                      capsys):
+        # A's rows straddle B's range without falling inside it
+        cfg = small_cfg()
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_run_csv(a, [{"t": t, "true_x": 0.0, "true_y": 0.0}
+                          for t in (0.0, 1.0)], cfg)
+        write_run_csv(b, [{"t": 0.2 + 0.2 * i, "true_x": 0.0, "true_y": 0.0}
+                          for i in range(4)], cfg)
+        with pytest.raises(ValueError, match="run A has no row"):
+            compare_runs(a, b)
+        assert cli.main(["compare", str(a), str(b)]) == 1
+        assert "run A has no row" in capsys.readouterr().err
+
     def test_torn_row_rejected(self, run_3ms, tmp_path, capsys):
         # a write cut mid-row leaves a last row shorter than the header
         log = run_3ms.out_dir / "run.csv"

@@ -1,4 +1,5 @@
 import math
+import re
 from statistics import NormalDist
 
 import numpy as np
@@ -444,6 +445,27 @@ def _mask(rows):
     return np.array([[c == "#" for c in r] for r in rows])
 
 
+def _brick_rows(n_runs, per_row=8):
+    """Rows of n_runs three-pixel runs, per_row to a row: every other row
+    is shifted by two, so that each run overlaps one or two runs of the row
+    above, and every fifth row is blank, so the wall falls into several
+    components."""
+    rows = []
+    while n_runs > 0:
+        if len(rows) % 5 == 4:
+            rows.append("." * (4 * per_row + 2))
+            continue
+        k = min(per_row, n_runs)
+        shift = ".." if len(rows) % 2 else ""
+        rows.append((shift + "###." * k).ljust(4 * per_row + 2, "."))
+        n_runs -= k
+    return rows
+
+
+def _run_count(rows):
+    return sum(len(re.findall("#+", row)) for row in rows)
+
+
 class TestComponents:
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 60), st.integers(1, 60), st.floats(0.05, 0.7),
@@ -465,12 +487,59 @@ class TestComponents:
         ["#.....#..#",
          "#.....#...",
          "#######..."],
-    ], ids=["one_pixel", "all_false", "all_true", "u_shape"])
+        # a comb of four arms that join only on its last row
+        ["#.#.#.#",
+         "#.#.#.#",
+         "#######"],
+        # steps down to the right and to the left that touch only at
+        # corners: seven components
+        ["##........##",
+         "..##....##..",
+         "....#..#....",
+         ".....##....."],
+        # a spiral: the stub from row 4, column 4 is a component of its
+        # own until the row 6 run joins it to the outer wall, and both
+        # have later runs by then; the inner wall stays apart
+        ["#########",
+         "#.......#",
+         "#.#####.#",
+         "#.#...#.#",
+         "#.#.#.#.#",
+         "#.#.#...#",
+         "#.#.#####",
+         "#.#......",
+         "#.#######"],
+        ["#.#.#.#.#.#.#"],
+        _brick_rows(vision.SWEEP_MAX_RUNS),
+        _brick_rows(vision.SWEEP_MAX_RUNS + 1),
+    ], ids=["one_pixel", "all_false", "all_true", "u_shape", "comb",
+            "corner_staircase", "spiral", "alternating_row",
+            "sweep_max_runs", "sweep_max_runs_plus_one"])
     def test_shapes(self, rows):
         mask = _mask(rows)
         comps = vision._components(mask, 1, 3, 5)
         assert repr(comps) == repr(_flood_fill_components(mask, 1, 3, 5))
         assert sum(c[0] for c in comps) == mask.sum()
+
+    def test_limit_shapes_straddle_the_sweep_limit(self, monkeypatch):
+        # the scalar sweep labels the first mask, array union-find the second
+        calls = []
+
+        def spy(name):
+            label = getattr(vision, name)
+
+            def call(*args):
+                calls.append(name)
+                return label(*args)
+            return call
+
+        for name in ("_sweep_runs", "_array_runs"):
+            monkeypatch.setattr(vision, name, spy(name))
+        for extra in (0, 1):
+            rows = _brick_rows(vision.SWEEP_MAX_RUNS + extra)
+            assert _run_count(rows) == vision.SWEEP_MAX_RUNS + extra
+            assert len(vision._components(_mask(rows), 1, 0, 0)) > 1
+        assert calls == ["_sweep_runs", "_array_runs"]
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 100), st.integers(1, 200), st.floats(0.001, 0.05),
