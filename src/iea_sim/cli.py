@@ -5,6 +5,7 @@
   iea-sim compare A B
   iea-sim export LOG [--out DIR]
   iea-sim node --id veh|mssp1|mssp2|... --scenario F --out DIR
+              [--dump-frames]
       (prints `ready` once set up, then reads t = 0 as a time.time()
        from one stdin line)
 
@@ -61,14 +62,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    cfg = load_scenario(args.scenario)
-    overrides = {}
-    if args.mode:
-        overrides["mode"] = args.mode
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if overrides:
-        cfg = dataclasses.replace(cfg, **overrides)
+    overrides = {"mode": args.mode, "seed": args.seed}
+    cfg = dataclasses.replace(load_scenario(args.scenario), **{
+        key: value for key, value in overrides.items() if value is not None})
     result = run_scenario(cfg, Path(args.out), dump_frames=args.dump_frames)
     print(json.dumps(result.summary, indent=2))
     return EXIT_OK
@@ -91,7 +87,7 @@ def _cmd_export(args) -> int:
 
 def _cmd_node(args) -> int:
     cfg = load_scenario(args.scenario)
-    ids = ["veh", *cfg.mssp_ids()]
+    ids = list(cfg.nodes())
     if args.id not in ids:
         raise ValueError(f"--id {args.id!r} names no node of scenario "
                          f"{cfg.name!r}; valid ids: {', '.join(ids)}")

@@ -2,9 +2,9 @@
 
 Runs execute either in single-process lockstep (deterministic:
 byte-identical CSVs for identical scenario+seed) or distributed, with one
-OS process per node talking UDP on loopback. Both modes build the nodes
-with `make_mssp` and `VehicleRun`, which also logs each control step,
-applies the stop rule and writes the run logs (`runlog`). The mode loops
+OS process per node talking UDP on loopback. Both start the nodes of
+`ScenarioConfig.nodes` with `make_mssp` and `VehicleRun`, which logs each
+step, writes the run logs (`runlog`) and alone ends a run. The loops
 differ only in their clock (simulated `i * dt`, or the paced wall clock)
 and transport. `run_scenario` writes `scenario.json` before either starts.
 """
@@ -90,7 +90,9 @@ class VehicleRun:
             grace_period=cfg.grace_period_s,
             position_source=cfg.position_source)
         self.dt = cfg.dt
+        self.t_last = (math.ceil(cfg.duration_cap_s / self.dt) - 1) * self.dt
         self.mssp_ids = cfg.mssp_ids()
+        self.cameras = [node_id for node_id in cfg.nodes() if node_id != "veh"]
         self.rows: RowList = []
         self.est_records: list[tuple] = []
         self.rejected = 0  # estimates dropped unlogged, see `step`
@@ -105,7 +107,8 @@ class VehicleRun:
         with a ValueError, which would end the node.
 
         Returns the pose to broadcast and whether the run is over: it ends
-        STOP_TAIL_S after the stop, or earlier once the vehicle stands.
+        STOP_TAIL_S after the stop, or earlier once the vehicle stands, and
+        at the latest at `t_last`, the last `i * dt` before duration_cap_s.
         """
         accepted = []
         for msg in inbox:
@@ -131,8 +134,8 @@ class VehicleRun:
         self.rows.append(row)
         if res.phase == STOPPED and self.t_stop is None:
             self.t_stop = t
-        done = self.t_stop is not None and (t - self.t_stop >= STOP_TAIL_S
-                                            or self.node.state.v < 1e-3)
+        done = t >= self.t_last or (self.t_stop is not None and (
+            t - self.t_stop >= STOP_TAIL_S or self.node.state.v < 1e-3))
         return res.pose_msg, done
 
     def write(self, out_dir: Path, net_records: list[tuple]) -> RunResult:
@@ -151,23 +154,20 @@ def run_lockstep(cfg: ScenarioConfig, out_dir: Path,
                  dump_frames: bool = False) -> RunResult:
     dt = cfg.dt
     net = LockstepNetwork(cfg.link, cfg.seed)
-    for node_id in ["veh"] + cfg.mssp_ids():
+    for node_id in cfg.nodes():
         net.register(node_id)
-    mssps = ([make_mssp(cfg, mid, out_dir, dump_frames)
-              for mid in cfg.mssp_ids()]
-             if cfg.position_source == "cameras" else [])
-    mssp_ids = [m.id for m in mssps]
     vehicle = VehicleRun(cfg)
-    for i in range(int(math.ceil(cfg.duration_cap_s / dt))):
+    mssps = [make_mssp(cfg, mid, out_dir, dump_frames)
+             for mid in vehicle.cameras]
+    i, done = 0, False
+    while not done:
         t = i * dt
         for m in mssps:
             for est in m.step(t, net.deliver(m.id, t)):
                 net.send(est, ["veh"], t)
         pose_msg, done = vehicle.step(t, net.deliver("veh", t))
-        if mssp_ids:  # the truth-fed baseline runs no camera
-            net.send(pose_msg, mssp_ids, t + dt)
-        if done:
-            break
+        net.send(pose_msg, vehicle.cameras, t + dt)
+        i += 1
 
     return vehicle.write(out_dir, sorted(net.records))
 
@@ -189,7 +189,7 @@ def run_distributed(cfg: ScenarioConfig, out_dir: Path,
     timeout = cfg.duration_cap_s + 30.0
     procs = {}
     try:
-        for node_id in [*cfg.mssp_ids(), "veh"]:
+        for node_id in cfg.nodes():
             procs[node_id] = subprocess.Popen(
                 [sys.executable, "-m", "iea_sim.cli", "node",
                  "--id", node_id, *common],
@@ -202,10 +202,10 @@ def run_distributed(cfg: ScenarioConfig, out_dir: Path,
                                f"partial logs in {out_dir}") from None
         # camera nodes outlive the vehicle; one that has already exited
         # with an error crashed during the run
-        for mid in cfg.mssp_ids():
-            if procs[mid].poll():
+        for mid, p in procs.items():
+            if mid != "veh" and p.poll():
                 raise RuntimeError(f"camera node {mid} exited with status "
-                                   f"{procs[mid].returncode}; partial logs "
+                                   f"{p.returncode}; partial logs "
                                    f"in {out_dir}")
     finally:
         for p in procs.values():
@@ -283,8 +283,7 @@ def _close(transport: UdpTransport) -> None:
 def mssp_node_main(cfg: ScenarioConfig, node_id: str, out_dir: Path,
                    dump_frames: bool = False) -> int:
     node = make_mssp(cfg, node_id, out_dir, dump_frames)
-    transport = UdpTransport(node_id, cfg.node_addr(node_id))
-    veh_addr = cfg.node_addr("veh")
+    transport = UdpTransport(node_id, cfg.nodes())
     t_end = cfg.duration_cap_s + STOP_TAIL_S
     try:
         transport.epoch = _await_epoch()
@@ -292,7 +291,7 @@ def mssp_node_main(cfg: ScenarioConfig, node_id: str, out_dir: Path,
             for est in node.step(transport.now(), transport.drain()):
                 # stamp the send time right before the socket write so the
                 # logged one-way latency excludes frame-processing time
-                transport.send(replace(est, t=transport.now()), veh_addr)
+                transport.send(replace(est, t=transport.now()), ["veh"])
         return 0
     finally:
         _close(transport)
@@ -301,12 +300,11 @@ def mssp_node_main(cfg: ScenarioConfig, node_id: str, out_dir: Path,
 def vehicle_node_main(cfg: ScenarioConfig, out_dir: Path) -> int:
     dt = cfg.dt
     vehicle = VehicleRun(cfg)
-    transport = UdpTransport("veh", cfg.node_addr("veh"))
-    mssp_addrs = [cfg.node_addr(mid) for mid in cfg.mssp_ids()]
-    step_i = 0
+    transport = UdpTransport("veh", cfg.nodes())
+    step_i, done = 0, False
     try:
         transport.epoch = _await_epoch()
-        while True:
+        while not done:
             now = transport.wait(step_i * dt)
             if now - step_i * dt > 10 * dt:
                 # processing stall: rejoin the schedule instead of bursting
@@ -317,10 +315,7 @@ def vehicle_node_main(cfg: ScenarioConfig, out_dir: Path) -> int:
             # timestamp after the drain so no drained message postdates t
             t = transport.now()
             pose_msg, done = vehicle.step(t, inbox)
-            for addr in mssp_addrs:
-                transport.send(pose_msg, addr)
-            if done or t >= cfg.duration_cap_s:
-                break
+            transport.send(pose_msg, vehicle.cameras)
         vehicle.write(out_dir, transport.records)
         return 0
     finally:

@@ -12,11 +12,12 @@ One UTF-8 JSON object per datagram:
 would refuse: a non-finite or non-numeric number, a negative `seq` or a
 name that is not a string raises ValueError at the sender.
 
-Two transports share this codec: a seeded lockstep queue with injected
+Two transports share this codec and send by node id, encoding a message
+once for all its destinations: a seeded lockstep queue with injected
 uniform latency and Bernoulli drops (deterministic delivery order, ties on
-delivery time broken by sender then seq), which encodes and decodes each
-message once however many nodes it is sent to, and real UDP sockets for
-the distributed mode. Node logic runs unmodified over either.
+delivery time broken by sender then seq), which also decodes it once, and
+a UDP socket per node for the distributed mode. Node logic runs
+unmodified over either.
 """
 
 from __future__ import annotations
@@ -209,6 +210,8 @@ class LockstepNetwork:
         for dest in dests:
             if dest not in self._queues:
                 raise KeyError(f"unknown destination node {dest!r}")
+        if not dests:
+            return
         data = encode(msg)
         nbytes, received = len(data), decode(data)
         for dest in dests:
@@ -236,26 +239,26 @@ class LockstepNetwork:
 
 
 class UdpTransport:
-    """Real datagram sockets for distributed mode.
-
-    Each node is one thread. It waits for its next due time in wait(), a
-    `select` on its own non-blocking socket, and stamps every datagram
-    when it arrives. drain() decodes the stored arrivals and logs each one
-    in `records` as (t_received, sender, node_id, bytes, latency); a
-    datagram that does not decode is counted in `rejected`. Timestamps are
-    seconds since `epoch`, the shared `time.time()` of t = 0 (valid for
-    one-way latency on a single host); a node binds first and sets `epoch`
-    once it is known.
+    """A node's datagram socket for distributed mode, bound to its address
+    in `nodes`, the run's node table (`ScenarioConfig.nodes`). Each node is
+    one thread. It waits for its next due time in wait(), a `select` on its
+    own non-blocking socket, and stamps every datagram when it arrives.
+    drain() decodes the stored arrivals and logs each one in `records` as
+    (t_received, sender, node_id, bytes, latency); a datagram that does not
+    decode is counted in `rejected`. Timestamps are seconds since `epoch`,
+    the shared `time.time()` of t = 0 (valid for one-way latency on a
+    single host); a node binds first and sets `epoch` once it is known.
     """
 
-    def __init__(self, node_id: str, bind_addr: tuple[str, int]):
+    def __init__(self, node_id: str, nodes: dict[str, tuple[str, int]]):
         self.node_id = node_id
+        self.nodes = nodes
         self.epoch = 0.0
         self.records: list[tuple] = []
         self.rejected = 0
         self._arrivals: list[tuple[float, bytes]] = []
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        self._sock.bind(bind_addr)
+        self._sock.bind(nodes[node_id])
         self._sock.setblocking(False)
 
     def now(self) -> float:
@@ -280,8 +283,14 @@ class UdpTransport:
             self._receive()
         return now
 
-    def send(self, msg: WireMessage, addr: tuple[str, int]) -> None:
-        self._sock.sendto(encode(msg), addr)
+    def send(self, msg: WireMessage, dests: list[str]) -> None:
+        """One encoding of `msg` to each of `dests`, none for no dests; an
+        unknown id raises KeyError before any datagram leaves."""
+        addrs = [self.nodes[dest] for dest in dests]
+        if addrs:
+            data = encode(msg)
+            for addr in addrs:
+                self._sock.sendto(data, addr)
 
     def drain(self) -> list[WireMessage]:
         self._receive()

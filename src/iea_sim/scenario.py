@@ -67,33 +67,32 @@ class ScenarioConfig:
                                 "characters")
         if not self.cameras:
             raise ScenarioError("scenario needs at least one camera")
-        # the seed enters np.random.default_rng, which refuses a negative one
-        if (not isinstance(self.seed, int) or isinstance(self.seed, bool)
-                or self.seed < 0):
-            raise ScenarioError("seed must be a non-negative integer, "
-                                f"not {self.seed!r}")
-        if not self.noise_sigma >= 0:
-            raise ScenarioError("noise_sigma must be non-negative, "
-                                f"not {self.noise_sigma!r}")
-        if not min(self.vehicle_dims) > 0:
-            raise ScenarioError("vehicle.dims must be two positive numbers "
-                                f"[length, width], not {self.vehicle_dims!r}")
-        if not self.duration_cap_s > 0:
-            raise ScenarioError("duration_cap_s must be positive, "
-                                f"not {self.duration_cap_s!r}")
+        # refused here, not once a run has started: a negative seed by
+        # np.random.default_rng, a timeout <= 0 by FusionState and a step
+        # above dynamics.MAX_STEP_S by the first dynamics step
+        for key, ok, rule in (
+                ("seed", isinstance(self.seed, int)
+                 and not isinstance(self.seed, bool) and self.seed >= 0,
+                 "a non-negative integer"),
+                ("noise_sigma", self.noise_sigma >= 0, "non-negative"),
+                ("vehicle.dims", min(self.vehicle_dims) > 0,
+                 "two positive numbers [length, width]"),
+                ("fusion.staleness_timeout_s", self.staleness_timeout_s > 0,
+                 "positive"),
+                ("fusion.grace_period_s", self.grace_period_s >= 0,
+                 "non-negative"),
+                ("duration_cap_s", self.duration_cap_s > 0, "positive"),
+                ("control_rate_hz", self.control_rate_hz >= 1.0 / MAX_STEP_S,
+                 f"at least {1.0 / MAX_STEP_S!r}"),
+                ("frame_rate_hz", 0 < self.frame_rate_hz <= MAX_FRAME_RATE_HZ,
+                 f"positive and at most {MAX_FRAME_RATE_HZ!r}")):
+            if not ok:
+                value = getattr(self, SCENARIO_KEYS[key])
+                raise ScenarioError(f"{key} must be {rule}, not {value!r}")
         if self.mode not in ("lockstep", "distributed"):
             raise ScenarioError(f"unknown mode {self.mode!r}")
         if self.position_source not in ("cameras", "truth"):
             raise ScenarioError(f"unknown position source {self.position_source!r}")
-        # a control step longer than dynamics.MAX_STEP_S fails at the first step
-        if not self.control_rate_hz >= 1.0 / MAX_STEP_S:
-            raise ScenarioError(f"control_rate_hz must be at least "
-                                f"{1.0 / MAX_STEP_S!r}, not "
-                                f"{self.control_rate_hz!r}")
-        if not 0 < self.frame_rate_hz <= MAX_FRAME_RATE_HZ:
-            raise ScenarioError("frame_rate_hz must be positive and at most "
-                                f"{MAX_FRAME_RATE_HZ!r}, not "
-                                f"{self.frame_rate_hz!r}")
         if not 1024 <= self.base_port <= 65535 - len(self.cameras):
             raise ScenarioError("base_port leaves no room for distinct node ports")
         if self.camera_spacing_m is not None and len(self.cameras) > 1:
@@ -112,11 +111,12 @@ class ScenarioConfig:
     def mssp_ids(self) -> list[str]:
         return [f"mssp{i + 1}" for i in range(len(self.cameras))]
 
-    def node_addr(self, node_id: str) -> tuple[str, int]:
-        if node_id == "veh":
-            return (self.host, self.base_port)
-        idx = self.mssp_ids().index(node_id)
-        return (self.host, self.base_port + idx + 1)
+    def nodes(self) -> dict[str, tuple[str, int]]:
+        """The nodes a run starts, by id, with their UDP addresses: `veh` at
+        `base_port`, camera k at `base_port + k`, none if truth-fed."""
+        cameras = self.mssp_ids() if self.position_source == "cameras" else []
+        return {node_id: (self.host, self.base_port + k)
+                for k, node_id in enumerate(["veh", *cameras])}
 
     def plan_hash(self) -> str:
         blob = json.dumps({"waypoints": self.plan.waypoints,
@@ -299,8 +299,7 @@ def load_scenario(source: str | Path) -> ScenarioConfig:
     path = Path(source)
     if not path.is_file():
         from importlib import resources
-        candidate = resources.files("iea_sim") / "scenarios" / f"{source}.json"
-        if not candidate.is_file():
+        path = resources.files("iea_sim") / "scenarios" / f"{source}.json"
+        if not path.is_file():
             raise ScenarioError(f"no such scenario file or bundled name: {source}")
-        return ScenarioConfig.from_json_obj(json.loads(candidate.read_text()))
     return ScenarioConfig.from_json_obj(json.loads(path.read_text()))

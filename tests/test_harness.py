@@ -117,7 +117,8 @@ class TestScenarioConfig:
         ("duration_cap_s", math.nan), ("vehicle.tau_v", math.nan),
         ("fusion.staleness_timeout_s", math.inf), ("controller.kp", "x"),
         ("frame_rate_hz", math.inf), ("plan.waypoints", [[0, 0], [1, math.nan]]),
-        ("seed", -1), ("control_rate_hz", 5)])
+        ("seed", -1), ("control_rate_hz", 5),
+        ("fusion.staleness_timeout_s", 0.0), ("fusion.grace_period_s", -5.0)])
     def test_malformed_value_rejected(self, key, value, tmp_path, capsys):
         obj = load_scenario("straight_3ms").to_json_obj()
         section, _, leaf = key.rpartition(".")
@@ -150,17 +151,59 @@ class TestScenarioConfig:
         small_cfg(frame_rate_hz=scenario.MAX_FRAME_RATE_HZ)
 
     def test_readme_tables_list_every_key(self):
-        # the README's scenario and camera-entry tables are kept by hand
+        # the README's scenario and camera-entry tables are kept by hand:
+        # each lists every key once, with the default that a scenario of
+        # the required keys alone resolves to, and "required" exactly
+        # where the key has no default
         text = (ROOT / "README.md").read_text(encoding="utf-8")
         section = text.split("## Scenario files")[1].split("\n## ")[0]
-        listed = [[key for row in part.splitlines() if row.startswith("| `")
+        listed = [[(key, row.split("|")[2].strip())
+                   for row in part.splitlines() if row.startswith("| `")
                    for key in re.findall(r"`([^`]+)`", row.split("|")[1])]
                   for part in section.split("| key | default | meaning |")[1:]]
         assert len(listed) == 2
-        for keys, table in zip(listed, (scenario.SCENARIO_KEYS,
+        for rows, table in zip(listed, (scenario.SCENARIO_KEYS,
                                         scenario.CAMERA_KEYS)):
+            keys = [key for key, _default in rows]
             assert len(keys) == len(set(keys))
             assert set(keys) == set(table)
+        top, camera = map(dict, listed)
+        required = [key for rows in (top, camera)
+                    for key, default in rows.items() if default == "required"]
+        bundled = load_scenario("straight_3ms").to_json_obj()
+
+        def value(doc, path):
+            for name in path.split("."):
+                doc = doc[name]
+            return doc
+
+        def minimal(skip=None):
+            """The required keys but `skip`, valued as in a bundled
+            scenario."""
+            doc = {}
+            for path in required:
+                section, _, leaf = path.rpartition(".")
+                if path in top and path != skip:
+                    node = doc.setdefault(section, {}) if section else doc
+                    node[leaf] = value(bundled, path)
+            if "cameras" in doc:
+                doc["cameras"] = [{key: v for key, v in doc["cameras"][0].items()
+                                   if key in required and key != skip}]
+            return doc
+
+        resolved = ScenarioConfig.from_json_obj(minimal()).to_json_obj()
+        for rows, doc in ((top, resolved), (camera, resolved["cameras"][0])):
+            for path, default in rows.items():
+                if default != "required":
+                    assert re.fullmatch("`[^`]+`", default), path
+                    # compared as JSON text, so that 0 and 0.0 differ
+                    assert (json.dumps(value(doc, path))
+                            == json.dumps(json.loads(default[1:-1]))), path
+        for path in required:
+            # a ScenarioError, or for a camera's z the InvalidCameraError of
+            # its default height 0, which is no camera above the road
+            with pytest.raises(ValueError):
+                ScenarioConfig.from_json_obj(minimal(skip=path))
 
     def test_unknown_bundled_name(self):
         with pytest.raises(ScenarioError):
@@ -176,8 +219,14 @@ class TestScenarioConfig:
 
     def test_node_addresses_distinct(self):
         cfg = load_scenario("straight_3ms")
-        addrs = [cfg.node_addr(n) for n in ["veh"] + cfg.mssp_ids()]
-        assert len(set(addrs)) == len(addrs)
+        nodes = cfg.nodes()
+        assert list(nodes) == ["veh", "mssp1", "mssp2", "mssp3"]
+        assert [nodes[n] for n in ("veh", "mssp3")] == [
+            (cfg.host, cfg.base_port), (cfg.host, cfg.base_port + 3)]
+        assert len(set(nodes.values())) == len(nodes)
+        # the truth-fed baseline starts no camera
+        truth = load_scenario("baseline_truth_3ms")
+        assert truth.nodes() == {"veh": (truth.host, truth.base_port)}
 
 
 class TestVehicleRun:
@@ -214,6 +263,21 @@ class TestVehicleRun:
                                   mode="lockstep", duration_cap_s=1.0)
         run_scenario(cfg, tmp_path / "run")
         assert written == ["scenario.json", "summary.json"]
+
+
+    @pytest.mark.parametrize("cap", [0.3, 0.5, 0.51, 1.0])
+    def test_the_vehicle_ends_the_run_at_its_duration_cap(self, cap):
+        # the vehicle waits for a first fix that never comes, so only the
+        # cap ends the run: at the last step of the lockstep schedule
+        # i * dt before the cap, and at any later wall-clock step
+        cfg = dataclasses.replace(load_scenario("distributed_smoke"),
+                                  duration_cap_s=cap)
+        run = harness.VehicleRun(cfg)
+        n = math.ceil(cap / cfg.dt)
+        assert [run.step(i * cfg.dt, [])[1] for i in range(n)] == (
+            [False] * (n - 1) + [True])
+        assert run.t_last == (n - 1) * cfg.dt < cap
+        assert run.step(run.t_last + 0.3 * cfg.dt, [])[1]
 
 
 class TestReplay:
@@ -588,6 +652,30 @@ class TestCli:
         assert float(line) > max(e[2] for e in said_ready)
         assert all(c.terminated for c in children)
 
+    def test_truth_fed_distributed_run_starts_only_the_vehicle(
+            self, tmp_path, monkeypatch, capsys):
+        class Vehicle(FakeNode):
+            def wait(self, timeout=None):
+                # leaves the logs of a short lockstep run
+                out = Path(self.args[self.args.index("--out") + 1])
+                for f in logs.iterdir():
+                    shutil.copy(f, out / f.name)
+                return 0
+
+        cfg = load_scenario("baseline_truth_3ms")
+        logs = tmp_path / "lockstep"
+        run_scenario(dataclasses.replace(cfg, duration_cap_s=1.0), logs)
+        children = install_fake_nodes(monkeypatch, Vehicle)
+        rc = cli.main(["run", "--scenario", "baseline_truth_3ms", "--mode",
+                       "distributed", "--out", str(tmp_path / "out")])
+        assert rc == 0
+        assert [c.node_id for c in children] == ["veh"]
+        assert [e[1] for e in FakeNode.events if e[0] == "epoch"] == ["veh"]
+        # and no camera node of it can be started by hand
+        assert cli.main(["node", "--id", "mssp1", "--scenario",
+                         "baseline_truth_3ms", "--out", str(tmp_path)]) == 1
+        assert "valid ids: veh\n" in capsys.readouterr().err
+
     def test_distributed_node_never_ready_is_reported(self, tmp_path,
                                                       monkeypatch, capsys):
         class SilentVehicle(FakeNode):
@@ -611,7 +699,7 @@ class TestCli:
     def test_distributed_camera_port_taken_is_reported(self, tmp_path, capsys):
         cfg = load_scenario("distributed_smoke")
         with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as taken:
-            taken.bind(cfg.node_addr("mssp1"))
+            taken.bind(cfg.nodes()["mssp1"])
             rc = cli.main(["run", "--scenario", "distributed_smoke",
                            "--out", str(tmp_path)])
         assert rc == 2
@@ -620,7 +708,7 @@ class TestCli:
         assert not (tmp_path / "run.csv").exists()
         # the vehicle, ready and waiting for the epoch, was ended too
         with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as veh_port:
-            veh_port.bind(cfg.node_addr("veh"))
+            veh_port.bind(cfg.nodes()["veh"])
 
     def test_distributed_timeout_terminates_every_child(self, tmp_path,
                                                         monkeypatch, capsys):
@@ -661,9 +749,9 @@ class TestCli:
         assert all(c.terminated for c in children)
 
     def test_node_reports_undecodable_datagrams_at_exit(self, capsys):
-        quiet = UdpTransport("veh", ("127.0.0.1", 0))
+        quiet = UdpTransport("veh", {"veh": ("127.0.0.1", 0)})
         harness._close(quiet)
-        cam = UdpTransport("mssp1", ("127.0.0.1", 0))
+        cam = UdpTransport("mssp1", {"mssp1": ("127.0.0.1", 0)})
         with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as junk:
             junk.sendto(b"not a wire message", cam._sock.getsockname())
         cam.wait(cam.now() + 0.05)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from iea_sim import netbus
 from iea_sim.netbus import (DecodeError, EstimateMessage, LinkConfig,
                             LockstepNetwork, OversizeDatagramError,
                             PoseMessage, UdpTransport, decode, encode)
@@ -28,6 +29,17 @@ POSE = PoseMessage(sender="veh", seq=3, t=1.25, x=12.5, y=-0.75,
 EST = EstimateMessage(sender="mssp2", seq=9, t=2.5, mssp_id="mssp2",
                       x=41.0000001, y=1.5, t_capture=2.45)
 CAMERAS = ("mssp1", "mssp2", "mssp3")
+LOOPBACK = ("127.0.0.1", 0)  # any free port
+
+
+def udp_nodes(*node_ids):
+    """Transports for `node_ids` on free loopback ports, sharing one table
+    of their addresses."""
+    table = dict.fromkeys(node_ids, LOOPBACK)
+    transports = [UdpTransport(node_id, table) for node_id in node_ids]
+    for transport in transports:
+        table[transport.node_id] = transport._sock.getsockname()
+    return transports
 
 
 class TestCodec:
@@ -213,8 +225,7 @@ class TestLockstepNetwork:
 class TestUdpTransport:
     def test_drain_returns_poses_and_logs_the_receiver(self):
         epoch = time.time()
-        veh = UdpTransport("veh", ("127.0.0.1", 0))
-        cam = UdpTransport("mssp1", ("127.0.0.1", 0))
+        veh, cam = udp_nodes("veh", "mssp1")
         veh.epoch = cam.epoch = epoch
         try:
             addr = cam._sock.getsockname()
@@ -222,7 +233,7 @@ class TestUdpTransport:
                 for data in [b"\xffnot a wire message", *HOSTILE]:
                     junk.sendto(data, addr)
             msg = replace(POSE, t=veh.now())
-            veh.send(msg, addr)
+            veh.send(msg, ["mssp1"])
             got = []
             deadline = time.monotonic() + 5.0
             while not got and time.monotonic() < deadline:
@@ -241,14 +252,13 @@ class TestUdpTransport:
                 assert transport._sock.fileno() == -1
 
     def test_wait_stamps_each_datagram_on_arrival(self):
-        veh = UdpTransport("veh", ("127.0.0.1", 0))
-        cam = UdpTransport("mssp1", ("127.0.0.1", 0))
+        veh, cam = udp_nodes("veh", "mssp1")
         veh.epoch = cam.epoch = time.time()
         sent = []
 
         def send():
             sent.append(replace(POSE, t=veh.now()))
-            veh.send(sent[-1], cam._sock.getsockname())
+            veh.send(sent[-1], ["mssp1"])
 
         timer = threading.Timer(0.05, send)
         try:
@@ -267,8 +277,62 @@ class TestUdpTransport:
 
     def test_transport_starts_no_thread(self):
         before = threading.active_count()
-        transport = UdpTransport("veh", ("127.0.0.1", 0))
+        transport = UdpTransport("veh", {"veh": LOOPBACK})
         try:
             assert threading.active_count() == before
         finally:
             transport.close()
+
+    @staticmethod
+    def _receivers(n):
+        """`n` plain sockets on free loopback ports: the raw datagrams."""
+        socks = [socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+                 for _ in range(n)]
+        for sock in socks:
+            sock.bind(LOOPBACK)
+            sock.settimeout(5.0)
+        return socks
+
+    @pytest.fixture
+    def encoded(self, monkeypatch):
+        """The messages passed to `encode`, call by call."""
+        calls = []
+
+        def counting_encode(msg):
+            calls.append(msg)
+            return encode(msg)
+
+        monkeypatch.setattr(netbus, "encode", counting_encode)
+        return calls
+
+    def test_send_encodes_once_for_all_its_destinations(self, encoded):
+        socks = self._receivers(2)
+        table = {"veh": LOOPBACK, **{mid: sock.getsockname()
+                                     for mid, sock in zip(CAMERAS, socks)}}
+        veh = UdpTransport("veh", table)
+        try:
+            veh.send(POSE, ["mssp1", "mssp2"])
+            got = [sock.recv(4096) for sock in socks]
+        finally:
+            veh.close()
+            for sock in socks:
+                sock.close()
+        assert encoded == [POSE]
+        assert got == [encode(POSE)] * 2
+
+    def test_unknown_destination_raises_before_any_datagram(self, encoded):
+        [sock] = self._receivers(1)
+        veh = UdpTransport("veh", {"veh": LOOPBACK,
+                                   "mssp1": sock.getsockname()})
+        try:
+            with pytest.raises(KeyError):
+                veh.send(POSE, ["mssp1", "nobody"])
+            assert encoded == []
+            # a datagram sent after the refused call is the first to arrive
+            veh.send(EST, ["mssp1"])
+            assert decode(sock.recv(4096)) == EST
+            veh.send(POSE, [])
+            assert encoded == [EST]
+        finally:
+            veh.close()
+            sock.close()
