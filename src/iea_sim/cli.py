@@ -62,9 +62,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    overrides = {"mode": args.mode, "seed": args.seed}
-    cfg = dataclasses.replace(load_scenario(args.scenario), **{
-        key: value for key, value in overrides.items() if value is not None})
+    cfg = load_scenario(args.scenario)
+    overrides = {key: getattr(args, key) for key in ("mode", "seed")
+                 if getattr(args, key) is not None}
+    if overrides:  # a replaced scenario is validated, and scanned, again
+        cfg = dataclasses.replace(cfg, **overrides)
     result = run_scenario(cfg, Path(args.out), dump_frames=args.dump_frames)
     print(json.dumps(result.summary, indent=2))
     return EXIT_OK

@@ -2,17 +2,17 @@
 
 Runs execute either in single-process lockstep (deterministic:
 byte-identical CSVs for identical scenario+seed) or distributed, with one
-OS process per node talking UDP on loopback. Both start the nodes of
-`ScenarioConfig.nodes` with `make_mssp` and `VehicleRun`, which logs each
-step, writes the run logs (`runlog`) and alone ends a run. The loops
-differ only in their clock (simulated `i * dt`, or the paced wall clock)
-and transport. `run_scenario` writes `scenario.json` before either starts.
+OS process per node talking UDP on loopback. Both build the nodes of
+`ScenarioConfig.nodes` from the scenario; the vehicle node logs each step
+and alone ends a run, and `write_run` then writes the run logs (`runlog`).
+The loops differ only in their clock (simulated `i * dt`, or the paced
+wall clock) and transport. `run_scenario` writes `scenario.json` before
+either starts.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import select
 import subprocess
 import sys
@@ -20,20 +20,13 @@ import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 from subprocess import PIPE
-from typing import Optional
 
-import numpy as np
-
-from .dynamics import VehicleState
-from .fusion import FusionState
-from .geometry import Pose2D
-from .netbus import EstimateMessage, LockstepNetwork, UdpTransport
-from .nodes import MsspNode, VehicleNode, STOPPED
+from .netbus import LockstepNetwork, UdpTransport
+from .nodes import STOP_TAIL_S, MsspNode, VehicleNode
 from .runlog import (RowList, read_run_csv, summarize, write_estimates_csv,
                      write_json, write_net_csv, write_run_csv)
 from .scenario import ScenarioConfig, load_scenario
 
-STOP_TAIL_S = 2.0  # keep logging this long after the stop is commanded
 READY = "ready"  # a distributed node's line once it is set up
 READY_TIMEOUT_S = 60.0  # longest wait for every node to say READY
 START_MARGIN_S = 0.1  # t = 0 this long after the epoch is sent, so every
@@ -62,92 +55,17 @@ def read_run(out_dir: Path) -> RunResult:
                      load_scenario(out_dir / "scenario.json"))
 
 
-def make_mssp(cfg: ScenarioConfig, node_id: str, out_dir: Path,
-              dump_frames: bool = False) -> MsspNode:
-    idx = cfg.mssp_ids().index(node_id)
-    dump_dir = out_dir / "frames" if dump_frames else None
-    if dump_dir:
-        dump_dir.mkdir(parents=True, exist_ok=True)
-    rng = (np.random.default_rng(cfg.seed * 1000 + idx)
-           if cfg.noise_sigma > 0 else None)
-    return MsspNode(node_id, cfg.cameras[idx], cfg.frame_period,
-                    cfg.vehicle_dims, cfg.noise_sigma, rng, dump_dir)
-
-
-class VehicleRun:
-    """The vehicle node and its logs, driven by one `step` per control step."""
-
-    def __init__(self, cfg: ScenarioConfig):
-        self.cfg = cfg
-        x0, y0, psi0 = cfg.vehicle_start
-        self.node = VehicleNode(
-            initial_state=VehicleState(Pose2D(x0, y0, psi0),
-                                       v=cfg.controller.v_cruise, yaw_rate=0.0,
-                                       t=0.0),
-            plan=cfg.plan, cparams=cfg.controller, cells=cfg.cells(),
-            vparams=cfg.vehicle_params,
-            fusion=FusionState(cfg.staleness_timeout_s),
-            grace_period=cfg.grace_period_s,
-            position_source=cfg.position_source)
-        self.dt = cfg.dt
-        self.t_last = (math.ceil(cfg.duration_cap_s / self.dt) - 1) * self.dt
-        self.mssp_ids = cfg.mssp_ids()
-        self.cameras = [node_id for node_id in cfg.nodes() if node_id != "veh"]
-        self.rows: RowList = []
-        self.est_records: list[tuple] = []
-        self.rejected = 0  # estimates dropped unlogged, see `step`
-        self.t_stop: Optional[float] = None
-
-    def step(self, t: float, inbox: list):
-        """Step the node at time t and log the inbox and the row.
-
-        An estimate that names no camera of the scenario, or was captured
-        after t, is counted in `rejected` and neither logged nor fused. The
-        first would be fused as one more cell; fusion refuses the second
-        with a ValueError, which would end the node.
-
-        Returns the pose to broadcast and whether the run is over: it ends
-        STOP_TAIL_S after the stop, or earlier once the vehicle stands, and
-        at the latest at `t_last`, the last `i * dt` before duration_cap_s.
-        """
-        accepted = []
-        for msg in inbox:
-            if isinstance(msg, EstimateMessage):
-                if msg.mssp_id not in self.mssp_ids or msg.t_capture > t:
-                    self.rejected += 1
-                    continue
-                self.est_records.append((msg.mssp_id, msg.seq, msg.t_capture,
-                                         t, msg.x, msg.y))
-            accepted.append(msg)
-        state = self.node.state
-        res = self.node.step(t, accepted, self.dt)
-        row = {"t": t, "true_x": state.pose.x, "true_y": state.pose.y,
-               "true_psi": state.pose.psi, "true_v": state.v,
-               "fused_x": None if res.fused is None else res.fused[0],
-               "fused_y": None if res.fused is None else res.fused[1],
-               "yaw_rate_cmd": res.cmd.yaw_rate_cmd, "v_cmd": res.cmd.v_cmd,
-               "phase": res.phase}
-        for mid in self.mssp_ids:
-            est = self.node.fusion.latest.get(mid)
-            row[f"{mid}_x"] = None if est is None else est.x
-            row[f"{mid}_y"] = None if est is None else est.y
-        self.rows.append(row)
-        if res.phase == STOPPED and self.t_stop is None:
-            self.t_stop = t
-        done = t >= self.t_last or (self.t_stop is not None and (
-            t - self.t_stop >= STOP_TAIL_S or self.node.state.v < 1e-3))
-        return res.pose_msg, done
-
-    def write(self, out_dir: Path, net_records: list[tuple]) -> RunResult:
-        """Write the run logs and `summary.json` into `out_dir`."""
-        cfg, rows, est_records = self.cfg, self.rows, self.est_records
-        out_dir.mkdir(parents=True, exist_ok=True)
-        write_run_csv(out_dir / "run.csv", rows, cfg)
-        write_estimates_csv(out_dir / "estimates.csv", est_records)
-        write_net_csv(out_dir / "net_metrics.csv", net_records)
-        summary = summarize(rows, est_records, net_records, cfg)
-        write_json(out_dir / "summary.json", summary)
-        return RunResult(rows, est_records, net_records, summary, out_dir, cfg)
+def write_run(out_dir: Path, vehicle: VehicleNode, cfg: ScenarioConfig,
+              net_records: list[tuple]) -> RunResult:
+    """Write the vehicle's run logs and `summary.json` into `out_dir`."""
+    rows, est_records = vehicle.rows, vehicle.est_records
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_run_csv(out_dir / "run.csv", rows, cfg)
+    write_estimates_csv(out_dir / "estimates.csv", est_records)
+    write_net_csv(out_dir / "net_metrics.csv", net_records)
+    summary = summarize(rows, est_records, net_records, cfg)
+    write_json(out_dir / "summary.json", summary)
+    return RunResult(rows, est_records, net_records, summary, out_dir, cfg)
 
 
 def run_lockstep(cfg: ScenarioConfig, out_dir: Path,
@@ -156,9 +74,9 @@ def run_lockstep(cfg: ScenarioConfig, out_dir: Path,
     net = LockstepNetwork(cfg.link, cfg.seed)
     for node_id in cfg.nodes():
         net.register(node_id)
-    vehicle = VehicleRun(cfg)
-    mssps = [make_mssp(cfg, mid, out_dir, dump_frames)
-             for mid in vehicle.cameras]
+    vehicle = VehicleNode(cfg)
+    frames = out_dir / "frames" if dump_frames else None
+    mssps = [MsspNode(cfg, mid, frames) for mid in vehicle.cameras]
     i, done = 0, False
     while not done:
         t = i * dt
@@ -169,7 +87,7 @@ def run_lockstep(cfg: ScenarioConfig, out_dir: Path,
         net.send(pose_msg, vehicle.cameras, t + dt)
         i += 1
 
-    return vehicle.write(out_dir, sorted(net.records))
+    return write_run(out_dir, vehicle, cfg, sorted(net.records))
 
 
 def run_distributed(cfg: ScenarioConfig, out_dir: Path,
@@ -282,7 +200,7 @@ def _close(transport: UdpTransport) -> None:
 
 def mssp_node_main(cfg: ScenarioConfig, node_id: str, out_dir: Path,
                    dump_frames: bool = False) -> int:
-    node = make_mssp(cfg, node_id, out_dir, dump_frames)
+    node = MsspNode(cfg, node_id, out_dir / "frames" if dump_frames else None)
     transport = UdpTransport(node_id, cfg.nodes())
     t_end = cfg.duration_cap_s + STOP_TAIL_S
     try:
@@ -299,7 +217,7 @@ def mssp_node_main(cfg: ScenarioConfig, node_id: str, out_dir: Path,
 
 def vehicle_node_main(cfg: ScenarioConfig, out_dir: Path) -> int:
     dt = cfg.dt
-    vehicle = VehicleRun(cfg)
+    vehicle = VehicleNode(cfg)
     transport = UdpTransport("veh", cfg.nodes())
     step_i, done = 0, False
     try:
@@ -316,7 +234,7 @@ def vehicle_node_main(cfg: ScenarioConfig, out_dir: Path) -> int:
             t = transport.now()
             pose_msg, done = vehicle.step(t, inbox)
             transport.send(pose_msg, vehicle.cameras)
-        vehicle.write(out_dir, transport.records)
+        write_run(out_dir, vehicle, cfg, transport.records)
         return 0
     finally:
         _close(transport)

@@ -258,7 +258,11 @@ class UdpTransport:
         self.rejected = 0
         self._arrivals: list[tuple[float, bytes]] = []
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        self._sock.bind(nodes[node_id])
+        try:
+            self._sock.bind(nodes[node_id])
+        except BaseException:  # a taken port, say: close the unbound socket
+            self._sock.close()
+            raise
         self._sock.setblocking(False)
 
     def now(self) -> float:

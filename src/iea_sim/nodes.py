@@ -1,11 +1,12 @@
-"""Node state machines: roadside camera unit (MSSP) and vehicle.
+"""Node state machines, each built from the scenario: roadside camera unit
+(MSSP) and vehicle.
 
 An MSSP node replays the last received ground-truth pose into its own
 rendered scene, runs the tracker, back-projects detections to the road
 plane and publishes position estimates — but only while tracking and only
 for detections fully inside the image. The vehicle node fuses incoming
-estimates, steers toward the lookahead target and broadcasts its true
-pose every dynamics step.
+estimates, steers toward the lookahead target, broadcasts its true pose
+every dynamics step, logs the run's rows and decides when the run ends.
 
 The vehicle's control path never sees the vehicle's true position: the
 controller receives the fused camera estimate plus the true heading (an
@@ -15,26 +16,29 @@ baseline for comparison runs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from . import control, dynamics, vision
-from .control import ControllerParams, ControllerState, WaypointPlan
-from .dynamics import DbwCommand, VehicleParams, VehicleState
+from .control import ControllerState
+from .dynamics import DbwCommand, VehicleState
 from .fusion import FusionState, PositionEstimate
 from .geometry import CameraModel, Pose2D, PixelPoint, back_project_ground, \
     camera_matrix
 from .netbus import EstimateMessage, PoseMessage
 
+if TYPE_CHECKING:  # scenario imports this module
+    from .scenario import ScenarioConfig
+
 WAITING_FOR_FIRST_FIX = "waiting_for_first_fix"
 DRIVING = "driving"
 STOPPED = "stopped"
 
-DEFAULT_FRAME_PERIOD = 0.05   # 20 fps
-DEFAULT_GRACE_PERIOD = 2.0    # s without estimates after the last cell
+STOP_TAIL_S = 2.0  # keep logging this long after the stop is commanded
 DEFAULT_VEHICLE_DIMS = (4.5, 2.0)
 BORDER_MARGIN_PX = 1
 CELL_SCAN_Y = 0.0           # lateral position of the cell scan [m]
@@ -92,19 +96,21 @@ class CellLayout:
 class MsspNode:
     """Roadside camera node: render -> track -> back-project -> publish."""
 
-    def __init__(self, node_id: str, camera: CameraModel,
-                 frame_period: float = DEFAULT_FRAME_PERIOD,
-                 vehicle_dims: tuple[float, float] = DEFAULT_VEHICLE_DIMS,
-                 noise_sigma: float = 0.0,
-                 rng: Optional[np.random.Generator] = None,
+    def __init__(self, cfg: ScenarioConfig, node_id: str,
                  dump_dir: Optional[Path] = None):
+        """Camera `node_id` of the scenario; it dumps its frames as PGM into
+        `dump_dir`, created here, if one is given."""
+        idx = cfg.mssp_ids().index(node_id)
         self.id = node_id
-        self.camera = camera
-        self.frame_period = frame_period
-        self.vehicle_dims = vehicle_dims
-        self.noise_sigma = noise_sigma
-        self.rng = rng
-        self.dump_dir = Path(dump_dir) if dump_dir else None
+        self.camera = cfg.cameras[idx]
+        self.frame_period = cfg.frame_period
+        self.vehicle_dims = cfg.vehicle_dims
+        self.noise_sigma = cfg.noise_sigma
+        self.rng = (np.random.default_rng(cfg.seed * 1000 + idx)
+                    if cfg.noise_sigma > 0 else None)
+        self.dump_dir = dump_dir
+        if dump_dir is not None:
+            dump_dir.mkdir(parents=True, exist_ok=True)
         self.tracker = vision.TrackerState()
         self.last_pose: Optional[PoseMessage] = None
         self.frame_clock = 0.0
@@ -160,44 +166,57 @@ class MsspNode:
                                 t_capture=det.capture_time)]
 
 
-@dataclass
-class VehicleStepResult:
-    pose_msg: PoseMessage
-    cmd: DbwCommand
-    fused: Optional[tuple[float, float]]
-    phase: str
-
-
 class VehicleNode:
-    """Vehicle node: fuse estimates -> steer to lookahead target -> broadcast truth."""
+    """Vehicle node: fuse estimates -> steer to lookahead target -> broadcast
+    truth; each control step is logged, and the node ends the run."""
 
-    def __init__(self, initial_state: VehicleState, plan: WaypointPlan,
-                 cparams: ControllerParams, cells: CellLayout,
-                 vparams: VehicleParams = VehicleParams(),
-                 fusion: Optional[FusionState] = None,
-                 grace_period: float = DEFAULT_GRACE_PERIOD,
-                 position_source: str = "cameras"):
-        if position_source not in ("cameras", "truth"):
-            raise ValueError(f"unknown position source {position_source!r}")
-        self.state = initial_state
-        self.plan = plan
-        self.path = control.interpolate_path(plan)
-        self.cparams = cparams
-        self.cells = cells
-        self.vparams = vparams
-        self.fusion = fusion if fusion is not None else FusionState()
-        self.grace_period = grace_period
-        self.position_source = position_source
+    def __init__(self, cfg: ScenarioConfig):
+        x0, y0, psi0 = cfg.vehicle_start
+        self.state = VehicleState(Pose2D(x0, y0, psi0),
+                                  v=cfg.controller.v_cruise, yaw_rate=0.0,
+                                  t=0.0)
+        self.plan = cfg.plan
+        self.path = control.interpolate_path(cfg.plan)
+        self.cparams = cfg.controller
+        self.cells = cfg.cells()
+        self.vparams = cfg.vehicle_params
+        self.fusion = FusionState(cfg.staleness_timeout_s)
+        self.grace_period = cfg.grace_period_s
+        self.position_source = cfg.position_source
+        self.dt = cfg.dt
+        self.t_last = (math.ceil(cfg.duration_cap_s / self.dt) - 1) * self.dt
+        self.mssp_ids = cfg.mssp_ids()
+        self.cameras = [node_id for node_id in cfg.nodes() if node_id != "veh"]
         self.cstate = ControllerState()
         self.phase = WAITING_FOR_FIRST_FIX
         self.pose_seq = 0
         self.last_fix_time: Optional[float] = None
         self.been_in_last_cell = False
-        self.last_cmd = DbwCommand(cparams.v_cruise, 0.0)
+        self.last_cmd = DbwCommand(cfg.controller.v_cruise, 0.0)
+        self.rows: list[dict] = []
+        self.est_records: list[tuple] = []
+        self.rejected = 0  # estimates dropped unlogged, see `step`
+        self.t_stop: Optional[float] = None
 
-    def step(self, now: float, inbox: list, dt: float) -> VehicleStepResult:
+    def step(self, now: float, inbox: list) -> tuple[PoseMessage, bool]:
+        """Step at time `now`: fuse the inbox, steer, log the row.
+
+        An estimate that names no camera of the scenario, or was captured
+        after `now`, is counted in `rejected` and neither logged nor fused.
+        The first would be fused as one more cell; fusion refuses the second
+        with a ValueError, which would end the node.
+
+        Returns the pose to broadcast and whether the run is over: it ends
+        STOP_TAIL_S after the stop, or earlier once the vehicle stands, and
+        at the latest at `t_last`, the last `i * dt` before duration_cap_s.
+        """
         for msg in inbox:
             if isinstance(msg, EstimateMessage):
+                if msg.mssp_id not in self.mssp_ids or msg.t_capture > now:
+                    self.rejected += 1
+                    continue
+                self.est_records.append((msg.mssp_id, msg.seq, msg.t_capture,
+                                         now, msg.x, msg.y))
                 self.fusion.ingest(PositionEstimate(
                     mssp_id=msg.mssp_id, x=msg.x, y=msg.y,
                     t_capture=msg.t_capture, t_received=now, seq=msg.seq))
@@ -210,14 +229,15 @@ class VehicleNode:
         # the truth-fed baseline feeds back the true position, every other
         # run the fused fix; either goes with the true heading (IMU), and
         # the true position never enters the control path in camera mode
-        feedback = ((self.state.pose.x, self.state.pose.y)
+        state = self.state
+        feedback = ((state.pose.x, state.pose.y)
                     if self.position_source == "truth" else fused)
         if self.phase == WAITING_FOR_FIRST_FIX and feedback is not None:
             self.phase = DRIVING
 
         if self.phase == DRIVING:
             if feedback is not None:
-                ctrl_pose = Pose2D(feedback[0], feedback[1], self.state.pose.psi)
+                ctrl_pose = Pose2D(feedback[0], feedback[1], state.pose.psi)
                 target, self.cstate = control.select_target(
                     self.path, self.cstate, ctrl_pose, self.plan.lookahead_m)
                 cmd, self.cstate = control.heading_control(
@@ -234,11 +254,28 @@ class VehicleNode:
 
         if self.phase == STOPPED:
             self.last_cmd = DbwCommand(0.0, 0.0)
+        cmd = self.last_cmd
 
-        self.state = dynamics.step(self.state, self.last_cmd, dt, self.vparams)
+        self.state = dynamics.step(state, cmd, self.dt, self.vparams)
         self.pose_seq += 1
-        pose_msg = PoseMessage(sender="veh", seq=self.pose_seq, t=now + dt,
+        pose_msg = PoseMessage(sender="veh", seq=self.pose_seq, t=now + self.dt,
                                x=self.state.pose.x, y=self.state.pose.y,
                                psi=self.state.pose.psi, v=self.state.v)
-        return VehicleStepResult(pose_msg=pose_msg, cmd=self.last_cmd,
-                                 fused=fused, phase=self.phase)
+
+        # the row holds the state the step started from
+        row = {"t": now, "true_x": state.pose.x, "true_y": state.pose.y,
+               "true_psi": state.pose.psi, "true_v": state.v,
+               "fused_x": None if fused is None else fused[0],
+               "fused_y": None if fused is None else fused[1],
+               "yaw_rate_cmd": cmd.yaw_rate_cmd, "v_cmd": cmd.v_cmd,
+               "phase": self.phase}
+        for mid in self.mssp_ids:
+            est = self.fusion.latest.get(mid)
+            row[f"{mid}_x"] = None if est is None else est.x
+            row[f"{mid}_y"] = None if est is None else est.y
+        self.rows.append(row)
+        if self.phase == STOPPED and self.t_stop is None:
+            self.t_stop = now
+        done = now >= self.t_last or (self.t_stop is not None and (
+            now - self.t_stop >= STOP_TAIL_S or self.state.v < 1e-3))
+        return pose_msg, done

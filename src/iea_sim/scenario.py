@@ -23,8 +23,7 @@ from .dynamics import MAX_STEP_S, VehicleParams
 from .fusion import DEFAULT_STALENESS_TIMEOUT
 from .geometry import CameraModel
 from .netbus import LinkConfig
-from .nodes import (DEFAULT_FRAME_PERIOD, DEFAULT_GRACE_PERIOD,
-                    DEFAULT_VEHICLE_DIMS, CellLayout)
+from .nodes import DEFAULT_VEHICLE_DIMS, CellLayout
 
 # a camera's frame clock stops once the frame period is under half its ulp;
 # at 1 ns that is after 2**24 s (194 days) of simulated time
@@ -47,12 +46,12 @@ class ScenarioConfig:
     seed: int = 0
     duration_cap_s: float = 90.0
     control_rate_hz: float = 50.0
-    frame_rate_hz: float = 1.0 / DEFAULT_FRAME_PERIOD
+    frame_rate_hz: float = 20.0
     position_source: str = "cameras"
     vehicle_start: tuple[float, float, float] = (0.0, 0.0, 0.0)
     vehicle_dims: tuple[float, float] = DEFAULT_VEHICLE_DIMS
     staleness_timeout_s: float = DEFAULT_STALENESS_TIMEOUT
-    grace_period_s: float = DEFAULT_GRACE_PERIOD
+    grace_period_s: float = 2.0  # s without estimates after the last cell
     noise_sigma: float = 0.0
     host: str = "127.0.0.1"
     base_port: int = 47800
@@ -99,6 +98,12 @@ class ScenarioConfig:
             for a, b in zip(self.cameras, self.cameras[1:]):
                 if abs((b.position.x - a.position.x) - self.camera_spacing_m) > 1e-6:
                     raise ScenarioError("camera positions contradict camera_spacing_m")
+        # scanned once, here: a camera without a cell fails before any run
+        try:
+            self._cells = CellLayout.from_cameras(self.cameras,
+                                                  self.vehicle_dims)
+        except ValueError as exc:
+            raise ScenarioError(f"cameras: {exc}") from exc
 
     @property
     def dt(self) -> float:
@@ -126,7 +131,7 @@ class ScenarioConfig:
         return hashlib.sha1(blob).hexdigest()[:12]
 
     def cells(self) -> CellLayout:
-        return CellLayout.from_cameras(self.cameras, self.vehicle_dims)
+        return self._cells
 
     def to_json_obj(self) -> dict:
         return _to_doc(self, SCENARIO_KEYS)

@@ -21,7 +21,7 @@ from iea_sim.runlog import (compare_runs, export_plot_data, point_to_polyline,
                             read_run_csv, run_columns, summarize,
                             write_net_csv, write_run_csv)
 from iea_sim.netbus import EstimateMessage, PoseMessage, UdpTransport
-from iea_sim.nodes import DRIVING, WAITING_FOR_FIRST_FIX
+from iea_sim.nodes import DRIVING, WAITING_FOR_FIRST_FIX, VehicleNode
 from iea_sim.scenario import ScenarioConfig, ScenarioError, load_scenario
 
 from conftest import make_camera
@@ -72,6 +72,31 @@ class TestScenarioConfig:
         cams = [make_camera(x=0.0), make_camera(x=41.0)]
         with pytest.raises(ScenarioError):
             small_cfg(cameras=cams, camera_spacing_m=40.0)
+
+    @pytest.mark.parametrize("mode", ["lockstep", "distributed"])
+    @pytest.mark.parametrize("layout, error", [("gap", "cells must overlap"),
+                                               ("blind", "sees no cell")],
+                             ids=["gap", "blind"])
+    def test_camera_layout_without_cells_rejected(self, layout, error, mode,
+                                                  tmp_path, capsys):
+        # mssp2 200 m and mssp3 a further 400 m on leave gaps between the
+        # cells, and mssp3 turned to face back sees no cell; either is
+        # refused at load, in both modes, before a run writes anything
+        obj = load_scenario("straight_3ms").to_json_obj()
+        if layout == "gap":
+            obj["camera_spacing_m"] = None
+            for cam, x in zip(obj["cameras"], (30.0, 230.0, 630.0)):
+                cam["x"] = x
+        else:
+            obj["cameras"][2]["yaw_rad"] = math.pi
+        with pytest.raises(ScenarioError, match=f"cameras: .*{error}"):
+            ScenarioConfig.from_json_obj(obj)
+        path = tmp_path / "cells.json"
+        path.write_text(json.dumps(obj))
+        assert cli.main(["run", "--scenario", str(path), "--mode", mode,
+                         "--out", str(tmp_path / "out")]) == 1
+        assert error in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_json_roundtrip_is_identity(self):
         cfg = load_scenario("straight_3ms")
@@ -233,22 +258,22 @@ class TestVehicleRun:
     def test_unusable_estimates_are_dropped_and_counted(self):
         # one captured after its reception (fusion would raise), one from a
         # camera the scenario does not have (it would be fused)
-        run = harness.VehicleRun(load_scenario("distributed_smoke"))
+        veh = VehicleNode(load_scenario("distributed_smoke"))
         future = EstimateMessage(sender="mssp1", seq=1, t=1.0, mssp_id="mssp1",
                                  x=10.0, y=0.0, t_capture=1.5)
         stranger = EstimateMessage(sender="mssp9", seq=1, t=1.0,
                                    mssp_id="mssp9", x=500.0, y=40.0,
                                    t_capture=1.0)
-        run.step(1.0, [future, stranger])
-        assert run.rejected == 2
-        assert run.est_records == []
-        assert run.rows[-1]["fused_x"] is None
-        assert run.rows[-1]["phase"] == WAITING_FOR_FIRST_FIX
+        veh.step(1.0, [future, stranger])
+        assert veh.rejected == 2
+        assert veh.est_records == []
+        assert veh.rows[-1]["fused_x"] is None
+        assert veh.rows[-1]["phase"] == WAITING_FOR_FIRST_FIX
         good = dataclasses.replace(future, seq=2, t_capture=1.0)
-        run.step(1.02, [good])
-        assert run.rejected == 2
-        assert run.est_records == [("mssp1", 2, 1.0, 1.02, 10.0, 0.0)]
-        assert run.rows[-1]["phase"] == DRIVING
+        veh.step(1.02, [good])
+        assert veh.rejected == 2
+        assert veh.est_records == [("mssp1", 2, 1.0, 1.02, 10.0, 0.0)]
+        assert veh.rows[-1]["phase"] == DRIVING
 
     def test_scenario_json_is_written_once_before_the_run(self, tmp_path,
                                                           monkeypatch):
@@ -272,12 +297,12 @@ class TestVehicleRun:
         # i * dt before the cap, and at any later wall-clock step
         cfg = dataclasses.replace(load_scenario("distributed_smoke"),
                                   duration_cap_s=cap)
-        run = harness.VehicleRun(cfg)
+        veh = VehicleNode(cfg)
         n = math.ceil(cap / cfg.dt)
-        assert [run.step(i * cfg.dt, [])[1] for i in range(n)] == (
+        assert [veh.step(i * cfg.dt, [])[1] for i in range(n)] == (
             [False] * (n - 1) + [True])
-        assert run.t_last == (n - 1) * cfg.dt < cap
-        assert run.step(run.t_last + 0.3 * cfg.dt, [])[1]
+        assert veh.t_last == (n - 1) * cfg.dt < cap
+        assert veh.step(veh.t_last + 0.3 * cfg.dt, [])[1]
 
 
 class TestReplay:
@@ -293,6 +318,28 @@ class TestReplay:
         for name in self.OUTPUTS:
             assert ((first.out_dir / name).read_bytes()
                     == (again.out_dir / name).read_bytes()), name
+
+    def test_dumped_frames_leave_the_outputs_unchanged(self, tmp_path):
+        # every frame of the one camera as PGM, and the same five outputs
+        # as a run without the flag
+        obj = load_scenario("distributed_smoke").to_json_obj()
+        obj.update(mode="lockstep", duration_cap_s=1.0)
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps(obj))
+        for name, flags in (("plain", []), ("dumped", ["--dump-frames"])):
+            assert cli.main(["run", "--scenario", str(path), "--out",
+                             str(tmp_path / name), *flags]) == 0
+        frames = tmp_path / "dumped" / "frames"
+        assert sorted(p.name for p in frames.iterdir()) == sorted(
+            f"mssp1_f{k}.pgm" for k in range(20))
+        for pgm in frames.iterdir():
+            data = pgm.read_bytes()
+            assert data.startswith(b"P5\n800 600\n255\n"), pgm.name
+            assert len(data) == len(b"P5\n800 600\n255\n") + 800 * 600
+        assert not (tmp_path / "plain" / "frames").exists()
+        for name in self.OUTPUTS:
+            assert ((tmp_path / "plain" / name).read_bytes()
+                    == (tmp_path / "dumped" / name).read_bytes()), name
 
     def test_huge_frame_rate_renders_one_frame_per_step(self, tmp_path):
         # 2e7 frames fall due per control step; only the latest is rendered

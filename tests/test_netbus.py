@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import socket
@@ -274,6 +275,15 @@ class TestUdpTransport:
             timer.cancel()
             veh.close()
             cam.close()
+
+    def test_a_failed_bind_closes_its_socket(self):
+        # a port taken by another socket: the refused transport's socket is
+        # closed, not left for the collector to warn about as unclosed
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as taken:
+            taken.bind(LOOPBACK)
+            with pytest.raises(OSError):
+                UdpTransport("veh", {"veh": taken.getsockname()})
+        gc.collect()
 
     def test_transport_starts_no_thread(self):
         before = threading.active_count()

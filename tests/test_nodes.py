@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,17 +7,32 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iea_sim.control import ControllerParams, WaypointPlan
-from iea_sim.dynamics import VehicleParams, VehicleState
-from iea_sim.geometry import Pose2D, WorldPoint, project
-from iea_sim.netbus import EstimateMessage, PoseMessage
+from iea_sim.dynamics import VehicleParams
+from iea_sim.geometry import WorldPoint, project
+from iea_sim.netbus import EstimateMessage, LinkConfig, PoseMessage
 from iea_sim.nodes import (BORDER_MARGIN_PX, CELL_SCAN_RESOLUTION, CELL_SCAN_Y,
-                           DEFAULT_FRAME_PERIOD, DEFAULT_VEHICLE_DIMS, DRIVING,
-                           STOPPED, WAITING_FOR_FIRST_FIX, CellLayout,
-                           MsspNode, VehicleNode)
+                           DEFAULT_VEHICLE_DIMS, DRIVING, STOPPED,
+                           WAITING_FOR_FIRST_FIX, CellLayout, MsspNode,
+                           VehicleNode)
+from iea_sim.scenario import ScenarioConfig, ScenarioError
 
 from conftest import in_image, make_camera
 
 DT = 0.02
+
+
+def node_cfg(cameras=(0.0,), waypoints=((0, 0), (300, 0)),
+             position_source="cameras"):
+    """A scenario of default parameters (control step DT, 20 fps) with
+    cameras at the given x, from `make_camera`."""
+    return ScenarioConfig(
+        name="nodes", cameras=[make_camera(x=x) for x in cameras],
+        plan=WaypointPlan(waypoints=waypoints), controller=ControllerParams(),
+        vehicle_params=VehicleParams(), link=LinkConfig(),
+        position_source=position_source)
+
+
+MSSP_CFG = node_cfg()
 
 
 def pose_msg(x, y=0.0, psi=0.0, seq=1, t=0.0):
@@ -101,9 +117,9 @@ class TestCellLayout:
 
 
 class TestMsspNode:
-    def _warmed(self, camera=None):
+    def _warmed(self):
         """Node that has already captured an empty background frame."""
-        node = MsspNode("mssp1", camera or make_camera())
+        node = MsspNode(MSSP_CFG, "mssp1")
         assert node.step(0.0, []) == []
         return node
 
@@ -170,12 +186,12 @@ class TestMsspNode:
         # offsets; 0.3 / 0.05 is 5.999999999999999, so a skip by the
         # rounded-down quotient alone leaves two frames due at now = 0.3
         rng = np.random.default_rng(seed)
-        period = DEFAULT_FRAME_PERIOD
+        period = MSSP_CFG.frame_period
         for k in range(2, 400):
             start = 0.0 if seed == 0 else float(rng.uniform(0.0, 100.0))
             # k * 0.05 rounded once (k / 20) and twice (k * period)
             for now in (start + k / 20, start + k * period):
-                node = MsspNode("mssp1", make_camera(), frame_period=period)
+                node = MsspNode(MSSP_CFG, "mssp1")
                 node.frame_clock = start
                 node.step(now, [])
                 assert node.frame_seq == 1, (start, now)
@@ -184,14 +200,10 @@ class TestMsspNode:
                 assert node.frame_clock == t_frame + period
 
 
-def make_vehicle(x0=0.0, y0=0.0, psi0=0.0, v0=3.0, waypoints=((0, 0), (300, 0)),
-                 cells=((0.0, 400.0),), position_source="cameras", **kw):
-    return VehicleNode(
-        initial_state=VehicleState(Pose2D(x0, y0, psi0), v0, 0.0, 0.0),
-        plan=WaypointPlan(waypoints=waypoints),
-        cparams=ControllerParams(),
-        cells=CellLayout(intervals=cells),
-        position_source=position_source, **kw)
+def make_vehicle(cameras=(0.0,), waypoints=((0, 0), (300, 0)),
+                 position_source="cameras"):
+    """The vehicle of `node_cfg`, starting at the origin at cruise speed."""
+    return VehicleNode(node_cfg(cameras, waypoints, position_source))
 
 
 def est_msg(x, y, t, seq, mssp_id="mssp1"):
@@ -203,12 +215,13 @@ class TestVehicleNode:
     def test_waiting_phase_drives_straight_with_lag_oracle(self):
         # no estimates at all: the vehicle cruises straight from rest;
         # closed form of the discrete first-order speed lag
-        veh = make_vehicle(v0=0.0)
+        veh = make_vehicle()
+        veh.state = dataclasses.replace(veh.state, v=0.0)
         n = 50
         for i in range(n):
-            res = veh.step(i * DT, [], DT)
-            assert res.phase == WAITING_FOR_FIRST_FIX
-            assert res.fused is None
+            veh.step(i * DT, [])
+            assert veh.phase == WAITING_FOR_FIRST_FIX
+            assert veh.rows[-1]["fused_x"] is None
         tau = VehicleParams().tau_v
         a = 1.0 - DT / tau
         v_cruise = ControllerParams().v_cruise
@@ -220,12 +233,12 @@ class TestVehicleNode:
 
     def test_pose_broadcast_timestamps_and_seq(self):
         veh = make_vehicle()
-        r1 = veh.step(0.0, [], DT)
-        r2 = veh.step(DT, [], DT)
-        assert r1.pose_msg.seq == 1 and r2.pose_msg.seq == 2
-        assert r1.pose_msg.t == pytest.approx(DT)
-        assert r2.pose_msg.t == pytest.approx(2 * DT)
-        assert r2.pose_msg.x == veh.state.pose.x
+        p1, _ = veh.step(0.0, [])
+        p2, _ = veh.step(DT, [])
+        assert p1.seq == 1 and p2.seq == 2
+        assert p1.t == pytest.approx(DT)
+        assert p2.t == pytest.approx(2 * DT)
+        assert p2.x == veh.state.pose.x
 
     def test_perfect_estimates_reproduce_truth_fed_run(self):
         # feeding the camera-fed vehicle its own exact position every step
@@ -235,25 +248,27 @@ class TestVehicleNode:
         for i in range(1500):
             t = i * DT
             inbox = [est_msg(cam.state.pose.x, cam.state.pose.y, t, seq=i + 1)]
-            rc = cam.step(t, inbox, DT)
-            rt = tru.step(t, [], DT)
+            cam.step(t, inbox)
+            tru.step(t, [])
             assert cam.state.pose == tru.state.pose
             assert cam.state.v == tru.state.v
-            if rc.phase == STOPPED and rt.phase == STOPPED:
+            if cam.phase == STOPPED and tru.phase == STOPPED:
                 break
         assert cam.phase == STOPPED and tru.phase == STOPPED
 
     def test_first_fix_transitions_to_driving(self):
         veh = make_vehicle()
-        assert veh.step(0.0, [], DT).phase == WAITING_FOR_FIRST_FIX
-        res = veh.step(DT, [est_msg(veh.state.pose.x, 0.0, DT, seq=1)], DT)
-        assert res.phase == DRIVING
-        assert res.fused is not None
+        veh.step(0.0, [])
+        assert veh.phase == WAITING_FOR_FIRST_FIX
+        veh.step(DT, [est_msg(veh.state.pose.x, 0.0, DT, seq=1)])
+        assert veh.phase == DRIVING
+        assert veh.rows[-1]["fused_x"] is not None
 
     def test_stops_after_estimates_cease_past_last_cell(self):
-        # cells end at x=20; the plan keeps going, so the stop must come
-        # from the coverage-exhausted grace period, not path completion
-        veh = make_vehicle(cells=((0.0, 20.0),), waypoints=((0, 0), (200, 0)))
+        # estimates end at x=20, inside the one cell; the plan keeps going,
+        # so the stop must come from the coverage-exhausted grace period,
+        # not path completion
+        veh = make_vehicle(waypoints=((0, 0), (200, 0)))
         i = 0
         stop_t = None
         last_est_t = None
@@ -263,8 +278,8 @@ class TestVehicleNode:
             if veh.state.pose.x < 20.0:
                 inbox = [est_msg(veh.state.pose.x, veh.state.pose.y, t, seq=i + 1)]
                 last_est_t = t
-            res = veh.step(t, inbox, DT)
-            if res.phase == STOPPED and stop_t is None:
+            veh.step(t, inbox)
+            if veh.phase == STOPPED and stop_t is None:
                 stop_t = t
             i += 1
         assert stop_t is not None
@@ -276,7 +291,7 @@ class TestVehicleNode:
     def test_truth_fed_vehicle_drives_on_past_its_last_cell(self):
         # the same early end of coverage as above, but fed the truth: the
         # grace stop is for lost camera feedback, which the baseline never has
-        veh = make_vehicle(cells=((0.0, 20.0),), waypoints=((0, 0), (200, 0)),
+        veh = make_vehicle(waypoints=((0, 0), (200, 0)),
                            position_source="truth")
         for i in range(1500):
             t = i * DT
@@ -284,8 +299,8 @@ class TestVehicleNode:
             if veh.state.pose.x < 20.0:
                 inbox = [est_msg(veh.state.pose.x, veh.state.pose.y, t,
                                  seq=i + 1)]
-            res = veh.step(t, inbox, DT)
-            assert res.phase == DRIVING
+            veh.step(t, inbox)
+            assert veh.phase == DRIVING
         assert veh.been_in_last_cell
         assert veh.state.pose.x > 80.0
         assert veh.state.v == pytest.approx(ControllerParams().v_cruise)
@@ -298,19 +313,21 @@ class TestVehicleNode:
             t = i * DT
             inbox = [est_msg(veh.state.pose.x, veh.state.pose.y + 0.5, t,
                              seq=i + 1)]
-            veh.step(t, inbox, DT)
+            veh.step(t, inbox)
         assert veh.state.pose.y == pytest.approx(-0.5, abs=0.1)
 
     def test_overlap_fuses_both_cells(self):
-        veh = make_vehicle()
+        veh = make_vehicle(cameras=(0.0, 40.0))
         veh.step(0.0, [est_msg(10.0, 0.2, 0.0, 1, "mssp1"),
-                       est_msg(12.0, -0.2, 0.0, 1, "mssp2")], DT)
-        res = veh.step(DT, [], DT)
-        assert res.fused == (pytest.approx(11.0), pytest.approx(0.0))
+                       est_msg(12.0, -0.2, 0.0, 1, "mssp2")])
+        veh.step(DT, [])
+        row = veh.rows[-1]
+        assert (row["fused_x"], row["fused_y"]) == (pytest.approx(11.0),
+                                                    pytest.approx(0.0))
         assert sorted(veh.fusion.latest) == ["mssp1", "mssp2"]
 
     def test_rejects_unknown_position_source(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ScenarioError):
             make_vehicle(position_source="gps")
 
     def test_stopped_vehicle_decelerates_to_rest(self):
@@ -318,7 +335,7 @@ class TestVehicleNode:
         for i in range(3000):
             t = i * DT
             veh.step(t, [est_msg(veh.state.pose.x, veh.state.pose.y, t,
-                                 seq=i + 1)], DT)
+                                 seq=i + 1)])
             if veh.phase == STOPPED and veh.state.v < 1e-3:
                 break
         assert veh.phase == STOPPED
