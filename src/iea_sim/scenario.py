@@ -14,7 +14,7 @@ import hashlib
 import json
 import sys
 import typing
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Optional
 
@@ -143,14 +143,17 @@ class ScenarioConfig:
 
 # scenario.json key path -> attribute path, in file order. An (attribute,
 # table) pair is a list whose entries the nested table lays out. Defaults,
-# and which keys are required, come from the dataclass fields alone; any
-# other key is rejected.
+# and which keys are required, come from the dataclass fields, apart from
+# REQUIRED_ATTRS; any other key is rejected.
 CAMERA_KEYS = {
     "x": "position.x", "y": "position.y", "z": "position.z",
     "roll_rad": "roll", "pitch_rad": "pitch", "yaw_rad": "yaw",
     "fx": "fx", "fy": "fy", "cx": "cx", "cy": "cy",
     "width": "width", "height": "height",
 }
+# attribute paths a document must set although their field has a default:
+# WorldPoint.z defaults to the road plane, where no camera can sit
+REQUIRED_ATTRS = {"position.z"}
 SCENARIO_KEYS = {
     "name": "name",
     "mode": "mode",
@@ -207,11 +210,23 @@ def _frozen(value):
 
 
 def _from_doc(cls, doc, keys: dict, where: str):
-    """Build `cls` from a JSON object laid out by `keys`."""
-    # every nested object is built, from its defaults if none of its keys is set
-    kwargs: dict = {attr.split(".")[0]: {} for attr in keys.values()
-                    if isinstance(attr, str) and "." in attr}
-    for path, value in _flatten(doc, keys, where).items():
+    """Build `cls` from a JSON object laid out by `keys`; an error names
+    the key, or the section of the nested object that refused its values."""
+    # every nested object is built, from its defaults if none of its keys
+    # is set, and its errors name its section of the document
+    kwargs: dict = {}
+    sections: dict = {}
+    for path, attr in keys.items():
+        if isinstance(attr, str) and "." in attr:
+            owner = attr.split(".")[0]
+            kwargs[owner] = {}
+            sections[owner] = path.rpartition(".")[0]
+    flat = _flatten(doc, keys, where)
+    for path, attr in keys.items():
+        attr = attr if isinstance(attr, str) else attr[0]
+        if path not in flat and _required(cls, attr):
+            raise ScenarioError(f"{where}.{path} missing")
+    for path, value in flat.items():
         attr = keys[path]
         if isinstance(attr, str):
             value = _frozen(value)
@@ -230,7 +245,20 @@ def _from_doc(cls, doc, keys: dict, where: str):
             raise ScenarioError(f"{where}.{path} must be a list")
         owner, _, leaf = attr.rpartition(".")
         (kwargs[owner] if owner else kwargs)[leaf] = value
-    return _construct(cls, kwargs)
+    for name, section in sections.items():
+        kwargs[name] = _construct(_hints(cls)[name], kwargs[name],
+                                  f"{where}.{section}" if section else where)
+    return _construct(cls, kwargs, where)
+
+
+def _required(cls, attr: str) -> bool:
+    """Whether a document must set the field at `attr` of `cls`."""
+    *owners, leaf = attr.split(".")
+    for name in owners:
+        cls = _hints(cls)[name]
+    field = {f.name: f for f in fields(cls)}[leaf]
+    return attr in REQUIRED_ATTRS or (field.default is MISSING
+                                      and field.default_factory is MISSING)
 
 
 def _fits(value, hint) -> bool:
@@ -288,15 +316,15 @@ def _hints(cls) -> dict:
     return typing.get_type_hints(cls)
 
 
-def _construct(cls, kwargs: dict):
-    """`cls(**kwargs)` with nested dicts built into the field's dataclass; a
-    missing required key fails here."""
+def _construct(cls, kwargs: dict, where: str):
+    """`cls(**kwargs)`, its `ValueError` a `ScenarioError` that starts with
+    `where`, the document section it was built from."""
     try:
-        return cls(**{name: _construct(_hints(cls)[name], v)
-                      if isinstance(v, dict) else v
-                      for name, v in kwargs.items()})
-    except TypeError as exc:
-        raise ScenarioError(f"bad scenario document: {exc}") from exc
+        return cls(**kwargs)
+    except ScenarioError:
+        raise
+    except ValueError as exc:
+        raise ScenarioError(f"{where}: {exc}") from exc
 
 
 def load_scenario(source: str | Path) -> ScenarioConfig:

@@ -7,19 +7,22 @@ foreground components from the mask's row runs, and the tracker runs a
 Searching / Tracking state machine with gated nearest-centroid
 re-association and background re-acquisition on loss.
 
-Every frame carries the box it painted the vehicle into and holds only
-the pixels inside it (its patch); outside the box every pixel is
-background. A noise-free frame's background is flat. A noisy frame keeps
-its 16-bit noise slots, and its background pixel is its slot's entry of a
-per-sigma table, built only where a pixel array is asked for. The
-detector takes two frames at one sigma, as a camera's tracker makes
-them, and refuses any other pair. It differences only the union of the
-two frames' boxes from pixels. Between two noisy frames it compares the
-slots outside that box against per-pixel slot limits of the background,
-so rendering and detection cost scale with the vehicle's footprint, plus
-the noise draw and two slot comparisons per pixel on noisy frames. A
-mask of few row runs, such as a noise-free frame's, is labelled by a
-scalar sweep over its runs; the dense masks of noisy frames, by array
+Every frame carries the box it painted the vehicle into and, for each
+row of the box, the run of columns it painted; outside the box every
+pixel is background. The renderer finds each row's run by bisection, so
+a noise-free frame costs what the box's rows cost and holds no pixels;
+its pixel array is built only when asked for. A noisy frame also holds
+the noisy pixels inside its box (its patch) and keeps its 16-bit noise
+slots, and its background pixel is its slot's entry of a per-sigma
+table. The detector takes two frames at one sigma, as a camera's tracker
+makes them, and refuses any other pair. Two noise-free frames differ
+where exactly one is painted, so their foreground's row runs are the
+XOR of the two frames' runs, at most two per row, with no pixel made.
+Two noisy frames are differenced from pixels in the union of their
+boxes, and outside it the slots are compared against per-pixel slot
+limits of the background, so noisy detection costs two slot comparisons
+per pixel plus the box. Few row runs, such as a noise-free frame's, are
+labelled by a scalar sweep; the dense masks of noisy frames, by array
 union-find, which costs less per run there.
 
 Pixel noise is rint(N(0, sigma)) at 2**-16 resolution: each pixel takes
@@ -38,7 +41,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import CameraModel, Pose2D, camera_matrix, project_xyz
+from .geometry import CameraModel, Pose2D, camera_matrix
 
 BACKGROUND_INTENSITY = 40
 VEHICLE_INTENSITY = 220
@@ -57,36 +60,40 @@ SEARCHING = "searching"
 TRACKING = "tracking"
 
 EMPTY_BOX = (0, 0, 0, 0)  # a painted box that holds no pixel
-_NO_PIXELS = np.zeros((0, 0), dtype=np.uint8)  # the patch of EMPTY_BOX
-_NO_PIXELS.setflags(write=False)
+_NO_SPANS = np.zeros((0, 2), dtype=np.int64)  # the runs of EMPTY_BOX
+_NO_SPANS.setflags(write=False)
 
 
 class Frame:
     """One grayscale (height, width) uint8 frame taken at `capture_time`.
 
-    `painted` is a half-open (v0, v1, u0, u1) box, `patch` holds the pixels
-    inside it and every pixel outside it is background. A noise-free
-    frame's background is BACKGROUND_INTENSITY. A noisy frame (`sigma` > 0)
-    keeps its read-only uint16 noise `slots`, one per pixel, and its
-    background pixel is `_noise_tables(sigma)[1][slot]`; `limits` caches
-    its `_slot_limits`.
+    `painted` is a half-open (v0, v1, u0, u1) box and every pixel outside
+    it is background. Row v0 + r of the box is painted VEHICLE_INTENSITY on
+    the columns [spans[r, 0], spans[r, 1]) (an empty run has equal ends)
+    and background elsewhere. A noise-free frame holds no pixels: its
+    background is BACKGROUND_INTENSITY. A noisy frame (`sigma` > 0) holds
+    its noisy box pixels in `patch` and keeps its read-only uint16 noise
+    `slots`, one per pixel; its background pixel is
+    `_noise_tables(sigma)[1][slot]`, and `limits` caches its
+    `_slot_limits`.
     """
 
-    __slots__ = ("capture_time", "painted", "patch", "height", "width",
-                 "slots", "sigma", "limits")
+    __slots__ = ("capture_time", "painted", "spans", "patch", "height",
+                 "width", "slots", "sigma", "limits")
 
-    def __init__(self, patch: np.ndarray, capture_time: float,
+    def __init__(self, spans: np.ndarray, capture_time: float,
                  painted: tuple[int, int, int, int], height: int, width: int,
+                 patch: Optional[np.ndarray] = None,
                  slots: Optional[np.ndarray] = None, sigma: float = 0.0):
         self.capture_time = capture_time
         self.painted = painted
-        self.patch = patch
+        self.spans, self.patch = spans, patch
         self.height, self.width = height, width
         self.slots, self.sigma, self.limits = slots, sigma, None
 
     @property
     def pixels(self) -> np.ndarray:
-        """The full frame, as a read-only view."""
+        """The full frame, as a read-only array built on each call."""
         px = _in_box(self, (0, self.height, 0, self.width)).view()
         px.setflags(write=False)
         return px
@@ -163,6 +170,40 @@ def _noise_tables(sigma: float) -> tuple[np.ndarray, np.ndarray]:
     return offsets, background
 
 
+def _ground_pixels(rows, points):
+    """(u, v) of each ground point (x, y) under a camera matrix given by its
+    rows, or None for a point behind the camera (w <= 0).
+
+    Each row i is summed as (P[i][0] * x + P[i][2] * 0.0) +
+    (P[i][1] * y + P[i][3]), in plain float arithmetic: the order in which
+    OpenBLAS's SkylakeX kernel sums the product of `geometry.project_xyz`,
+    whose bits the golden digests pin.
+    """
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3) = rows
+    out = []
+    for x, y in points:
+        w = (c0 * x + c2 * 0.0) + (c1 * y + c3)
+        out.append(None if w <= 0.0 else
+                   (((a0 * x + a2 * 0.0) + (a1 * y + a3)) / w,
+                    ((b0 * x + b2 * 0.0) + (b1 * y + b3)) / w))
+    return out
+
+
+@functools.lru_cache(maxsize=64)
+def _matrix_rows(camera: CameraModel):
+    """The camera matrix's rows as tuples of floats, for `_ground_pixels`."""
+    return tuple(map(tuple, camera_matrix(camera).tolist()))
+
+
+def _span_patch(painted, spans) -> np.ndarray:
+    """The pixels of a painted box whose row r is painted on the columns
+    [spans[r, 0], spans[r, 1]) and background elsewhere."""
+    cols = np.arange(painted[2], painted[3])
+    inside = (spans[:, :1] <= cols) & (cols < spans[:, 1:])
+    return np.where(inside, np.uint8(VEHICLE_INTENSITY),
+                    np.uint8(BACKGROUND_INTENSITY))
+
+
 def render_frame(camera: CameraModel, vehicle: Optional[Pose2D],
                  vehicle_dims: tuple[float, float], t: float,
                  noise_sigma: float = 0.0,
@@ -170,32 +211,38 @@ def render_frame(camera: CameraModel, vehicle: Optional[Pose2D],
     """Render the vehicle's ground rectangle into a flat background frame.
 
     Deterministic for identical inputs. A vehicle behind the camera or
-    fully outside the image yields a pure background frame. A noise-free
-    frame records the clipped bounding box of the painted quad (empty if
-    nothing was painted) and holds only the pixels inside it.
+    fully outside the image yields a pure background frame. A frame
+    records the clipped bounding box of the painted quad (empty if nothing
+    was painted) and, for each row of it, the run of painted columns.
+
+    A pixel (u, v) is painted when, for each quad edge (x1, y1) -> (x2,
+    y2), dx * (v - y1) and dy * (u - x1) compare as the quad's winding
+    asks. Along a row the second term rounds monotonically in u, so the
+    columns that pass an edge are a prefix or a suffix of the row, which
+    one `np.searchsorted` per edge finds with the same floats; the row's
+    run is what all four edges pass.
 
     With noise_sigma > 0 (which requires an rng) the frame is noisy; its
-    box is still the painted one. For N = height * width pixels, one
-    `rng.integers(0, 1 << 64, ceil(N / 4), dtype=np.uint64)` draw gives
-    each pixel a slot: the little-endian 16-bit quarters of the words, in
-    raster order, with the spare bits of the last word dropped, so no bits
-    carry over to the next frame. When N % 4 == 0 these are the slots of
-    `rng.integers(0, NOISE_SLOTS, (height, width), dtype=np.uint16)` for
-    numpy's PCG64. The pixel is clip(painted + T[slot], 0, 255), where T is
-    the inverse CDF of rint(N(0, noise_sigma)) at 2**-16 resolution
-    (offsets end at about +-4.3 sigma; see `_noise_tables`). Only the
-    painted box's pixels are made here; the frame keeps the slots for the
-    rest.
+    box and runs are still the painted ones. For N = height * width
+    pixels, one `rng.integers(0, 1 << 64, ceil(N / 4), dtype=np.uint64)`
+    draw gives each pixel a slot: the little-endian 16-bit quarters of the
+    words, in raster order, with the spare bits of the last word dropped,
+    so no bits carry over to the next frame. When N % 4 == 0 these are the
+    slots of `rng.integers(0, NOISE_SLOTS, (height, width),
+    dtype=np.uint16)` for numpy's PCG64. The pixel is clip(painted +
+    T[slot], 0, 255), where T is the inverse CDF of rint(N(0,
+    noise_sigma)) at 2**-16 resolution (offsets end at about +-4.3 sigma;
+    see `_noise_tables`). Only the painted box's pixels are made here; the
+    frame keeps the slots for the rest.
     """
     if noise_sigma > 0.0 and rng is None:
         raise ValueError("noise_sigma > 0 requires an rng")
     painted = EMPTY_BOX
-    patch = _NO_PIXELS
+    spans = _NO_SPANS
     quad = None
     if vehicle is not None:
-        P = camera_matrix(camera)
-        quad = [project_xyz(P, x, y)
-                for x, y in _vehicle_corners(vehicle, *vehicle_dims)]
+        quad = _ground_pixels(_matrix_rows(camera),
+                              _vehicle_corners(vehicle, *vehicle_dims))
         if None in quad:
             quad = None
     if quad is not None:
@@ -205,30 +252,44 @@ def render_frame(camera: CameraModel, vehicle: Optional[Pose2D],
         v0 = max(0, math.ceil(min(vs)))
         v1 = min(camera.height - 1, math.floor(max(vs)))
         if u0 <= u1 and v0 <= v1:
-            # one row of u and one column of v broadcast to the box: the
-            # same float arithmetic per pixel as a full coordinate grid
             uu = np.arange(u0, u1 + 1)
-            vv = np.arange(v0, v1 + 1)[:, None]
+            vv = np.arange(v0, v1 + 1)
             edges = list(zip(quad, quad[1:] + quad[:1]))
             # convex quad: every edge's cross product (x2 - x1)(v - y1) -
             # (y2 - y1)(u - x1) has the winding's sign (or is zero). Compare
             # its two terms instead: for finite doubles fl(a - b) >= 0
-            # exactly when a >= b. The four edges are one (4, 1, 1)
-            # broadcast, each pixel's arithmetic the same as edge by edge
+            # exactly when a >= b. Both terms of the four edges are one
+            # (4, rows) and one (4, columns) broadcast; negating both, which
+            # is exact, makes the test rows[v] >= cols[u] for either winding
             area = 0.0
             for (x1, y1), (x2, y2) in edges:
                 area += x1 * y2 - x2 * y1
-            on_side = np.greater_equal if area >= 0 else np.less_equal
             x1, y1, dx, dy = np.array(
                 [(x1, y1, x2 - x1, y2 - y1) for (x1, y1), (x2, y2) in edges]
-            ).T.reshape(4, 4, 1, 1)
-            inside = on_side(dx * (vv - y1), dy * (uu - x1)).all(axis=0)
-            patch = np.where(inside, np.uint8(VEHICLE_INTENSITY),
-                             np.uint8(BACKGROUND_INTENSITY))
-            patch.setflags(write=False)
+            ).T[:, :, None]
+            rows = dx * (vv - y1)
+            cols = dy * (uu - x1)
+            if area < 0:
+                rows, cols, dy = -rows, -cols, -dy
+            # each edge's cols rises with u where dy >= 0 and falls where
+            # dy < 0, so the columns with cols <= rows are a prefix or a
+            # suffix of the box's row: the run's end or its start
+            n = len(uu)
+            spans = np.empty((len(vv), 2), dtype=np.int64)
+            spans[:] = 0, n
+            lo, hi = spans[:, 0], spans[:, 1]
+            for r, c, rising in zip(rows, cols, (dy[:, 0] >= 0).tolist()):
+                if rising:
+                    np.minimum(hi, np.searchsorted(c, r, "right"), out=hi)
+                else:
+                    np.maximum(lo, n - np.searchsorted(c[::-1], r, "right"),
+                               out=lo)
+            np.maximum(hi, lo, out=hi)  # an empty run is [lo, lo)
+            spans += u0
+            spans.setflags(write=False)
             painted = (v0, v1 + 1, u0, u1 + 1)
     if not noise_sigma > 0.0:
-        return Frame(patch, t, painted, camera.height, camera.width)
+        return Frame(spans, t, painted, camera.height, camera.width)
     offsets, _ = _noise_tables(noise_sigma)
     n = camera.height * camera.width
     words = rng.integers(0, 1 << 64, -(-n // 4), dtype=np.uint64)
@@ -236,11 +297,12 @@ def render_frame(camera: CameraModel, vehicle: Optional[Pose2D],
         camera.height, camera.width)
     slots.setflags(write=False)
     v0, v1, u0, u1 = painted
-    patch = np.clip(patch + offsets[slots[v0:v1, u0:u1]], 0, 255)
+    patch = np.clip(_span_patch(painted, spans)
+                    + offsets[slots[v0:v1, u0:u1]], 0, 255)
     patch = patch.astype(np.uint8)
     patch.setflags(write=False)
-    return Frame(patch, t, painted, camera.height, camera.width, slots,
-                 noise_sigma)
+    return Frame(spans, t, painted, camera.height, camera.width, patch,
+                 slots, noise_sigma)
 
 
 def _box_union(a, b):
@@ -259,8 +321,11 @@ def _in_box(frame: Frame, box) -> np.ndarray:
     background: one table lookup per pixel of the box. An empty painted
     box pastes nothing: each of its slices has equal ends.
     """
+    patch = frame.patch
+    if patch is None:
+        patch = _span_patch(frame.painted, frame.spans)
     if frame.painted == box:
-        return frame.patch
+        return patch
     v0, v1, u0, u1 = box
     pv0, pv1, pu0, pu1 = frame.painted
     if frame.slots is None:
@@ -270,7 +335,7 @@ def _in_box(frame: Frame, box) -> np.ndarray:
         # so "wrap" never wraps; it only skips the per-index bounds check
         out = np.take(_noise_tables(frame.sigma)[1],
                       frame.slots[v0:v1, u0:u1], mode="wrap")
-    out[pv0 - v0:pv1 - v0, pu0 - u0:pu1 - u0] = frame.patch
+    out[pv0 - v0:pv1 - v0, pu0 - u0:pu1 - u0] = patch
     return out
 
 
@@ -301,15 +366,16 @@ def _foreground_components(background: Frame, current: Frame,
     """4-connected foreground components as (area, bbox, centroid) tuples.
 
     Both frames must have one size and one sigma: a tracker's background
-    comes from its own camera, at its sigma. The union of the two frames'
+    comes from its own camera, at its sigma. Two noise-free frames differ
+    exactly where one of them is painted and the other is not, by
+    VEHICLE_INTENSITY - BACKGROUND_INTENSITY, so their foreground is the
+    XOR of their row runs (`_span_runs`), or nothing at a threshold of
+    that difference or more. Between two noisy frames the union of their
     boxes is differenced from pixels, each frame's part of it built from
-    its patch (`_in_box`). Outside it both frames are background: two flat
-    ones are equal there, which a non-negative threshold never counts as
-    foreground, and two noisy ones differ where the current frame's slot
-    lies outside the background's slot limits (`_slot_limits`). Only the
-    noisy whole-image mask drops one-pixel specks before labelling (see
-    `_components`): it holds many, and on a box mask the filter only costs
-    time.
+    its patch (`_in_box`), and outside it the current frame's slot is
+    foreground where it lies outside the background's slot limits
+    (`_slot_limits`). Only the noisy whole-image mask drops one-pixel
+    specks before labelling (see `_components`): it holds many.
     """
     if (background.height, background.width) != (current.height, current.width):
         raise ValueError("frame dimensions differ between background and current")
@@ -323,35 +389,52 @@ def _foreground_components(background: Frame, current: Frame,
         lo, hi = _slot_limits(background, threshold)
         mask = current.slots < lo
         mask |= current.slots > hi
-        mask[v0:v1, u0:u1] = _box_mask(background, current, box, threshold)
+        a, b = _in_box(background, box), _in_box(current, box)
+        # |a - b| in uint8 without widening casts
+        mask[v0:v1, u0:u1] = np.maximum(a, b) - np.minimum(a, b) > threshold
         return _components(mask, min_area, 0, 0, drop_specks=True)
-    if v0 >= v1 or u0 >= u1:
+    if (v0 >= v1 or u0 >= u1
+            or threshold >= VEHICLE_INTENSITY - BACKGROUND_INTENSITY):
         return []
-    mask = _box_mask(background, current, box, threshold)
-    return _components(mask, min_area, v0, u0)
+    stride = u1 - u0 + 1  # as `_components` lays out a mask of the box
+    starts, ends = _span_runs(background, current, box, stride)
+    return _labelled(starts, ends, stride, min_area, v0, u0)
 
 
-def _box_mask(background: Frame, current: Frame, box, threshold: int):
-    """Where the two frames differ by more than threshold inside a box
-    that holds both painted boxes."""
-    a, b = _in_box(background, box), _in_box(current, box)
-    # |a - b| in uint8 without widening casts
-    return np.maximum(a, b) - np.minimum(a, b) > threshold
+def _span_runs(background: Frame, current: Frame, box, stride: int):
+    """The row runs of the XOR of two noise-free frames inside a box that
+    holds both painted boxes, as `_components` finds them in a mask of the
+    box: half-open, at row * stride + col, in raster order.
+
+    When one frame paints nothing the runs are the other's. Otherwise, per
+    row, the symmetric difference of two runs is [p0, p1) and [p2, p3) for
+    their four ends sorted, one run [p0, p3) when those touch (p1 == p2);
+    an empty run is left out.
+    """
+    v0, v1, u0, _ = box
+    painted = [f for f in (background, current) if f.painted[0] < f.painted[1]]
+    if len(painted) == 1:
+        ends = painted[0].spans
+    else:
+        ends = np.zeros((v1 - v0, 4), dtype=np.int64)
+        for k, frame in enumerate(painted):
+            fv0, fv1 = frame.painted[:2]
+            ends[fv0 - v0:fv1 - v0, 2 * k:2 * k + 2] = frame.spans
+        ends.sort(axis=1)
+        touch = ends[:, 1] == ends[:, 2]
+        ends[touch, 1:3] = ends[touch, 3:]
+    ends = ends + (np.arange(v1 - v0)[:, None] * stride - u0)
+    starts, ends = ends[:, 0::2], ends[:, 1::2]
+    runs = starts < ends
+    return starts[runs], ends[runs]
 
 
 def _components(mask: np.ndarray, min_area: int, v_off: int, u_off: int,
                 drop_specks: bool = False):
     """4-connected components of a boolean mask as (area, bbox, centroid).
 
-    Components come in raster order of their first pixel and those under
-    min_area are left out; (v_off, u_off) is the frame position of the
-    mask's top-left pixel. Works on row runs: a run joins each run of the
-    row above that shares a column with it, and each component is labelled
-    by its first run. A mask of at most SWEEP_MAX_RUNS runs, such as a
-    noise-free frame's vehicle box, is labelled by a scalar sweep over
-    the runs (`_sweep_runs`); a denser one, such as a noisy whole-frame
-    mask, by array union-find (`_array_runs`), for which the per-run cost
-    of the sweep is too high.
+    (v_off, u_off) is the frame position of the mask's top-left pixel; the
+    mask's row runs are labelled by `_labelled`.
 
     With drop_specks and min_area > 1, pixels with no foreground
     4-neighbour are cleared before the run scan. Each is a one-pixel
@@ -369,7 +452,24 @@ def _components(mask: np.ndarray, min_area: int, v_off: int, u_off: int,
         body &= (flat[stride - 1:-stride - 1] | flat[stride + 1:-stride + 1]
                  | flat[:-2 * stride] | flat[2 * stride:])
     edges = np.flatnonzero(body != flat[stride - 1:-stride - 1])
-    starts, ends = edges[0::2], edges[1::2]  # half-open, as row * stride + col
+    # half-open, as row * stride + col
+    return _labelled(edges[0::2], edges[1::2], stride, min_area, v_off, u_off)
+
+
+def _labelled(starts: np.ndarray, ends: np.ndarray, stride: int,
+              min_area: int, v_off: int, u_off: int):
+    """The 4-connected components of row runs as (area, bbox, centroid).
+
+    The runs are half-open, at row * stride + col with every col below
+    stride, in raster order; (v_off, u_off) is the frame position of row 0,
+    col 0. Components come in raster order of their first pixel and those
+    under min_area are left out. A run joins each run of the row above
+    that shares a column with it, and each component is labelled by its
+    first run. At most SWEEP_MAX_RUNS runs, such as a noise-free frame's
+    vehicle, are labelled by a scalar sweep over the runs (`_sweep_runs`);
+    more, such as a noisy whole-frame mask's, by array union-find
+    (`_array_runs`), for which the per-run cost of the sweep is too high.
+    """
     label = _sweep_runs if len(starts) <= SWEEP_MAX_RUNS else _array_runs
     return [(n_px, BoundingBox(u0 + u_off, v0 + v_off, u1 + u_off, v1 + v_off),
              (x, y))
@@ -379,7 +479,7 @@ def _components(mask: np.ndarray, min_area: int, v_off: int, u_off: int,
 
 def _sweep_runs(starts: np.ndarray, ends: np.ndarray, stride: int,
                 min_area: int, v_off: int, u_off: int):
-    """`_components`' rows (area, u_min, v_min, u_max, v_max, cu, cv) from
+    """`_labelled`'s rows (area, u_min, v_min, u_max, v_max, cu, cv) from
     its runs, by scalar passes over plain lists; the box is not yet offset.
 
     The first pass joins each run to the runs of the row above that overlap

@@ -71,11 +71,14 @@ def depth_approximation_report(camera: CameraModel, d: float,
     }
 
 
-def frame_from_pixels(px: np.ndarray, t: float) -> Frame:
-    """A noise-free frame painted over its whole image: the dense reference
-    that the detector's box and slot paths are checked against."""
-    height, width = px.shape
-    return Frame(px, t, (0, height, 0, width), height, width)
+def whole_image(frame: Frame) -> Frame:
+    """A noise-free frame with the pixels of noise-free `frame`, painted
+    over its whole image: its runs, and an empty run on every other row."""
+    spans = np.zeros((frame.height, 2), dtype=np.int64)
+    v0, v1 = frame.painted[:2]
+    spans[v0:v1] = frame.spans
+    return Frame(spans, frame.capture_time, (0, frame.height, 0, frame.width),
+                 frame.height, frame.width)
 
 
 @pytest.fixture(scope="session")

@@ -157,6 +157,35 @@ class TestScenarioConfig:
         assert key in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("section, key, value, error", [
+        ("link", "drop_probability", 2,
+         "scenario.link: drop_probability must be in [0, 1]"),
+        ("controller", "kp", -1,
+         "scenario.controller: kp, u_max, v_cruise must be positive"),
+        ("plan", "lookahead_m", 0, "scenario.plan: interp_spacing and "
+         "lookahead_m must be positive"),
+        ("cameras", "z", None, "scenario.cameras[1].z missing")],
+        ids=["link", "controller", "plan", "camera_without_z"])
+    def test_nested_error_names_its_section(self, section, key, value, error,
+                                            tmp_path, capsys):
+        # a range check inside a nested object starts with the object's
+        # section, and a camera without z is a missing key, not a camera
+        # on the road plane
+        obj = load_scenario("straight_3ms").to_json_obj()
+        if section == "cameras":
+            del obj["cameras"][1][key]
+        else:
+            obj[section][key] = value
+        with pytest.raises(ScenarioError) as exc:
+            ScenarioConfig.from_json_obj(obj)
+        assert str(exc.value) == error
+        path = tmp_path / "nested.json"
+        path.write_text(json.dumps(obj))
+        assert cli.main(["run", "--scenario", str(path),
+                         "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_frame_rate_above_the_ceiling_rejected(self, tmp_path):
         # a frame period under half an ulp of the frame clock never advances
         # it, so the camera's due loop would never end
@@ -225,9 +254,10 @@ class TestScenarioConfig:
                     assert (json.dumps(value(doc, path))
                             == json.dumps(json.loads(default[1:-1]))), path
         for path in required:
-            # a ScenarioError, or for a camera's z the InvalidCameraError of
-            # its default height 0, which is no camera above the road
-            with pytest.raises(ValueError):
+            # named as missing, a camera's z too, although its field
+            # defaults to the road plane
+            with pytest.raises(ScenarioError,
+                               match=re.escape(f".{path} missing")):
                 ScenarioConfig.from_json_obj(minimal(skip=path))
 
     def test_unknown_bundled_name(self):
