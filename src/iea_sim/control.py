@@ -10,7 +10,7 @@ exponential output filter (y_k = alpha * u_k + (1 - alpha) * y_{k-1}).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .dynamics import DbwCommand
 from .geometry import Pose2D, wrap_angle
@@ -86,8 +86,8 @@ def select_target(path: list[tuple[float, float]], cstate: ControllerState,
     while i < len(path) - 1 and dist[i - start] < lookahead_m:
         i += 1
     complete = i == len(path) - 1 and dist[i - start] < lookahead_m
-    return path[i], replace(cstate, target_index=i,
-                            path_complete=cstate.path_complete or complete)
+    return path[i], ControllerState(cstate.y_prev, i,
+                                    cstate.path_complete or complete)
 
 
 def filter_step(y_prev: float, u_new: float, alpha: float) -> float:
@@ -112,4 +112,4 @@ def heading_control(pose: Pose2D, target: tuple[float, float],
     u_sat = min(max(params.kp * e, -params.u_max), params.u_max)
     y = filter_step(cstate.y_prev, u_sat, params.alpha)
     return (DbwCommand(params.v_cruise, y),
-            replace(cstate, y_prev=y))
+            ControllerState(y, cstate.target_index, cstate.path_complete))

@@ -6,8 +6,10 @@ OS process per node talking UDP on loopback. Both build the nodes of
 `ScenarioConfig.nodes` from the scenario; the vehicle node logs each step
 and alone ends a run, and `write_run` then writes the run logs (`runlog`).
 The loops differ only in their clock (simulated `i * dt`, or the paced
-wall clock) and transport. `run_scenario` writes `scenario.json` before
-either starts.
+wall clock) and transport. In both a camera steps only when its next
+frame is due: lockstep skips it on the ticks between its frames, and a
+camera process sleeps until then. `run_scenario` writes `scenario.json`
+before either starts.
 """
 
 from __future__ import annotations
@@ -81,11 +83,16 @@ def run_lockstep(cfg: ScenarioConfig, out_dir: Path,
     while not done:
         t = i * dt
         for m in mssps:
-            for est in m.step(t, net.deliver(m.id, t)):
-                net.send(est, ["veh"], t)
+            # a camera takes its poses when its frame is due: it keeps only
+            # the latest, and each delivery is logged at its own time
+            if m.due(t):
+                for est in m.step(t, net.deliver(m.id, t)):
+                    net.send(est, ["veh"], t)
         pose_msg, done = vehicle.step(t, net.deliver("veh", t))
         net.send(pose_msg, vehicle.cameras, t + dt)
         i += 1
+    for m in mssps:  # log the poses that arrived after a camera's last frame
+        net.deliver(m.id, t)
 
     return write_run(out_dir, vehicle, cfg, sorted(net.records))
 

@@ -15,9 +15,11 @@ name that is not a string raises ValueError at the sender.
 Two transports share this codec and send by node id, encoding a message
 once for all its destinations: a seeded lockstep queue with injected
 uniform latency and Bernoulli drops (deterministic delivery order, ties on
-delivery time broken by sender then seq), which also decodes it once, and
-a UDP socket per node for the distributed mode. Node logic runs
-unmodified over either.
+delivery time broken by sender then seq), which hands over the sent
+message itself, and a UDP socket per node for the distributed mode, which
+decodes what arrives. A message whose float fields hold Python floats
+decodes to itself, field for field and bit for bit, so node logic runs
+unmodified over either and sees the same message.
 """
 
 from __future__ import annotations
@@ -177,13 +179,14 @@ class LinkConfig:
 class LockstepNetwork:
     """Single-threaded simulated datagram network with injected latency.
 
-    `send` encodes a message and decodes those bytes once, so the wire
-    format is exercised even in lockstep, and every destination receives
-    that decoded message. Each link draws from its own rng, seeded from
-    `seed` (the scenario seed), and the heap is keyed on (delivery_time,
-    sender, seq, send_counter), so delivery order is a pure function of
-    `seed`. Every delivery is logged in `records` as (t_received, sender,
-    receiver, bytes, latency).
+    `send` encodes a message, which validates it and gives its size, and
+    every destination receives the (frozen) message itself: with Python
+    floats in its float fields it is what `decode` makes of the bytes,
+    because the codec writes each number as its exact repr. Each link
+    draws from its own rng, seeded from `seed` (the scenario seed), and
+    the heap is keyed on (delivery_time, sender, seq, send_counter), so
+    delivery order is a pure function of `seed`. Every delivery is logged
+    in `records` as (t_received, sender, receiver, bytes, latency).
     """
 
     def __init__(self, cfg: LinkConfig, seed: int = 0):
@@ -212,8 +215,7 @@ class LockstepNetwork:
                 raise KeyError(f"unknown destination node {dest!r}")
         if not dests:
             return
-        data = encode(msg)
-        nbytes, received = len(data), decode(data)
+        nbytes = len(encode(msg))
         for dest in dests:
             rng = self._rng(msg.sender, dest)
             latency = rng.uniform(self.cfg.latency_min, self.cfg.latency_max)
@@ -224,7 +226,7 @@ class LockstepNetwork:
             self._counter += 1
             heapq.heappush(self._queues[dest],
                            (now + latency, msg.sender, msg.seq, self._counter,
-                            nbytes, received))
+                            nbytes, msg))
 
     def deliver(self, node_id: str, now: float) -> list[WireMessage]:
         """Pop all messages due at or before `now`."""

@@ -117,6 +117,11 @@ class MsspNode:
         self.frame_seq = 0
         self.est_seq = 0
 
+    def due(self, now: float) -> bool:
+        """Whether a frame falls due at or before `now`: `step` at `now`
+        then processes one, and before that it only keeps the poses."""
+        return self.frame_clock <= now + 1e-12
+
     def step(self, now: float, inbox: list) -> list[EstimateMessage]:
         """Consume pose messages, process the most recent due camera frame
         (skipping any older backlog), emit estimates."""
@@ -128,13 +133,15 @@ class MsspNode:
         # beyond the most recent due frame instead of bursting through it.
         # Jump to a period short of it (the division may round either way),
         # then step on with the due test and the arithmetic used below.
+        # Neither moves the clock past `now`, so `due` gives the same
+        # answer before them as after.
         behind = now - self.frame_clock
         if behind > self.frame_period:
             self.frame_clock += ((int(behind / self.frame_period) - 1)
                                  * self.frame_period)
         while self.frame_clock + self.frame_period <= now + 1e-12:
             self.frame_clock += self.frame_period
-        if self.frame_clock > now + 1e-12:
+        if not self.due(now):
             return []
         t_frame = self.frame_clock
         self.frame_clock += self.frame_period

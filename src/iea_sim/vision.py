@@ -21,9 +21,11 @@ XOR of the two frames' runs, at most two per row, with no pixel made.
 Two noisy frames are differenced from pixels in the union of their
 boxes, and outside it the slots are compared against per-pixel slot
 limits of the background, so noisy detection costs two slot comparisons
-per pixel plus the box. Few row runs, such as a noise-free frame's, are
-labelled by a scalar sweep; the dense masks of noisy frames, by array
-union-find, which costs less per run there.
+per pixel plus the box. A stack of row runs, one per row, such as a
+noise-free frame's vehicle, is one component and is summed without
+labelling; other sets of few runs are labelled by a scalar sweep, and the
+dense masks of noisy frames by array union-find, which costs less per
+run there.
 
 Pixel noise is rint(N(0, sigma)) at 2**-16 resolution: each pixel takes
 one 16-bit slot i, four to a 64-bit draw, and its offset is the inverse
@@ -36,7 +38,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -465,16 +467,59 @@ def _labelled(starts: np.ndarray, ends: np.ndarray, stride: int,
     col 0. Components come in raster order of their first pixel and those
     under min_area are left out. A run joins each run of the row above
     that shares a column with it, and each component is labelled by its
-    first run. At most SWEEP_MAX_RUNS runs, such as a noise-free frame's
-    vehicle, are labelled by a scalar sweep over the runs (`_sweep_runs`);
-    more, such as a noisy whole-frame mask's, by array union-find
-    (`_array_runs`), for which the per-run cost of the sweep is too high.
+    first run. A stack of runs, one per row on consecutive rows, each
+    sharing a column with the next, is one component and is summed
+    without labelling (`_stack_runs`): a noise-free frame's vehicle is
+    one. Other sets of at most SWEEP_MAX_RUNS runs are labelled by a scalar
+    sweep over the runs (`_sweep_runs`); more, such as a noisy whole-frame
+    mask's, by array union-find (`_array_runs`), for which the per-run
+    cost of the sweep is too high.
     """
-    label = _sweep_runs if len(starts) <= SWEEP_MAX_RUNS else _array_runs
+    rows = _stack_runs(starts, ends, stride, min_area, v_off, u_off)
+    if rows is None:
+        label = _sweep_runs if len(starts) <= SWEEP_MAX_RUNS else _array_runs
+        rows = label(starts, ends, stride, min_area, v_off, u_off)
     return [(n_px, BoundingBox(u0 + u_off, v0 + v_off, u1 + u_off, v1 + v_off),
              (x, y))
-            for n_px, u0, v0, u1, v1, x, y
-            in label(starts, ends, stride, min_area, v_off, u_off)]
+            for n_px, u0, v0, u1, v1, x, y in rows]
+
+
+def _stack_runs(starts: np.ndarray, ends: np.ndarray, stride: int,
+                min_area: int, v_off: int, u_off: int):
+    """`_sweep_runs`' rows when the runs are one stack, else None.
+
+    n runs can be one per row only if the last lies n - 1 rows below the
+    first, which one comparison rules out (a noisy mask fails it). Then
+    run i is taken to lie on row v_min + i, and the runs are a stack
+    exactly when each shares a column with the next on that reading: a
+    run's columns lie below stride, so a pair that is not on consecutive
+    rows, such as two runs of one row, fails the test. The sums are exact
+    ints, and the centroid is `_sweep_runs`' expression, so its bits are
+    the same.
+    """
+    n = len(starts)
+    if not n:
+        return None
+    v_min = int(starts[0]) // stride
+    v_max = v_min + n - 1
+    if int(starts[-1]) // stride != v_max:
+        return None
+    row = np.arange(v_min, v_max + 1)
+    row_start = row * stride
+    col0 = starts - row_start
+    col1 = ends - row_start
+    if not ((col0[1:] < col1[:-1]) & (col0[:-1] < col1[1:])).all():
+        return None
+    length = col1 - col0
+    area = int(length.sum())
+    if area < min_area:
+        return []
+    u_min = int(col0.min())
+    u_sum = int((col0 + col1 - 1) @ length) // 2
+    v_sum = int(row @ length)
+    return [(area, u_min, v_min, int(col1.max()) - 1, v_max,
+             (u_sum - area * u_min) / area + (u_min + u_off),
+             (v_sum - area * v_min) / area + (v_min + v_off))]
 
 
 def _sweep_runs(starts: np.ndarray, ends: np.ndarray, stride: int,
@@ -607,13 +652,13 @@ def track_step(state: TrackerState, frame: Frame
     to Searching and will take a fresh background.
     """
     if state.background is None:
-        return replace(state, mode=SEARCHING, background=frame, frames_lost=0), None
+        return TrackerState(SEARCHING, state.last_box, frame), None
 
     if state.mode == SEARCHING:
         box = detect_by_subtraction(state.background, frame)
         if box is None:
             return state, None
-        new = replace(state, mode=TRACKING, last_box=box, frames_lost=0)
+        new = TrackerState(TRACKING, box, state.background)
         cu, cv = box.center()
         return new, Detection(box, cu, cv, frame.capture_time)
 
@@ -632,8 +677,9 @@ def track_step(state: TrackerState, frame: Frame
         lost = state.frames_lost + 1
         if lost > LOSS_LIMIT:
             return TrackerState(), None  # re-acquire background next frame
-        return replace(state, frames_lost=lost), None
-    new = replace(state, last_box=best, frames_lost=0)
+        return TrackerState(state.mode, state.last_box, state.background,
+                            lost), None
+    new = TrackerState(TRACKING, best, state.background)
     cu, cv = best.center()
     return new, Detection(best, cu, cv, frame.capture_time)
 

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib.util
 import json
 import math
 import os
@@ -21,7 +22,7 @@ from iea_sim.runlog import (compare_runs, export_plot_data, point_to_polyline,
                             read_run_csv, run_columns, summarize,
                             write_net_csv, write_run_csv)
 from iea_sim.netbus import EstimateMessage, PoseMessage, UdpTransport
-from iea_sim.nodes import DRIVING, WAITING_FOR_FIRST_FIX, VehicleNode
+from iea_sim.nodes import DRIVING, WAITING_FOR_FIRST_FIX, MsspNode, VehicleNode
 from iea_sim.scenario import ScenarioConfig, ScenarioError, load_scenario
 
 from conftest import make_camera
@@ -380,9 +381,13 @@ class TestReplay:
         run_scenario(cfg, tmp_path / "run")
         assert time.perf_counter() - start < 5.0
 
-    def test_each_datagram_is_encoded_and_decoded_once(self, tmp_path,
-                                                       monkeypatch):
-        calls = {"encode": 0, "decode": 0, PoseMessage: 0, EstimateMessage: 0}
+    def test_each_datagram_is_encoded_once_and_handed_over(self, tmp_path,
+                                                           monkeypatch):
+        # lockstep encodes each datagram once, for its size and checks, and
+        # delivers the sent message itself: never a decoded copy
+        calls = {"encode": 0, "decode": 0}
+        sent = {PoseMessage: {}, EstimateMessage: {}}  # id -> message
+        delivered = []
 
         def counted(name, fn):
             def wrapper(*args):
@@ -393,16 +398,32 @@ class TestReplay:
         monkeypatch.setattr(netbus, "encode", counted("encode", netbus.encode))
         monkeypatch.setattr(netbus, "decode", counted("decode", netbus.decode))
         send = netbus.LockstepNetwork.send
+        deliver = netbus.LockstepNetwork.deliver
 
-        def counted_send(net, msg, dests, now):
-            calls[type(msg)] += 1
+        def recorded_send(net, msg, dests, now):
+            sent[type(msg)][id(msg)] = msg
             return send(net, msg, dests, now)
 
-        monkeypatch.setattr(netbus.LockstepNetwork, "send", counted_send)
+        def recorded_deliver(net, node_id, now):
+            out = deliver(net, node_id, now)
+            delivered.extend(out)
+            return out
+
+        monkeypatch.setattr(netbus.LockstepNetwork, "send", recorded_send)
+        monkeypatch.setattr(netbus.LockstepNetwork, "deliver",
+                            recorded_deliver)
         run = run_scenario(small_cfg(duration_cap_s=15.0), tmp_path / "run")
-        poses, estimates = calls[PoseMessage], calls[EstimateMessage]
+        poses, estimates = len(sent[PoseMessage]), len(sent[EstimateMessage])
         assert poses == len(run.rows) and estimates > 0
-        assert calls["encode"] == calls["decode"] == poses + estimates
+        assert calls["encode"] == poses + estimates
+        assert calls["decode"] == 0
+        assert len(delivered) == len(run.net_records)
+        for msg in delivered:
+            assert sent[type(msg)][id(msg)] is msg
+            # a numpy scalar here would reach the CSVs as np.float64(...)
+            for field in dataclasses.fields(msg):
+                if field.type == "float":
+                    assert type(getattr(msg, field.name)) is float, field.name
         # each pose reaches all three cameras: deliveries outnumber datagrams
         assert len(run.net_records) > 2 * poses
 
@@ -424,6 +445,72 @@ class TestReplay:
         assert run.est_records
         _assert_json_close(summarize(run.rows, run.est_records,
                                      run.net_records, run.cfg), run.summary)
+
+
+def _polling_lockstep(cfg, out_dir):
+    """`run_lockstep` as it ran before a camera stepped only when its frame
+    was due: every camera takes its poses and steps on every tick."""
+    dt = cfg.dt
+    net = netbus.LockstepNetwork(cfg.link, cfg.seed)
+    for node_id in cfg.nodes():
+        net.register(node_id)
+    vehicle = VehicleNode(cfg)
+    mssps = [MsspNode(cfg, mid) for mid in vehicle.cameras]
+    i, done = 0, False
+    while not done:
+        t = i * dt
+        for m in mssps:
+            for est in m.step(t, net.deliver(m.id, t)):
+                net.send(est, ["veh"], t)
+        pose_msg, done = vehicle.step(t, net.deliver("veh", t))
+        net.send(pose_msg, vehicle.cameras, t + dt)
+        i += 1
+    out_dir.mkdir(parents=True)
+    runlog.write_json(out_dir / "scenario.json", cfg.to_json_obj())
+    harness.write_run(out_dir, vehicle, cfg, sorted(net.records))
+
+
+def _lockstep_variant(name, link=None, **kw):
+    base = load_scenario(name)
+    link = dataclasses.replace(base.link, **(link or {}))
+    return dataclasses.replace(base, mode="lockstep", link=link, **kw)
+
+
+class TestDueStepping:
+    # frame periods that fall between ticks (15 Hz, 30 Hz), one shorter
+    # than a tick (70 Hz), three cameras, noise with drops, poses that
+    # arrive after later ones, and a run with no camera
+    CASES = {
+        "smoke_15hz": ("distributed_smoke", {}, {"frame_rate_hz": 15.0}),
+        "smoke_30hz": ("distributed_smoke", {}, {"frame_rate_hz": 30.0}),
+        "smoke_70hz": ("distributed_smoke", {}, {"frame_rate_hz": 70.0}),
+        "corridor_15hz": ("straight_3ms", {}, {"frame_rate_hz": 15.0,
+                                                "duration_cap_s": 16.0}),
+        "noisy_drops": ("distributed_smoke", {"drop_probability": 0.3},
+                        {"noise_sigma": 8.0, "duration_cap_s": 4.0}),
+        "late_poses": ("distributed_smoke", {"latency_min": 0.005,
+                                             "latency_max": 0.07}, {}),
+        "truth_fed": ("baseline_truth_3ms", {}, {"duration_cap_s": 10.0}),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_equals_polling_every_tick(self, case, tmp_path):
+        name, link, kw = self.CASES[case]
+        cfg = _lockstep_variant(name, link, **kw)
+        run_scenario(cfg, tmp_path / "due")
+        _polling_lockstep(cfg, tmp_path / "polled")
+        for out in TestReplay.OUTPUTS:
+            assert ((tmp_path / "due" / out).read_bytes()
+                    == (tmp_path / "polled" / out).read_bytes()), out
+
+    def test_late_poses_arrive_out_of_order(self, tmp_path):
+        # the case above is only a test of reordering if poses reorder
+        cfg = _lockstep_variant("distributed_smoke",
+                                self.CASES["late_poses"][1])
+        run = run_scenario(cfg, tmp_path / "run")
+        t_sent = [rec[0] - rec[4] for rec in run.net_records
+                  if rec[1] == "veh"]
+        assert any(b < a for a, b in zip(t_sent, t_sent[1:]))
 
 
 class TestPointToPolyline:
@@ -509,6 +596,39 @@ class TestSummary:
              str(run_3ms.out_dir)], env=env, capture_output=True, text=True,
             timeout=120)
         assert proc.returncode == 0, proc.stderr
+
+    def test_trials_script_fails_a_run_that_never_stopped(self, tmp_path,
+                                                           monkeypatch,
+                                                           capsys):
+        # every datagram dropped: no fix ever comes, and the vehicle is
+        # still driving at the cap; a short clean run beside it stops
+        spec = importlib.util.spec_from_file_location(
+            "run_trials", ROOT / "scripts" / "run_trials.py")
+        trials = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(trials)
+        blind = load_scenario("straight_3ms").to_json_obj()
+        blind.update(name="blind_3ms", duration_cap_s=3.0)
+        blind["link"]["drop_probability"] = 1.0
+        clean = load_scenario("distributed_smoke").to_json_obj()
+        clean.update(mode="lockstep")
+        paths = []
+        for obj in (clean, blind):
+            paths.append(tmp_path / f"{obj['name']}.json")
+            paths[-1].write_text(json.dumps(obj))
+        out = ["--out", str(tmp_path / "trials")]
+        monkeypatch.setattr(trials, "SCENARIOS", [str(paths[0])])
+        assert trials.main(out) == 0
+        assert "stop_reason=stopped" in capsys.readouterr().out
+        monkeypatch.setattr(trials, "SCENARIOS", [str(p) for p in paths])
+        assert trials.main(out) == 1
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert lines[0].startswith("distributed_smoke ")
+        assert "stop_reason=stopped" in lines[0]
+        assert lines[1].startswith("blind_3ms ")
+        assert "stop_reason=None" in lines[1]
+        assert captured.err == "not stopped: blind_3ms\n"
+        assert (tmp_path / "trials" / "blind_3ms" / "summary.json").is_file()
 
     def test_net_per_link_rate_arithmetic(self):
         rows = [{"t": t, "true_x": 0.0, "true_y": 0.0, "true_v": 3.0,

@@ -30,6 +30,10 @@ POSE = PoseMessage(sender="veh", seq=3, t=1.25, x=12.5, y=-0.75,
 EST = EstimateMessage(sender="mssp2", seq=9, t=2.5, mssp_id="mssp2",
                       x=41.0000001, y=1.5, t_capture=2.45)
 CAMERAS = ("mssp1", "mssp2", "mssp3")
+# signed zeros, subnormals, the smallest normal and the ends of the range
+EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+               2.225073858507201e-308, 1e308, -1e308, 1.7976931348623157e308,
+               -1.7976931348623157e308)
 LOOPBACK = ("127.0.0.1", 0)  # any free port
 
 
@@ -107,6 +111,30 @@ class TestCodec:
         fields = {"kind": kind, **vars(msg)}
         assert encode(msg) == json.dumps(
             fields, separators=(",", ":")).encode("utf-8")
+
+    @settings(max_examples=300)
+    @given(st.booleans(),
+           st.lists(st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(
+               allow_nan=False, allow_infinity=False)), min_size=5, max_size=5),
+           st.integers(0, 2**63), st.text(max_size=20), st.text(max_size=20))
+    def test_decode_of_encode_is_the_message(self, pose, floats, seq, sender,
+                                             mssp_id):
+        # lockstep hands the sent message itself to its receivers, which
+        # is exact only if the bytes decode to it: equal fields, Python
+        # floats, and the same bits (float.hex tells -0.0 from 0.0)
+        if pose:
+            msg = PoseMessage(sender, seq, *floats)
+            float_fields = ("t", "x", "y", "psi", "v")
+        else:
+            msg = EstimateMessage(sender, seq, floats[0], mssp_id,
+                                  *floats[1:4])
+            float_fields = ("t", "x", "y", "t_capture")
+        back = decode(encode(msg))
+        assert back == msg and type(back) is type(msg)
+        for key in float_fields:
+            v = getattr(back, key)
+            assert type(v) is float
+            assert v.hex() == getattr(msg, key).hex(), key
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_encode_rejects_non_finite(self, bad):

@@ -820,6 +820,122 @@ class TestComponents:
             (1, vision.BoundingBox(9, 0, 9, 0))]
 
 
+STACK_FLAWS = ("none", "empty_row", "two_in_row", "right_diagonal",
+               "left_diagonal")
+
+
+@st.composite
+def stack_masks(draw):
+    """A mask of one run per row on consecutive rows, each sharing a column
+    with the next, up to SWEEP_MAX_RUNS + 20 rows tall, and the flaw that
+    was then put in, if any: an empty row between two runs, a second run
+    in one row, or a run that meets the one above only at a corner (its
+    first column is the column after the run above, or its last column the
+    one before it). A flawed mask is not a stack."""
+    n = draw(st.integers(1, vision.SWEEP_MAX_RUNS + 20))
+    width = draw(st.integers(1, 12))
+    flaw = draw(st.sampled_from(STACK_FLAWS if n > 1
+                                else ("none", "two_in_row")))
+    runs = []
+    for _ in range(n):
+        if runs:  # shares a column with the run above
+            a0, a1 = runs[-1]
+            c0 = draw(st.integers(0, a1 - 1))
+            c1 = draw(st.integers(max(c0, a0) + 1, width))
+        else:
+            c0 = draw(st.integers(0, width - 1))
+            c1 = draw(st.integers(c0 + 1, width))
+        runs.append((c0, c1))
+    k = draw(st.integers(1, n - 1)) if n > 1 else 0
+    if flaw == "right_diagonal":
+        length = runs[k][1] - runs[k][0]
+        runs[k] = (runs[k - 1][1], runs[k - 1][1] + length)
+    elif flaw == "left_diagonal":
+        length = runs[k][1] - runs[k][0]
+        runs[k] = (runs[k - 1][0] - length, runs[k - 1][0])
+    # room for a diagonal run on either side and for a second run
+    shift = max(0, -min(c0 for c0, _ in runs))
+    mask = np.zeros((n, shift + max(c1 for _, c1 in runs) + 2), dtype=bool)
+    for row, (c0, c1) in zip(mask, runs):
+        row[shift + c0:shift + c1] = True
+    if flaw == "two_in_row":
+        mask[k, -1] = True
+    elif flaw == "empty_row":
+        mask = np.insert(mask, k, False, axis=0)
+    return mask, flaw
+
+
+class TestStacks:
+    @staticmethod
+    def _labeller_calls(monkeypatch):
+        """The names of the labellers `_labelled` calls, in order."""
+        calls = []
+
+        def spy(name):
+            label = getattr(vision, name)
+
+            def call(*args):
+                calls.append(name)
+                return label(*args)
+            return call
+
+        for name in ("_sweep_runs", "_array_runs"):
+            monkeypatch.setattr(vision, name, spy(name))
+        return calls
+
+    @settings(max_examples=150, deadline=None)
+    @given(stack_masks(), st.sampled_from(("one", "at", "just_below")),
+           st.integers(0, 600), st.integers(0, 800))
+    def test_match_flood_fill(self, stack, min_area_case, v_off, u_off):
+        # a stack is summed without labelling; any other run set goes to the
+        # sweep or to union-find, as before. Either way the area, box and
+        # centroid bits are the flood fill's, also with the component's
+        # area at min_area and one below it
+        mask, flaw = stack
+        area = int(mask.sum())
+        min_area = {"one": 1, "at": area, "just_below": area + 1}[
+            min_area_case]
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            calls = self._labeller_calls(monkeypatch)
+            comps = vision._components(mask, min_area, v_off, u_off)
+        assert repr(comps) == repr(_flood_fill_components(mask, min_area,
+                                                          v_off, u_off))
+        n_runs = np.count_nonzero(np.diff(mask, axis=1, prepend=False)
+                                  & mask)
+        assert calls == ([] if flaw == "none" else
+                         ["_sweep_runs" if n_runs <= vision.SWEEP_MAX_RUNS
+                          else "_array_runs"])
+
+    @pytest.mark.parametrize("rows, stack", [
+        (["###", ".##", "##."], True),
+        (["#", "#"], True),
+        (["#." * 80 + "#"], False),
+        (["##..", "..##"], False),
+        (["..##", "##.."], False),
+        (["##.", "...", ".##"], False),
+        (["###", "#.#"], False),
+        (["#.#", "###"], False)],
+        ids=["stack", "column", "one_row", "right_diagonal", "left_diagonal",
+             "empty_row", "two_below", "two_above"])
+    def test_shapes(self, rows, stack, monkeypatch):
+        mask = _mask(rows)
+        calls = self._labeller_calls(monkeypatch)
+        for min_area in (1, int(mask.sum()), int(mask.sum()) + 1):
+            comps = vision._components(mask, min_area, 3, 5)
+            assert repr(comps) == repr(_flood_fill_components(mask, min_area,
+                                                              3, 5))
+        assert (not calls) == stack
+
+    def test_tall_stack(self, monkeypatch):
+        # taller than the sweep's limit: summed all the same
+        mask = _mask([("." * (k % 4) + "#" * 5).ljust(10, ".")
+                      for k in range(vision.SWEEP_MAX_RUNS + 30)])
+        calls = self._labeller_calls(monkeypatch)
+        comps = vision._components(mask, 1, 2, 4)
+        assert len(comps) == 1 and not calls
+        assert repr(comps) == repr(_flood_fill_components(mask, 1, 2, 4))
+
+
 SPAN_H, SPAN_W = 10, 14
 
 
