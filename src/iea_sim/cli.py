@@ -21,6 +21,7 @@ import sys
 from pathlib import Path
 
 from .harness import mssp_node_main, run_scenario, vehicle_node_main
+from .nodes import VEHICLE_ID
 from .runlog import compare_runs, export_plot_data
 from .scenario import ScenarioError, load_scenario
 
@@ -93,7 +94,7 @@ def _cmd_node(args) -> int:
     if args.id not in ids:
         raise ValueError(f"--id {args.id!r} names no node of scenario "
                          f"{cfg.name!r}; valid ids: {', '.join(ids)}")
-    if args.id == "veh":
+    if args.id == VEHICLE_ID:
         return vehicle_node_main(cfg, Path(args.out))
     return mssp_node_main(cfg, args.id, Path(args.out),
                           dump_frames=args.dump_frames)

@@ -3,13 +3,15 @@
 Runs execute either in single-process lockstep (deterministic:
 byte-identical CSVs for identical scenario+seed) or distributed, with one
 OS process per node talking UDP on loopback. Both build the nodes of
-`ScenarioConfig.nodes` from the scenario; the vehicle node logs each step
-and alone ends a run, and `write_run` then writes the run logs (`runlog`).
-The loops differ only in their clock (simulated `i * dt`, or the paced
-wall clock) and transport. In both a camera steps only when its next
-frame is due: lockstep skips it on the ticks between its frames, and a
-camera process sleeps until then. `run_scenario` writes `scenario.json`
-before either starts.
+`ScenarioConfig.nodes` from the scenario and drive them through one
+contract (`nodes`): each node says when it is next due, steps on its
+inbox, and its messages go to its peers. Lockstep steps them on the tick
+grid `i * dt` over a `LockstepNetwork`, each camera whose frame is due and
+then the vehicle, and a message leaves at its own stamp. In a distributed
+run each node process is one paced loop on the wall clock, which stamps
+every message at its socket write. The vehicle node logs each step and
+alone ends a run, and `write_run` then writes the run logs (`runlog`).
+`run_scenario` writes `scenario.json` before either starts.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from pathlib import Path
 from subprocess import PIPE
 
 from .netbus import LockstepNetwork, UdpTransport
-from .nodes import STOP_TAIL_S, MsspNode, VehicleNode
+from .nodes import VEHICLE_ID, MsspNode, VehicleNode
 from .runlog import (RowList, read_run_csv, summarize, write_estimates_csv,
                      write_json, write_net_csv, write_run_csv)
 from .scenario import ScenarioConfig, load_scenario
@@ -78,18 +80,20 @@ def run_lockstep(cfg: ScenarioConfig, out_dir: Path,
         net.register(node_id)
     vehicle = VehicleNode(cfg)
     frames = out_dir / "frames" if dump_frames else None
-    mssps = [MsspNode(cfg, mid, frames) for mid in vehicle.cameras]
-    i, done = 0, False
-    while not done:
+    mssps = [MsspNode(cfg, mid, frames) for mid in vehicle.peers]
+    i = 0
+    while not vehicle.done:
         t = i * dt
         for m in mssps:
             # a camera takes its poses when its frame is due: it keeps only
             # the latest, and each delivery is logged at its own time
             if m.due(t):
-                for est in m.step(t, net.deliver(m.id, t)):
-                    net.send(est, ["veh"], t)
-        pose_msg, done = vehicle.step(t, net.deliver("veh", t))
-        net.send(pose_msg, vehicle.cameras, t + dt)
+                for msg in m.step(t, net.deliver(m.id, t)):
+                    net.send(msg, m.peers, msg.t)
+        # a message leaves at its stamp: an estimate at its step, a pose a
+        # control step later
+        for msg in vehicle.step(t, net.deliver(vehicle.id, t)):
+            net.send(msg, vehicle.peers, msg.t)
         i += 1
     for m in mssps:  # log the poses that arrived after a camera's last frame
         net.deliver(m.id, t)
@@ -121,14 +125,14 @@ def run_distributed(cfg: ScenarioConfig, out_dir: Path,
                 stdin=PIPE, stdout=PIPE, text=True)
         _start_nodes(procs)
         try:
-            rc = procs["veh"].wait(timeout=timeout)
+            rc = procs[VEHICLE_ID].wait(timeout=timeout)
         except subprocess.TimeoutExpired:
             raise RuntimeError(f"vehicle node still running after {timeout} s; "
                                f"partial logs in {out_dir}") from None
         # camera nodes outlive the vehicle; one that has already exited
         # with an error crashed during the run
         for mid, p in procs.items():
-            if mid != "veh" and p.poll():
+            if mid != VEHICLE_ID and p.poll():
                 raise RuntimeError(f"camera node {mid} exited with status "
                                    f"{p.returncode}; partial logs "
                                    f"in {out_dir}")
@@ -197,54 +201,43 @@ def _await_epoch() -> float:
     return float(line)
 
 
-def _close(transport: UdpTransport) -> None:
-    """Close a node's socket; report the datagrams it could not decode."""
-    transport.close()
-    if transport.rejected:
-        print(f"{transport.node_id}: ignored {transport.rejected} "
-              "undecodable datagram(s)", file=sys.stderr)
+def _serve(node, transport: UdpTransport) -> None:
+    """Run `node` in this process from the epoch until it is done: wait
+    until it is due, step it on what arrived and send each of its messages
+    to its peers. Then close the socket and report the datagrams that
+    could not be decoded."""
+    try:
+        transport.epoch = _await_epoch()
+        while not node.done:
+            transport.wait(node.next_due)
+            inbox = transport.drain()
+            # timestamp after the drain so no drained message postdates it
+            for msg in node.step(transport.now(), inbox):
+                # stamp the send time right before the socket write so the
+                # logged one-way latency excludes the step's processing time
+                transport.send(replace(msg, t=transport.now()), node.peers)
+    finally:
+        transport.close()
+        if transport.rejected:
+            print(f"{transport.node_id}: ignored {transport.rejected} "
+                  "undecodable datagram(s)", file=sys.stderr)
 
 
 def mssp_node_main(cfg: ScenarioConfig, node_id: str, out_dir: Path,
                    dump_frames: bool = False) -> int:
-    node = MsspNode(cfg, node_id, out_dir / "frames" if dump_frames else None)
-    transport = UdpTransport(node_id, cfg.nodes())
-    t_end = cfg.duration_cap_s + STOP_TAIL_S
-    try:
-        transport.epoch = _await_epoch()
-        while transport.wait(min(node.frame_clock, t_end)) < t_end:
-            for est in node.step(transport.now(), transport.drain()):
-                # stamp the send time right before the socket write so the
-                # logged one-way latency excludes frame-processing time
-                transport.send(replace(est, t=transport.now()), ["veh"])
-        return 0
-    finally:
-        _close(transport)
+    _serve(MsspNode(cfg, node_id, out_dir / "frames" if dump_frames else None),
+           UdpTransport(node_id, cfg.nodes()))
+    return 0
 
 
 def vehicle_node_main(cfg: ScenarioConfig, out_dir: Path) -> int:
-    dt = cfg.dt
     vehicle = VehicleNode(cfg)
-    transport = UdpTransport("veh", cfg.nodes())
-    step_i, done = 0, False
+    transport = UdpTransport(vehicle.id, cfg.nodes())
     try:
-        transport.epoch = _await_epoch()
-        while not done:
-            now = transport.wait(step_i * dt)
-            if now - step_i * dt > 10 * dt:
-                # processing stall: rejoin the schedule instead of bursting
-                # through the missed control steps
-                step_i = int(now / dt)
-            step_i += 1
-            inbox = transport.drain()
-            # timestamp after the drain so no drained message postdates t
-            t = transport.now()
-            pose_msg, done = vehicle.step(t, inbox)
-            transport.send(pose_msg, vehicle.cameras)
+        _serve(vehicle, transport)
         write_run(out_dir, vehicle, cfg, transport.records)
         return 0
     finally:
-        _close(transport)
         if vehicle.rejected:
             print(f"veh: ignored {vehicle.rejected} estimate(s) from no camera "
                   "of the scenario or captured after their reception",

@@ -19,7 +19,9 @@ delivery time broken by sender then seq), which hands over the sent
 message itself, and a UDP socket per node for the distributed mode, which
 decodes what arrives. A message whose float fields hold Python floats
 decodes to itself, field for field and bit for bit, so node logic runs
-unmodified over either and sees the same message.
+unmodified over either and sees the same message. Each message is sent at
+its `t`: lockstep passes the stamp as the send time, and a node process
+stamps each message right before its socket write.
 """
 
 from __future__ import annotations

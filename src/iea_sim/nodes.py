@@ -8,6 +8,11 @@ for detections fully inside the image. The vehicle node fuses incoming
 estimates, steers toward the lookahead target, broadcasts its true pose
 every dynamics step, logs the run's rows and decides when the run ends.
 
+Both runtimes drive either node through one contract: `step(now, inbox)`
+returns the messages for the node's `peers` (the vehicle for a camera,
+the cameras for the vehicle), `next_due` is the time of its next step on
+its own schedule, and `done` says it has finished.
+
 The vehicle's control path never sees the vehicle's true position: the
 controller receives the fused camera estimate plus the true heading (an
 IMU stand-in). A separate truth-fed mode exists only as the explicit
@@ -38,6 +43,7 @@ WAITING_FOR_FIRST_FIX = "waiting_for_first_fix"
 DRIVING = "driving"
 STOPPED = "stopped"
 
+VEHICLE_ID = "veh"  # the vehicle's node id; cameras are mssp1, mssp2, ...
 STOP_TAIL_S = 2.0  # keep logging this long after the stop is commanded
 DEFAULT_VEHICLE_DIMS = (4.5, 2.0)
 BORDER_MARGIN_PX = 1
@@ -102,6 +108,8 @@ class MsspNode:
         `dump_dir`, created here, if one is given."""
         idx = cfg.mssp_ids().index(node_id)
         self.id = node_id
+        self.peers = [VEHICLE_ID]
+        self.t_end = cfg.duration_cap_s + STOP_TAIL_S  # past the run's end
         self.camera = cfg.cameras[idx]
         self.frame_period = cfg.frame_period
         self.vehicle_dims = cfg.vehicle_dims
@@ -116,6 +124,14 @@ class MsspNode:
         self.frame_clock = 0.0
         self.frame_seq = 0
         self.est_seq = 0
+
+    @property
+    def next_due(self) -> float:
+        return self.frame_clock
+
+    @property
+    def done(self) -> bool:
+        return self.frame_clock >= self.t_end
 
     def due(self, now: float) -> bool:
         """Whether a frame falls due at or before `now`: `step` at `now`
@@ -193,7 +209,10 @@ class VehicleNode:
         self.dt = cfg.dt
         self.t_last = (math.ceil(cfg.duration_cap_s / self.dt) - 1) * self.dt
         self.mssp_ids = cfg.mssp_ids()
-        self.cameras = [node_id for node_id in cfg.nodes() if node_id != "veh"]
+        self.id = VEHICLE_ID
+        self.peers = [n for n in cfg.nodes() if n != VEHICLE_ID]
+        self.steps = 0  # control steps on the schedule so far, see `step`
+        self.done = False
         self.cstate = ControllerState()
         self.phase = WAITING_FOR_FIRST_FIX
         self.pose_seq = 0
@@ -205,7 +224,11 @@ class VehicleNode:
         self.rejected = 0  # estimates dropped unlogged, see `step`
         self.t_stop: Optional[float] = None
 
-    def step(self, now: float, inbox: list) -> tuple[PoseMessage, bool]:
+    @property
+    def next_due(self) -> float:
+        return self.steps * self.dt
+
+    def step(self, now: float, inbox: list) -> list[PoseMessage]:
         """Step at time `now`: fuse the inbox, steer, log the row.
 
         An estimate that names no camera of the scenario, or was captured
@@ -213,10 +236,19 @@ class VehicleNode:
         The first would be fused as one more cell; fusion refuses the second
         with a ValueError, which would end the node.
 
-        Returns the pose to broadcast and whether the run is over: it ends
-        STOP_TAIL_S after the stop, or earlier once the vehicle stands, and
-        at the latest at `t_last`, the last `i * dt` before duration_cap_s.
+        Returns the pose to broadcast, stamped `now + dt`. Sets `done` once
+        the run is over: STOP_TAIL_S after the stop, or earlier once the
+        vehicle stands, and at the latest at `t_last`, the last `i * dt`
+        before duration_cap_s. A step over 10 dt behind its place on the
+        schedule, `steps * dt` (a processing stall), moves the next one to
+        the first place after `now` instead of bursting through the missed
+        steps; in lockstep `now` is its place.
         """
+        dt = self.dt
+        i = self.steps
+        if now > (i + 10) * dt:
+            i = int(now / dt)
+        self.steps = i + 1
         for msg in inbox:
             if isinstance(msg, EstimateMessage):
                 if msg.mssp_id not in self.mssp_ids or msg.t_capture > now:
@@ -263,9 +295,9 @@ class VehicleNode:
             self.last_cmd = DbwCommand(0.0, 0.0)
         cmd = self.last_cmd
 
-        self.state = dynamics.step(state, cmd, self.dt, self.vparams)
+        self.state = dynamics.step(state, cmd, dt, self.vparams)
         self.pose_seq += 1
-        pose_msg = PoseMessage(sender="veh", seq=self.pose_seq, t=now + self.dt,
+        pose_msg = PoseMessage(sender=self.id, seq=self.pose_seq, t=now + dt,
                                x=self.state.pose.x, y=self.state.pose.y,
                                psi=self.state.pose.psi, v=self.state.v)
 
@@ -283,6 +315,6 @@ class VehicleNode:
         self.rows.append(row)
         if self.phase == STOPPED and self.t_stop is None:
             self.t_stop = now
-        done = now >= self.t_last or (self.t_stop is not None and (
+        self.done = now >= self.t_last or (self.t_stop is not None and (
             now - self.t_stop >= STOP_TAIL_S or self.state.v < 1e-3))
-        return pose_msg, done
+        return [pose_msg]

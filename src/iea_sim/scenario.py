@@ -23,7 +23,7 @@ from .dynamics import MAX_STEP_S, VehicleParams
 from .fusion import DEFAULT_STALENESS_TIMEOUT
 from .geometry import CameraModel
 from .netbus import LinkConfig
-from .nodes import DEFAULT_VEHICLE_DIMS, CellLayout
+from .nodes import DEFAULT_VEHICLE_DIMS, VEHICLE_ID, CellLayout
 
 # a camera's frame clock stops once the frame period is under half its ulp;
 # at 1 ns that is after 2**24 s (194 days) of simulated time
@@ -121,7 +121,7 @@ class ScenarioConfig:
         `base_port`, camera k at `base_port + k`, none if truth-fed."""
         cameras = self.mssp_ids() if self.position_source == "cameras" else []
         return {node_id: (self.host, self.base_port + k)
-                for k, node_id in enumerate(["veh", *cameras])}
+                for k, node_id in enumerate([VEHICLE_ID, *cameras])}
 
     def plan_hash(self) -> str:
         blob = json.dumps({"waypoints": self.plan.waypoints,

@@ -23,9 +23,8 @@ boxes, and outside it the slots are compared against per-pixel slot
 limits of the background, so noisy detection costs two slot comparisons
 per pixel plus the box. A stack of row runs, one per row, such as a
 noise-free frame's vehicle, is one component and is summed without
-labelling; other sets of few runs are labelled by a scalar sweep, and the
-dense masks of noisy frames by array union-find, which costs less per
-run there.
+labelling; any other set of runs, such as a noisy frame's mask, is
+labelled by array union-find.
 
 Pixel noise is rint(N(0, sigma)) at 2**-16 resolution: each pixel takes
 one 16-bit slot i, four to a 64-bit draw, and its offset is the inverse
@@ -53,10 +52,6 @@ GATE_PX = 80.0
 LOSS_LIMIT = 5
 NOISE_SLOTS = 1 << 16  # one 16-bit slot per noisy pixel
 NOISE_OFFSET_CAP = 256  # an offset this large saturates any pixel
-# the most runs `_components` labels by a scalar sweep: on random 20-60 px
-# masks its time over array union-find's reads a median 0.95 at 120-139
-# runs and 1.04 at 140-159 (x86-64, one pinned core, numpy 2.4)
-SWEEP_MAX_RUNS = 140
 
 SEARCHING = "searching"
 TRACKING = "tracking"
@@ -376,8 +371,8 @@ def _foreground_components(background: Frame, current: Frame,
     boxes is differenced from pixels, each frame's part of it built from
     its patch (`_in_box`), and outside it the current frame's slot is
     foreground where it lies outside the background's slot limits
-    (`_slot_limits`). Only the noisy whole-image mask drops one-pixel
-    specks before labelling (see `_components`): it holds many.
+    (`_slot_limits`). Only that whole-image mask goes through
+    `_components`, which drops its many one-pixel specks before labelling.
     """
     if (background.height, background.width) != (current.height, current.width):
         raise ValueError("frame dimensions differ between background and current")
@@ -394,7 +389,7 @@ def _foreground_components(background: Frame, current: Frame,
         a, b = _in_box(background, box), _in_box(current, box)
         # |a - b| in uint8 without widening casts
         mask[v0:v1, u0:u1] = np.maximum(a, b) - np.minimum(a, b) > threshold
-        return _components(mask, min_area, 0, 0, drop_specks=True)
+        return _components(mask, min_area, 0, 0)
     if (v0 >= v1 or u0 >= u1
             or threshold >= VEHICLE_INTENSITY - BACKGROUND_INTENSITY):
         return []
@@ -431,17 +426,16 @@ def _span_runs(background: Frame, current: Frame, box, stride: int):
     return starts[runs], ends[runs]
 
 
-def _components(mask: np.ndarray, min_area: int, v_off: int, u_off: int,
-                drop_specks: bool = False):
+def _components(mask: np.ndarray, min_area: int, v_off: int, u_off: int):
     """4-connected components of a boolean mask as (area, bbox, centroid).
 
     (v_off, u_off) is the frame position of the mask's top-left pixel; the
     mask's row runs are labelled by `_labelled`.
 
-    With drop_specks and min_area > 1, pixels with no foreground
-    4-neighbour are cleared before the run scan. Each is a one-pixel
-    component, which min_area leaves out anyway, so the output is the same;
-    on a noisy mask this removes nearly every run.
+    With min_area > 1, pixels with no foreground 4-neighbour are cleared
+    before the run scan. Each is a one-pixel component, which min_area
+    leaves out anyway, so the output is the same; on a noisy mask this
+    removes nearly every run.
     """
     h, w = mask.shape
     stride = w + 1  # a background column ends every row's last run
@@ -450,7 +444,7 @@ def _components(mask: np.ndarray, min_area: int, v_off: int, u_off: int,
     flat = np.zeros((h + 2) * stride, dtype=bool)
     body = flat[stride:-stride]
     body.reshape(h, stride)[:, :w] = mask
-    if drop_specks and min_area > 1:
+    if min_area > 1:
         body &= (flat[stride - 1:-stride - 1] | flat[stride + 1:-stride + 1]
                  | flat[:-2 * stride] | flat[2 * stride:])
     edges = np.flatnonzero(body != flat[stride - 1:-stride - 1])
@@ -470,15 +464,12 @@ def _labelled(starts: np.ndarray, ends: np.ndarray, stride: int,
     first run. A stack of runs, one per row on consecutive rows, each
     sharing a column with the next, is one component and is summed
     without labelling (`_stack_runs`): a noise-free frame's vehicle is
-    one. Other sets of at most SWEEP_MAX_RUNS runs are labelled by a scalar
-    sweep over the runs (`_sweep_runs`); more, such as a noisy whole-frame
-    mask's, by array union-find (`_array_runs`), for which the per-run
-    cost of the sweep is too high.
+    one. Any other set of runs, such as a noisy whole-frame mask's, is
+    labelled by array union-find (`_array_runs`).
     """
     rows = _stack_runs(starts, ends, stride, min_area, v_off, u_off)
     if rows is None:
-        label = _sweep_runs if len(starts) <= SWEEP_MAX_RUNS else _array_runs
-        rows = label(starts, ends, stride, min_area, v_off, u_off)
+        rows = _array_runs(starts, ends, stride, min_area, v_off, u_off)
     return [(n_px, BoundingBox(u0 + u_off, v0 + v_off, u1 + u_off, v1 + v_off),
              (x, y))
             for n_px, u0, v0, u1, v1, x, y in rows]
@@ -486,7 +477,7 @@ def _labelled(starts: np.ndarray, ends: np.ndarray, stride: int,
 
 def _stack_runs(starts: np.ndarray, ends: np.ndarray, stride: int,
                 min_area: int, v_off: int, u_off: int):
-    """`_sweep_runs`' rows when the runs are one stack, else None.
+    """`_array_runs`' rows when the runs are one stack, else None.
 
     n runs can be one per row only if the last lies n - 1 rows below the
     first, which one comparison rules out (a noisy mask fails it). Then
@@ -494,7 +485,7 @@ def _stack_runs(starts: np.ndarray, ends: np.ndarray, stride: int,
     exactly when each shares a column with the next on that reading: a
     run's columns lie below stride, so a pair that is not on consecutive
     rows, such as two runs of one row, fails the test. The sums are exact
-    ints, and the centroid is `_sweep_runs`' expression, so its bits are
+    ints, and the centroid is `_array_runs`' expression, so its bits are
     the same.
     """
     n = len(starts)
@@ -522,71 +513,13 @@ def _stack_runs(starts: np.ndarray, ends: np.ndarray, stride: int,
              (v_sum - area * v_min) / area + (v_min + v_off))]
 
 
-def _sweep_runs(starts: np.ndarray, ends: np.ndarray, stride: int,
-                min_area: int, v_off: int, u_off: int):
-    """`_labelled`'s rows (area, u_min, v_min, u_max, v_max, cu, cv) from
-    its runs, by scalar passes over plain lists; the box is not yet offset.
-
-    The first pass joins each run to the runs of the row above that overlap
-    it, which start at a pointer that only moves forward. Union-find hooks
-    the later root onto the earlier, so every root is its component's first
-    run and every parent precedes its run. The second pass sums each
-    component in exact ints, so the centroid has the array path's bits.
-    """
-    starts, ends = starts.tolist(), ends.tolist()
-    parent = list(range(len(starts)))
-    p = 0
-    for i, (s, e) in enumerate(zip(starts, ends)):
-        s, e = s - stride, e - stride  # the run's columns in the row above
-        while ends[p] <= s:
-            p += 1
-        root = i
-        q = p
-        while starts[q] < e:  # stops at run i at the latest
-            r = q
-            while parent[r] != r:
-                parent[r] = r = parent[parent[r]]
-            if r < root:
-                parent[root] = root = r
-            elif r > root:
-                parent[r] = root
-            q += 1
-    comp = []  # each run's component
-    rows = []  # [area, u_min, v_min, u_max, v_max, u_sum, v_sum]
-    for i, (s, e) in enumerate(zip(starts, ends)):
-        row, col0 = divmod(s, stride)
-        col1 = e - row * stride
-        length = col1 - col0
-        u_sum = (col0 + col1 - 1) * length // 2
-        r = parent[i]
-        if r == i:
-            comp.append(len(rows))
-            rows.append([length, col0, row, col1 - 1, row, u_sum,
-                         row * length])
-            continue
-        k = comp[r]
-        comp.append(k)
-        c = rows[k]
-        c[0] += length
-        if col0 < c[1]:
-            c[1] = col0
-        if col1 - 1 > c[3]:
-            c[3] = col1 - 1
-        c[4] = row
-        c[5] += u_sum
-        c[6] += row * length
-    # the mean of the offsets from the box corner, plus the corner: the
-    # centroid's rounding, which the golden digests pin to the last bit
-    return [(area, u_min, v_min, u_max, v_max,
-             (u_sum - area * u_min) / area + (u_min + u_off),
-             (v_sum - area * v_min) / area + (v_min + v_off))
-            for area, u_min, v_min, u_max, v_max, u_sum, v_sum in rows
-            if area >= min_area]
-
-
 def _array_runs(starts: np.ndarray, ends: np.ndarray, stride: int,
                 min_area: int, v_off: int, u_off: int):
-    """`_sweep_runs`' rows by array union-find."""
+    """`_labelled`'s rows (area, u_min, v_min, u_max, v_max, cu, cv) from
+    its runs, by array union-find; the box is not yet offset. The sums are
+    exact, so each centroid, the mean of the offsets from the box corner
+    plus the corner, has the bits that the golden digests pin.
+    """
     n = len(starts)
     # the runs of the row above that overlap run i are the count[i] runs
     # from lo[i] on; pair each with run i

@@ -1,5 +1,6 @@
 import dataclasses
 import importlib.util
+import io
 import json
 import math
 import os
@@ -330,10 +331,14 @@ class TestVehicleRun:
                                   duration_cap_s=cap)
         veh = VehicleNode(cfg)
         n = math.ceil(cap / cfg.dt)
-        assert [veh.step(i * cfg.dt, [])[1] for i in range(n)] == (
-            [False] * (n - 1) + [True])
+        done = []
+        for i in range(n):
+            veh.step(i * cfg.dt, [])
+            done.append(veh.done)
+        assert done == [False] * (n - 1) + [True]
         assert veh.t_last == (n - 1) * cfg.dt < cap
-        assert veh.step(veh.t_last + 0.3 * cfg.dt, [])[1]
+        veh.step(veh.t_last + 0.3 * cfg.dt, [])
+        assert veh.done
 
 
 class TestReplay:
@@ -455,15 +460,15 @@ def _polling_lockstep(cfg, out_dir):
     for node_id in cfg.nodes():
         net.register(node_id)
     vehicle = VehicleNode(cfg)
-    mssps = [MsspNode(cfg, mid) for mid in vehicle.cameras]
-    i, done = 0, False
-    while not done:
+    mssps = [MsspNode(cfg, mid) for mid in vehicle.peers]
+    i = 0
+    while not vehicle.done:
         t = i * dt
         for m in mssps:
             for est in m.step(t, net.deliver(m.id, t)):
                 net.send(est, ["veh"], t)
-        pose_msg, done = vehicle.step(t, net.deliver("veh", t))
-        net.send(pose_msg, vehicle.cameras, t + dt)
+        [pose_msg] = vehicle.step(t, net.deliver("veh", t))
+        net.send(pose_msg, vehicle.peers, t + dt)
         i += 1
     out_dir.mkdir(parents=True)
     runlog.write_json(out_dir / "scenario.json", cfg.to_json_obj())
@@ -945,15 +950,19 @@ class TestCli:
         assert len(children) == 2
         assert all(c.terminated for c in children)
 
-    def test_node_reports_undecodable_datagrams_at_exit(self, capsys):
+    def test_node_reports_undecodable_datagrams_at_exit(self, monkeypatch,
+                                                        capsys):
+        # each node loop reads its epoch, finds its node done and exits
+        monkeypatch.setattr(sys, "stdin", io.StringIO("0.0\n0.0\n"))
+        finished = types.SimpleNamespace(done=True)
         quiet = UdpTransport("veh", {"veh": ("127.0.0.1", 0)})
-        harness._close(quiet)
+        harness._serve(finished, quiet)
         cam = UdpTransport("mssp1", {"mssp1": ("127.0.0.1", 0)})
         with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as junk:
             junk.sendto(b"not a wire message", cam._sock.getsockname())
         cam.wait(cam.now() + 0.05)
         assert cam.drain() == []
-        harness._close(cam)
+        harness._serve(finished, cam)
         assert capsys.readouterr().err == ("mssp1: ignored 1 undecodable "
                                            "datagram(s)\n")
 

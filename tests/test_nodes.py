@@ -11,7 +11,7 @@ from iea_sim.dynamics import VehicleParams
 from iea_sim.geometry import WorldPoint, project
 from iea_sim.netbus import EstimateMessage, LinkConfig, PoseMessage
 from iea_sim.nodes import (BORDER_MARGIN_PX, CELL_SCAN_RESOLUTION, CELL_SCAN_Y,
-                           DEFAULT_VEHICLE_DIMS, DRIVING, STOPPED,
+                           DEFAULT_VEHICLE_DIMS, DRIVING, STOP_TAIL_S, STOPPED,
                            WAITING_FOR_FIRST_FIX, CellLayout, MsspNode,
                            VehicleNode)
 from iea_sim.scenario import ScenarioConfig, ScenarioError
@@ -199,6 +199,21 @@ class TestMsspNode:
                 assert t_frame <= now + 1e-12 < node.frame_clock
                 assert node.frame_clock == t_frame + period
 
+    def test_done_once_its_clock_reaches_the_stop_tail_past_the_cap(self):
+        # a camera is due at its frame clock and runs on STOP_TAIL_S past
+        # duration_cap_s, after the vehicle's last step
+        cfg = dataclasses.replace(MSSP_CFG, duration_cap_s=1.0)
+        t_end = cfg.duration_cap_s + STOP_TAIL_S
+        node = MsspNode(cfg, "mssp1")
+        node.frame_clock = math.nextafter(t_end, 0.0)
+        assert node.next_due == node.frame_clock
+        assert not node.done
+        node.step(node.next_due, [])
+        assert node.next_due == node.frame_clock > t_end
+        assert node.done
+        node.frame_clock = t_end
+        assert node.done
+
 
 def make_vehicle(cameras=(0.0,), waypoints=((0, 0), (300, 0)),
                  position_source="cameras"):
@@ -233,12 +248,32 @@ class TestVehicleNode:
 
     def test_pose_broadcast_timestamps_and_seq(self):
         veh = make_vehicle()
-        p1, _ = veh.step(0.0, [])
-        p2, _ = veh.step(DT, [])
+        [p1] = veh.step(0.0, [])
+        [p2] = veh.step(DT, [])
         assert p1.seq == 1 and p2.seq == 2
         assert p1.t == pytest.approx(DT)
         assert p2.t == pytest.approx(2 * DT)
         assert p2.x == veh.state.pose.x
+
+    def test_a_stalled_step_rejoins_the_schedule(self):
+        # steps at 0 and DT, then a stall to 50 DT: the next step is due at
+        # 51 DT, not at 3 DT; a step under 10 DT late keeps the schedule
+        veh = make_vehicle()
+        assert veh.next_due == 0.0
+        veh.step(0.0, [])
+        assert veh.next_due == DT
+        veh.step(DT, [])
+        assert veh.next_due == 2 * DT
+        veh.step(50 * DT, [])
+        assert veh.next_due == 51 * DT
+        veh.step(55 * DT, [])
+        assert veh.next_due == 52 * DT
+
+    def test_steps_on_the_tick_grid_never_rejoin(self):
+        veh = make_vehicle()
+        for i in range(1500):
+            veh.step(i * DT, [])
+            assert veh.next_due == (i + 1) * DT
 
     def test_perfect_estimates_reproduce_truth_fed_run(self):
         # feeding the camera-fed vehicle its own exact position every step

@@ -1,6 +1,5 @@
 import hashlib
 import math
-import re
 from statistics import NormalDist
 
 import numpy as np
@@ -611,10 +610,6 @@ def _brick_rows(n_runs, per_row=8):
     return rows
 
 
-def _run_count(rows):
-    return sum(len(re.findall("#+", row)) for row in rows)
-
-
 class TestComponents:
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 60), st.integers(1, 60), st.floats(0.05, 0.7),
@@ -659,48 +654,30 @@ class TestComponents:
          "#.#......",
          "#.#######"],
         ["#.#.#.#.#.#.#"],
-        _brick_rows(vision.SWEEP_MAX_RUNS),
-        _brick_rows(vision.SWEEP_MAX_RUNS + 1),
+        _brick_rows(140),
+        _brick_rows(141),
     ], ids=["one_pixel", "all_false", "all_true", "u_shape", "comb",
             "corner_staircase", "spiral", "alternating_row",
-            "sweep_max_runs", "sweep_max_runs_plus_one"])
+            "bricks_140_runs", "bricks_141_runs"])
     def test_shapes(self, rows):
         mask = _mask(rows)
         comps = vision._components(mask, 1, 3, 5)
         assert repr(comps) == repr(_flood_fill_components(mask, 1, 3, 5))
         assert sum(c[0] for c in comps) == mask.sum()
 
-    def test_limit_shapes_straddle_the_sweep_limit(self, monkeypatch):
-        # the scalar sweep labels the first mask, array union-find the second
-        calls = []
-
-        def spy(name):
-            label = getattr(vision, name)
-
-            def call(*args):
-                calls.append(name)
-                return label(*args)
-            return call
-
-        for name in ("_sweep_runs", "_array_runs"):
-            monkeypatch.setattr(vision, name, spy(name))
-        for extra in (0, 1):
-            rows = _brick_rows(vision.SWEEP_MAX_RUNS + extra)
-            assert _run_count(rows) == vision.SWEEP_MAX_RUNS + extra
-            assert len(vision._components(_mask(rows), 1, 0, 0)) > 1
-        assert calls == ["_sweep_runs", "_array_runs"]
-
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 100), st.integers(1, 200), st.floats(0.001, 0.05),
-           st.integers(1, 30), st.booleans(), st.integers(0, 2**32 - 1))
+           st.integers(1, 30), st.integers(0, 2**32 - 1))
     def test_noise_like_masks_match_flood_fill(self, h, w, density, min_area,
-                                               drop_specks, seed):
+                                               seed):
+        # at min_area > 1 the one-pixel specks are cleared before labelling
         mask = np.random.default_rng(seed).random((h, w)) < density
-        assert (repr(vision._components(mask, min_area, 7, 9,
-                                        drop_specks=drop_specks))
+        assert (repr(vision._components(mask, min_area, 7, 9))
                 == repr(_flood_fill_components(mask, min_area, 7, 9)))
 
-    @pytest.mark.parametrize("drop_specks", [False, True])
+    # transposed, the vertical dominoes lie along rows: neighbours at +-1
+    # in the flat buffer, where the row-wrap case has its neighbours
+    @pytest.mark.parametrize("transposed", [False, True])
     @pytest.mark.parametrize("min_area", [1, 2])
     @pytest.mark.parametrize("rows", [
         # lone pixels at the four corners and along each border
@@ -720,10 +697,11 @@ class TestComponents:
          ".#...#",
          ".#...#"],
     ], ids=["lone_border_pixels", "row_wrap", "edge_dominoes"])
-    def test_speck_shapes(self, rows, min_area, drop_specks):
+    def test_speck_shapes(self, rows, min_area, transposed):
         mask = _mask(rows)
-        comps = vision._components(mask, min_area, 3, 5,
-                                   drop_specks=drop_specks)
+        if transposed:
+            mask = np.ascontiguousarray(mask.T)
+        comps = vision._components(mask, min_area, 3, 5)
         assert repr(comps) == repr(_flood_fill_components(mask, min_area, 3,
                                                           5))
 
@@ -827,12 +805,12 @@ STACK_FLAWS = ("none", "empty_row", "two_in_row", "right_diagonal",
 @st.composite
 def stack_masks(draw):
     """A mask of one run per row on consecutive rows, each sharing a column
-    with the next, up to SWEEP_MAX_RUNS + 20 rows tall, and the flaw that
+    with the next, up to 160 rows tall, and the flaw that
     was then put in, if any: an empty row between two runs, a second run
     in one row, or a run that meets the one above only at a corner (its
     first column is the column after the run above, or its last column the
     one before it). A flawed mask is not a stack."""
-    n = draw(st.integers(1, vision.SWEEP_MAX_RUNS + 20))
+    n = draw(st.integers(1, 160))
     width = draw(st.integers(1, 12))
     flaw = draw(st.sampled_from(STACK_FLAWS if n > 1
                                 else ("none", "two_in_row")))
@@ -865,30 +843,52 @@ def stack_masks(draw):
     return mask, flaw
 
 
+def _without_specks(mask):
+    """The mask without its one-pixel components: what `_components`
+    labels at min_area > 1."""
+    padded = np.pad(mask, 1)
+    return mask & (padded[:-2, 1:-1] | padded[2:, 1:-1]
+                   | padded[1:-1, :-2] | padded[1:-1, 2:])
+
+
+def _is_stack(mask):
+    """Whether the mask is one run per row on consecutive rows, each
+    sharing a column with the next; an empty mask is none."""
+    rows = np.flatnonzero(mask.any(axis=1))
+    if not len(rows) or rows[-1] - rows[0] + 1 != len(rows):
+        return False
+    runs = []
+    for row in mask[rows[0]:rows[-1] + 1]:
+        cols = np.flatnonzero(row)
+        if cols[-1] - cols[0] + 1 != len(cols):
+            return False
+        runs.append((cols[0], cols[-1]))
+    return all(a0 <= b1 and b0 <= a1
+               for (a0, a1), (b0, b1) in zip(runs, runs[1:]))
+
+
 class TestStacks:
     @staticmethod
     def _labeller_calls(monkeypatch):
         """The names of the labellers `_labelled` calls, in order."""
         calls = []
+        label = vision._array_runs
 
-        def spy(name):
-            label = getattr(vision, name)
+        def call(*args):
+            calls.append("_array_runs")
+            return label(*args)
 
-            def call(*args):
-                calls.append(name)
-                return label(*args)
-            return call
-
-        for name in ("_sweep_runs", "_array_runs"):
-            monkeypatch.setattr(vision, name, spy(name))
+        monkeypatch.setattr(vision, "_array_runs", call)
         return calls
 
     @settings(max_examples=150, deadline=None)
     @given(stack_masks(), st.sampled_from(("one", "at", "just_below")),
            st.integers(0, 600), st.integers(0, 800))
     def test_match_flood_fill(self, stack, min_area_case, v_off, u_off):
-        # a stack is summed without labelling; any other run set goes to the
-        # sweep or to union-find, as before. Either way the area, box and
+        # the runs labelled are the mask's, less its one-pixel specks at
+        # min_area > 1 (a two_in_row flaw's lone pixel, say): a stack is
+        # summed without labelling, and any other set, an empty one too,
+        # goes to union-find. Either way the area, box and
         # centroid bits are the flood fill's, also with the component's
         # area at min_area and one below it
         mask, flaw = stack
@@ -900,11 +900,9 @@ class TestStacks:
             comps = vision._components(mask, min_area, v_off, u_off)
         assert repr(comps) == repr(_flood_fill_components(mask, min_area,
                                                           v_off, u_off))
-        n_runs = np.count_nonzero(np.diff(mask, axis=1, prepend=False)
-                                  & mask)
-        assert calls == ([] if flaw == "none" else
-                         ["_sweep_runs" if n_runs <= vision.SWEEP_MAX_RUNS
-                          else "_array_runs"])
+        labelled = mask if min_area == 1 else _without_specks(mask)
+        assert _is_stack(mask) == (flaw == "none")
+        assert calls == ([] if _is_stack(labelled) else ["_array_runs"])
 
     @pytest.mark.parametrize("rows, stack", [
         (["###", ".##", "##."], True),
@@ -927,9 +925,9 @@ class TestStacks:
         assert (not calls) == stack
 
     def test_tall_stack(self, monkeypatch):
-        # taller than the sweep's limit: summed all the same
+        # a stack of 170 rows is summed as a short one is
         mask = _mask([("." * (k % 4) + "#" * 5).ljust(10, ".")
-                      for k in range(vision.SWEEP_MAX_RUNS + 30)])
+                      for k in range(170)])
         calls = self._labeller_calls(monkeypatch)
         comps = vision._components(mask, 1, 2, 4)
         assert len(comps) == 1 and not calls
