@@ -66,26 +66,64 @@ def interpolate_path(plan: WaypointPlan) -> list[tuple[float, float]]:
     return path
 
 
-def select_target(path: list[tuple[float, float]], cstate: ControllerState,
-                  pose: Pose2D, lookahead_m: float
+def suffix_boxes(path: list[tuple[float, float]]
+                 ) -> list[tuple[float, float, float, float]]:
+    """The bounding box (x_min, x_max, y_min, y_max) of each suffix
+    path[i:], for i = 0 .. len(path); the last, of no point, is empty
+    (inf, -inf, inf, -inf), so that every pose lies infinitely far from it.
+    """
+    inf = math.inf
+    boxes = [(inf, -inf, inf, -inf)]
+    for x, y in reversed(path):
+        x0, x1, y0, y1 = boxes[-1]
+        boxes.append((min(x, x0), max(x, x1), min(y, y0), max(y, y1)))
+    boxes.reverse()
+    return boxes
+
+
+def select_target(path: list[tuple[float, float]],
+                  boxes: list[tuple[float, float, float, float]],
+                  cstate: ControllerState, pose: Pose2D, lookahead_m: float
                   ) -> tuple[tuple[float, float], ControllerState]:
     """First path point at least lookahead_m ahead of the pose, never regressing.
 
-    The index first advances (forward only) to the remaining path point
-    nearest the pose, then on to the first point at least lookahead_m
-    away; this keeps points behind the vehicle from being re-targeted.
-    When even the final point is closer than the lookahead, returns the
-    final point with path_complete set.
+    The index first advances (forward only) to the first of the remaining
+    path points nearest the pose, then on to the first point at least
+    lookahead_m away; this keeps points behind the vehicle from being
+    re-targeted. When even the final point is closer than the lookahead,
+    returns the final point with path_complete set. `boxes` are the
+    path's `suffix_boxes`.
+
+    The search for the nearest point walks forward from the target index
+    and stops once the box of the points after it lies farther from the
+    pose than the nearest point so far: none of them can be nearer. The
+    box's distance and each point's `math.dist` round independently, so
+    it must be farther by a relative margin far above their rounding.
     """
     if not path:
         raise ValueError("empty path")
-    here = (pose.x, pose.y)
-    start = cstate.target_index
-    dist = [math.dist(p, here) for p in path[start:]]
-    i = start + dist.index(min(dist))
-    while i < len(path) - 1 and dist[i - start] < lookahead_m:
+    x, y = here = pose.x, pose.y
+    start = i = cstate.target_index
+    dist = []  # math.dist of path[start:], as far as the search needs
+    best = math.inf
+    for j in range(start, len(path)):
+        d = math.dist(path[j], here)
+        dist.append(d)
+        if d < best:
+            best, i = d, j
+        x0, x1, y0, y1 = boxes[j + 1]
+        if math.hypot(max(x0 - x, x - x1, 0.0),
+                      max(y0 - y, y - y1, 0.0)) > best * (1.0 + 1e-9):
+            break
+    last = len(path) - 1
+    while True:
+        k = i - start
+        if k == len(dist):
+            dist.append(math.dist(path[i], here))
+        if i == last or not dist[k] < lookahead_m:
+            break
         i += 1
-    complete = i == len(path) - 1 and dist[i - start] < lookahead_m
+    complete = i == last and dist[i - start] < lookahead_m
     return path[i], ControllerState(cstate.y_prev, i,
                                     cstate.path_complete or complete)
 

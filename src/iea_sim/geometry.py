@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -92,6 +92,12 @@ class CameraModel:
 
     Pitch is measured down from horizontal; a camera with pitch pi/4 at
     altitude 9 m has its optical axis hit the ground 9 m ahead.
+
+    The constants that rendering and back-projection use (`matrix`,
+    `matrix_rows`, `inverse`) are derived once per camera and kept on it as
+    cached properties, so that no frame or back-projection hashes the
+    camera to look them up; they are not fields, so equality, hashing and
+    repr ignore them.
     """
 
     position: WorldPoint
@@ -112,9 +118,25 @@ class CameraModel:
             raise InvalidCameraError("principal point must lie inside the image")
         if self.position.z <= 0:
             raise InvalidCameraError("camera must sit above the road plane (z > 0)")
-        M = camera_matrix(self)[:, :3]
-        if abs(np.linalg.det(M)) < 1e-12:
+        if abs(np.linalg.det(self.matrix[:, :3])) < 1e-12:
             raise InvalidCameraError("degenerate orientation: M is singular")
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The read-only `camera_matrix`."""
+        return camera_matrix(self)
+
+    @cached_property
+    def matrix_rows(self) -> tuple[tuple[float, ...], ...]:
+        """The camera matrix's rows as tuples of Python floats."""
+        return tuple(map(tuple, self.matrix.tolist()))
+
+    @cached_property
+    def inverse(self) -> np.ndarray:
+        """The read-only inverse of M, the matrix's left 3x3 block."""
+        Minv = np.linalg.inv(self.matrix[:, :3])
+        Minv.setflags(write=False)
+        return Minv
 
 
 def _intrinsic_matrix(camera: CameraModel) -> np.ndarray:
@@ -134,23 +156,15 @@ def _rotation_world_to_optical(roll: float, pitch: float, yaw: float) -> np.ndar
     return _BODY_TO_OPTICAL @ body_to_world.T
 
 
-@lru_cache(maxsize=64)
 def camera_matrix(camera: CameraModel) -> np.ndarray:
-    """3x4 matrix [M p4] = K [R t] mapping world points into pixels."""
+    """3x4 matrix [M p4] = K [R t] mapping world points into pixels; a
+    camera keeps its own as `CameraModel.matrix`."""
     K = _intrinsic_matrix(camera)
     R = _rotation_world_to_optical(camera.roll, camera.pitch, camera.yaw)
     t = -R @ camera.position.as_array()
     P = K @ np.hstack([R, t[:, None]])
     P.setflags(write=False)
     return P
-
-
-@lru_cache(maxsize=64)
-def _camera_inverse(camera: CameraModel) -> np.ndarray:
-    M = camera_matrix(camera)[:, :3]
-    Minv = np.linalg.inv(M)
-    Minv.setflags(write=False)
-    return Minv
 
 
 def project_xyz(P: np.ndarray, x: float, y: float, z: float = 0.0
@@ -168,7 +182,7 @@ def project(camera: CameraModel, p: WorldPoint) -> Optional[PixelPoint]:
 
     A point outside the image bounds still projects to its pixel.
     """
-    uv = project_xyz(camera_matrix(camera), p.x, p.y, p.z)
+    uv = project_xyz(camera.matrix, p.x, p.y, p.z)
     return None if uv is None else PixelPoint(*uv)
 
 
@@ -178,7 +192,7 @@ def back_project_ground(camera: CameraModel, p: PixelPoint) -> Optional[WorldPoi
     Returns None when the ray is parallel to the plane or the intersection
     lies behind the camera.
     """
-    d = _camera_inverse(camera) @ np.array([p.u, p.v, 1.0])
+    d = camera.inverse @ np.array([p.u, p.v, 1.0])
     if abs(d[2]) < 1e-15:
         return None
     lam = -camera.position.z / d[2]

@@ -6,11 +6,12 @@ One UTF-8 JSON object per datagram:
   Estimate: {"kind":"est","sender":"mssp2","seq":N,"t":S,"mssp_id":"mssp2",
              "x":X,"y":Y,"t_capture":S}
 
-`encode` fills one fixed template per kind: numbers are written as
-`repr` writes them and names as JSON strings, so the bytes equal
-`json.dumps(fields, separators=(",", ":"))`. It rejects what `decode`
-would refuse: a non-finite or non-numeric number, a negative `seq` or a
-name that is not a string raises ValueError at the sender.
+`encode` checks a message's fields in one pass and fills one fixed
+template per kind: numbers are written as `repr` writes them and names as
+JSON strings, so the bytes equal `json.dumps(fields, separators=(",",
+":"))`. It rejects what `decode` would refuse: a non-finite or
+non-numeric number, a negative `seq` or a name that is not a string
+raises ValueError at the sender.
 
 Two transports share this codec and send by node id, encoding a message
 once for all its destinations: a seeded lockstep queue with injected
@@ -74,50 +75,65 @@ class EstimateMessage:
 WireMessage = Union[PoseMessage, EstimateMessage]
 
 
-_POSE_TEMPLATE = ('{"kind":"pose","sender":%s,"seq":%s,"t":%s,"x":%s,"y":%s,'
-                  '"psi":%s,"v":%s}')
-_EST_TEMPLATE = ('{"kind":"est","sender":%s,"seq":%s,"t":%s,"mssp_id":%s,'
-                 '"x":%s,"y":%s,"t_capture":%s}')
+# filled with the names as JSON strings, seq and the numbers, whose `%r`
+# is their repr because each is an exact float or int
+_POSE_TEMPLATE = ('{"kind":"pose","sender":%s,"seq":%d,"t":%r,"x":%r,"y":%r,'
+                  '"psi":%r,"v":%r}')
+_EST_TEMPLATE = ('{"kind":"est","sender":%s,"seq":%d,"t":%r,"mssp_id":%s,'
+                 '"x":%r,"y":%r,"t_capture":%r}')
+_NAME_TYPES = frozenset((str,))
+_NUMBER_TYPES = frozenset((float, int))
 
 
-def _text(key, v) -> str:
-    if not isinstance(v, str):
-        raise ValueError(f"field {key!r} is not a string")
-    return encode_basestring_ascii(v)  # what json.dumps(v) calls
-
-
-def _seq(v) -> str:
-    if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-        raise ValueError("field 'seq' is not a non-negative integer")
-    return int.__repr__(v)
-
-
-def _number(key, v) -> str:
-    if isinstance(v, float):
-        if math.isfinite(v):
-            return float.__repr__(v)
-    elif isinstance(v, int) and not isinstance(v, bool):
-        return int.__repr__(v)
-    raise ValueError(f"field {key!r} is not a finite number")
+def _refusal(msg: WireMessage) -> str:
+    """Why `encode` refuses `msg`: its first field that is not what decode
+    makes of the datagram."""
+    for key, v in vars(msg).items():
+        if key in ("sender", "mssp_id"):
+            if type(v) is not str:
+                return f"field {key!r} is not a string"
+        elif key == "seq":
+            if type(v) is not int or v < 0:
+                return "field 'seq' is not a non-negative integer"
+        elif type(v) not in _NUMBER_TYPES or not abs(v) <= sys.float_info.max:
+            return f"field {key!r} is not a finite number"
+    raise AssertionError("no refused field")
 
 
 def encode(msg: WireMessage) -> bytes:
     """Serialize to one JSON datagram; floats use shortest exact repr.
 
-    Raises ValueError for a field that `decode` would refuse.
+    Raises ValueError for a field that `decode` would refuse, or that it
+    would not give back as it is: a name must be a str, `seq` a
+    non-negative int and a number a finite float or an int, none of them
+    a subclass (such as bool).
     """
     if isinstance(msg, PoseMessage):
-        text = _POSE_TEMPLATE % (
-            _text("sender", msg.sender), _seq(msg.seq), _number("t", msg.t),
-            _number("x", msg.x), _number("y", msg.y),
-            _number("psi", msg.psi), _number("v", msg.v))
+        names = (msg.sender,)
+        numbers = (msg.t, msg.x, msg.y, msg.psi, msg.v)
     elif isinstance(msg, EstimateMessage):
-        text = _EST_TEMPLATE % (
-            _text("sender", msg.sender), _seq(msg.seq), _number("t", msg.t),
-            _text("mssp_id", msg.mssp_id), _number("x", msg.x),
-            _number("y", msg.y), _number("t_capture", msg.t_capture))
+        names = (msg.sender, msg.mssp_id)
+        numbers = (msg.t, msg.x, msg.y, msg.t_capture)
     else:
         raise TypeError(f"not a wire message: {type(msg)!r}")
+    seq = msg.seq
+    try:
+        valid = (_NAME_TYPES.issuperset(map(type, names))
+                 and type(seq) is int and seq >= 0
+                 and _NUMBER_TYPES.issuperset(map(type, numbers))
+                 and all(map(math.isfinite, numbers)))
+    except OverflowError:  # an int beyond the float range
+        valid = False
+    if not valid:
+        raise ValueError(_refusal(msg))
+    sender = encode_basestring_ascii(msg.sender)  # what json.dumps calls
+    if isinstance(msg, PoseMessage):
+        text = _POSE_TEMPLATE % (sender, seq, *numbers)
+    else:
+        t, x, y, t_capture = numbers
+        text = _EST_TEMPLATE % (sender, seq, t,
+                                encode_basestring_ascii(msg.mssp_id), x, y,
+                                t_capture)
     data = text.encode("ascii")
     if len(data) > MAX_DATAGRAM_BYTES:
         raise OversizeDatagramError(f"datagram of {len(data)} bytes exceeds limit")

@@ -32,8 +32,7 @@ from . import control, dynamics, vision
 from .control import ControllerState
 from .dynamics import DbwCommand, VehicleState
 from .fusion import FusionState, PositionEstimate
-from .geometry import CameraModel, Pose2D, PixelPoint, back_project_ground, \
-    camera_matrix
+from .geometry import CameraModel, Pose2D, PixelPoint, back_project_ground
 from .netbus import EstimateMessage, PoseMessage
 
 if TYPE_CHECKING:  # scenario imports this module
@@ -80,7 +79,7 @@ class CellLayout:
             lo = cam.position.x
             hi = cam.position.x + 20.0 * cam.position.z  # generous far bound
             xs = np.arange(lo, hi, CELL_SCAN_RESOLUTION)
-            P = camera_matrix(cam)
+            P = cam.matrix
             visible = np.ones(len(xs), dtype=bool)
             for dx, dy in ((hl, hw), (hl, -hw), (-hl, -hw), (-hl, hw)):
                 h = P @ np.stack([xs + dx, np.full_like(xs, CELL_SCAN_Y + dy),
@@ -200,6 +199,7 @@ class VehicleNode:
                                   t=0.0)
         self.plan = cfg.plan
         self.path = control.interpolate_path(cfg.plan)
+        self.path_boxes = control.suffix_boxes(self.path)
         self.cparams = cfg.controller
         self.cells = cfg.cells()
         self.vparams = cfg.vehicle_params
@@ -209,6 +209,9 @@ class VehicleNode:
         self.dt = cfg.dt
         self.t_last = (math.ceil(cfg.duration_cap_s / self.dt) - 1) * self.dt
         self.mssp_ids = cfg.mssp_ids()
+        # each camera's run.csv columns, named once
+        self.est_columns = [(mid, f"{mid}_x", f"{mid}_y")
+                            for mid in self.mssp_ids]
         self.id = VEHICLE_ID
         self.peers = [n for n in cfg.nodes() if n != VEHICLE_ID]
         self.steps = 0  # control steps on the schedule so far, see `step`
@@ -278,7 +281,8 @@ class VehicleNode:
             if feedback is not None:
                 ctrl_pose = Pose2D(feedback[0], feedback[1], state.pose.psi)
                 target, self.cstate = control.select_target(
-                    self.path, self.cstate, ctrl_pose, self.plan.lookahead_m)
+                    self.path, self.path_boxes, self.cstate, ctrl_pose,
+                    self.plan.lookahead_m)
                 cmd, self.cstate = control.heading_control(
                     ctrl_pose, target, self.cparams, self.cstate)
                 self.last_cmd = cmd
@@ -308,10 +312,11 @@ class VehicleNode:
                "fused_y": None if fused is None else fused[1],
                "yaw_rate_cmd": cmd.yaw_rate_cmd, "v_cmd": cmd.v_cmd,
                "phase": self.phase}
-        for mid in self.mssp_ids:
-            est = self.fusion.latest.get(mid)
-            row[f"{mid}_x"] = None if est is None else est.x
-            row[f"{mid}_y"] = None if est is None else est.y
+        latest = self.fusion.latest
+        for mid, col_x, col_y in self.est_columns:
+            est = latest.get(mid)
+            row[col_x] = None if est is None else est.x
+            row[col_y] = None if est is None else est.y
         self.rows.append(row)
         if self.phase == STOPPED and self.t_stop is None:
             self.t_stop = now

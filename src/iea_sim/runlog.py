@@ -12,8 +12,10 @@ Outputs per run directory (`harness.read_run` loads them back):
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
+import re
 from pathlib import Path
 from typing import Optional
 
@@ -28,20 +30,62 @@ SETTLE_AFTER_S = 10.0  # score cross-track error from first fix + this
 RowList = list[dict]
 
 
+# the columns that hold names; every other one holds numbers or None
+_NAME_COLUMNS = frozenset(("phase", "mssp_id", "sender", "receiver"))
+_NEEDS_QUOTES = re.compile('[,"\n\r]').search
+_NONE_EMPTY = {"None": ""}.get  # no float's or int's repr reads "None"
+_CHUNK = 512  # records formatted and written at a time
+
+
+class _CsvNames(dict):
+    """Each name as `_write_csv` writes it, kept for the file it writes.
+
+    A name is written as `csv` writes a string at its minimal quoting:
+    between double quotes, each doubled, when it holds a comma, a double
+    quote or a line end. Unlike `csv`, which takes only "\n" for a line end
+    here, it also quotes a carriage return, which a reader would otherwise
+    take as the end of the line. None is an empty field.
+    """
+
+    def __missing__(self, name):
+        text = ("" if name is None
+                else '"' + name.replace('"', '""') + '"' if _NEEDS_QUOTES(name)
+                else name)
+        self[name] = text
+        return text
+
+
 def _write_csv(path: Path, cols: list[str], records,
                comment: Optional[str] = None) -> None:
     """The one CSV writer of the run logs and their exports.
 
-    Writes an optional `# comment` line, the header and one row per record
-    (a sequence in `cols` order). `csv` writes a float as its `repr`, so it
-    parses back bit-identically, and None as an empty field.
+    Writes an optional `# comment` line, the header and one line per
+    record, a sequence in `cols` order. A field of a name column
+    (`_NAME_COLUMNS`) is a string, written as `_CsvNames` says; any other
+    is a number, written as its `repr`, so that a float parses back
+    bit-identically and an int reads as its `str`, or None, written as an
+    empty field. The bytes are `csv.writer`'s but for a carriage return in
+    a name. The records are formatted _CHUNK at a time, column by column,
+    so that each field costs one conversion called from C, and each
+    chunk's lines are written at once; a record whose length differs from
+    the header's raises ValueError.
     """
+    names = _CsvNames()
+    records = iter(records)
     with open(path, "w", encoding="utf-8", newline="") as f:
         if comment is not None:
             f.write(f"# {comment}\n")
-        out = csv.writer(f, lineterminator="\n")
-        out.writerow(cols)
-        out.writerows(records)
+        f.write(",".join(map(names.__getitem__, cols)) + "\n")
+        while chunk := list(itertools.islice(records, _CHUNK)):
+            fields = []
+            for col, values in zip(cols, zip(*chunk, strict=True),
+                                   strict=True):
+                if col in _NAME_COLUMNS:
+                    fields.append(map(names.__getitem__, values))
+                else:
+                    texts = list(map(repr, values))
+                    fields.append(map(_NONE_EMPTY, texts, texts))
+            f.write("\n".join(map(",".join, zip(*fields))) + "\n")
 
 
 def run_columns(mssp_ids: list[str]) -> list[str]:
@@ -54,7 +98,7 @@ def run_columns(mssp_ids: list[str]) -> list[str]:
 
 def write_run_csv(path: Path, rows: RowList, cfg: ScenarioConfig) -> None:
     cols = run_columns(cfg.mssp_ids())
-    _write_csv(path, cols, ([r.get(c) for c in cols] for r in rows),
+    _write_csv(path, cols, (map(r.get, cols) for r in rows),
                comment=f"schema={SCHEMA_VERSION} name={cfg.name} "
                        f"plan={cfg.plan_hash()} mssps={','.join(cfg.mssp_ids())} "
                        f"dt={cfg.dt!r} v_cruise={cfg.controller.v_cruise!r}")
@@ -75,10 +119,10 @@ def write_json(path: Path, obj: dict) -> None:
 
 
 def _parse_value(col: str, v: str):
+    if col in _NAME_COLUMNS:
+        return v  # an empty name stays one
     if v == "":
         return None
-    if col in ("phase", "mssp_id", "sender", "receiver"):
-        return v
     if col == "seq" or col == "bytes":
         return int(v)
     return float(v)
@@ -120,14 +164,23 @@ def read_run_csv(path: Path) -> tuple[dict, list[str], list[dict]]:
 # ---------------------------------------------------------------------------
 # summary statistics
 
-def point_to_polyline(x: float, y: float,
-                      waypoints) -> tuple[float, tuple[float, float]]:
-    """Min distance from (x, y) to the waypoint polyline and the foot point."""
-    best = math.inf
-    best_pt = waypoints[0]
+def polyline_segments(waypoints) -> list[tuple[float, ...]]:
+    """Each segment (x0, y0, dx, dy, L2) of a waypoint polyline: its start,
+    its direction and its squared length, for `point_to_polyline`."""
+    segments = []
     for (x0, y0), (x1, y1) in zip(waypoints, waypoints[1:]):
         dx, dy = x1 - x0, y1 - y0
-        L2 = dx * dx + dy * dy
+        segments.append((x0, y0, dx, dy, dx * dx + dy * dy))
+    return segments
+
+
+def point_to_polyline(x: float, y: float,
+                      segments) -> tuple[float, tuple[float, float]]:
+    """Min distance from (x, y) to a polyline, given by its
+    `polyline_segments`, and the foot point."""
+    best = math.inf
+    best_pt = segments[0][:2]
+    for x0, y0, dx, dy, L2 in segments:
         s = 0.0 if L2 == 0 else max(0.0, min(1.0, ((x - x0) * dx + (y - y0) * dy) / L2))
         px, py = x0 + s * dx, y0 + s * dy
         d = math.hypot(x - px, y - py)
@@ -160,7 +213,8 @@ def summarize(rows: RowList, est_records: list[tuple], net_records: list[tuple],
     first_fix_t = next((r["t"] for r in rows if r["fused_x"] is not None),
                        None)
 
-    cross = [(r["t"], point_to_polyline(r["true_x"], r["true_y"], waypoints)[0])
+    segments = polyline_segments(waypoints)
+    cross = [(r["t"], point_to_polyline(r["true_x"], r["true_y"], segments)[0])
              for r in rows]
     settle_t = None if first_fix_t is None else first_fix_t + SETTLE_AFTER_S
     settled = [c for t, c in cross if settle_t is not None and t >= settle_t]
@@ -285,8 +339,8 @@ def export_plot_data(run_csv: Path, out_dir: Path) -> list[Path]:
     meta, _cols, rows = read_run_csv(run_csv)
     mssp_ids = meta.get("mssps", "").split(",") if meta.get("mssps") else []
     scen_path = run_csv.parent / "scenario.json"
-    waypoints = (load_scenario(scen_path).plan.waypoints
-                 if scen_path.exists() else None)
+    segments = (polyline_segments(load_scenario(scen_path).plan.waypoints)
+                if scen_path.exists() else None)
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -295,13 +349,13 @@ def export_plot_data(run_csv: Path, out_dir: Path) -> list[Path]:
     for mid in mssp_ids:
         cols += [f"{mid}_x", f"{mid}_y"]
     cols += ["fused_x", "fused_y"]
-    _write_csv(est_path, cols, ([r.get(c) for c in cols] for r in rows))
+    _write_csv(est_path, cols, (map(r.get, cols) for r in rows))
 
     cl_path = out_dir / "closed_loop.csv"
     cl_rows = []
     for r in rows:
-        d, (px, py) = (point_to_polyline(r["true_x"], r["true_y"], waypoints)
-                       if waypoints else (None, (None, None)))
+        d, (px, py) = (point_to_polyline(r["true_x"], r["true_y"], segments)
+                       if segments else (None, (None, None)))
         cl_rows.append((r["t"], r["true_x"], r["true_y"], px, py, d))
     _write_csv(cl_path, ["t", "actual_x", "actual_y", "desired_x", "desired_y",
                          "cross_track"], cl_rows)

@@ -17,7 +17,9 @@ slots, and its background pixel is its slot's entry of a per-sigma
 table. The detector takes two frames at one sigma, as a camera's tracker
 makes them, and refuses any other pair. Two noise-free frames differ
 where exactly one is painted, so their foreground's row runs are the
-XOR of the two frames' runs, at most two per row, with no pixel made.
+XOR of the two frames' runs, at most two per row, with no pixel made;
+when one paints nothing, as a tracker's empty background does, they are
+the other frame's runs as the renderer made them.
 Two noisy frames are differenced from pixels in the union of their
 boxes, and outside it the slots are compared against per-pixel slot
 limits of the background, so noisy detection costs two slot comparisons
@@ -42,7 +44,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import CameraModel, Pose2D, camera_matrix
+from .geometry import CameraModel, Pose2D
 
 BACKGROUND_INTENSITY = 40
 VEHICLE_INTENSITY = 220
@@ -186,12 +188,6 @@ def _ground_pixels(rows, points):
     return out
 
 
-@functools.lru_cache(maxsize=64)
-def _matrix_rows(camera: CameraModel):
-    """The camera matrix's rows as tuples of floats, for `_ground_pixels`."""
-    return tuple(map(tuple, camera_matrix(camera).tolist()))
-
-
 def _span_patch(painted, spans) -> np.ndarray:
     """The pixels of a painted box whose row r is painted on the columns
     [spans[r, 0], spans[r, 1]) and background elsewhere."""
@@ -238,7 +234,7 @@ def render_frame(camera: CameraModel, vehicle: Optional[Pose2D],
     spans = _NO_SPANS
     quad = None
     if vehicle is not None:
-        quad = _ground_pixels(_matrix_rows(camera),
+        quad = _ground_pixels(camera.matrix_rows,
                               _vehicle_corners(vehicle, *vehicle_dims))
         if None in quad:
             quad = None
@@ -366,11 +362,13 @@ def _foreground_components(background: Frame, current: Frame,
     comes from its own camera, at its sigma. Two noise-free frames differ
     exactly where one of them is painted and the other is not, by
     VEHICLE_INTENSITY - BACKGROUND_INTENSITY, so their foreground is the
-    XOR of their row runs (`_span_runs`), or nothing at a threshold of
-    that difference or more. Between two noisy frames the union of their
-    boxes is differenced from pixels, each frame's part of it built from
-    its patch (`_in_box`), and outside it the current frame's slot is
-    foreground where it lies outside the background's slot limits
+    XOR of their row runs, or nothing at a threshold of that difference or
+    more. When one of them paints nothing, as a tracker's empty background
+    does, the other's rows with a run are the foreground's; when both
+    paint, `_span_runs` takes the XOR. Between two noisy frames the union
+    of their boxes is differenced from pixels, each frame's part of it
+    built from its patch (`_in_box`), and outside it the current frame's
+    slot is foreground where it lies outside the background's slot limits
     (`_slot_limits`). Only that whole-image mask goes through
     `_components`, which drops its many one-pixel specks before labelling.
     """
@@ -393,37 +391,47 @@ def _foreground_components(background: Frame, current: Frame,
     if (v0 >= v1 or u0 >= u1
             or threshold >= VEHICLE_INTENSITY - BACKGROUND_INTENSITY):
         return []
-    stride = u1 - u0 + 1  # as `_components` lays out a mask of the box
-    starts, ends = _span_runs(background, current, box, stride)
-    return _labelled(starts, ends, stride, min_area, v0, u0)
+    painted = [f for f in (background, current) if f.painted[0] < f.painted[1]]
+    if len(painted) == 2:
+        stride = u1 - u0 + 1  # as `_components` lays out a mask of the box
+        starts, ends = _span_runs(background, current, box, stride)
+        return _labelled(*_run_rows(starts, ends, stride), min_area, v0, u0)
+    frame, = painted
+    col0, col1 = frame.spans[:, 0], frame.spans[:, 1]
+    rows = np.flatnonzero(col0 < col1)  # an empty run is no run
+    return _labelled(rows + frame.painted[0], col0[rows], col1[rows],
+                     min_area, 0, 0)
 
 
 def _span_runs(background: Frame, current: Frame, box, stride: int):
-    """The row runs of the XOR of two noise-free frames inside a box that
-    holds both painted boxes, as `_components` finds them in a mask of the
-    box: half-open, at row * stride + col, in raster order.
+    """The row runs of the XOR of two noise-free frames that both paint,
+    inside a box that holds both painted boxes, as `_components` finds them
+    in a mask of the box: half-open, at row * stride + col, in raster
+    order.
 
-    When one frame paints nothing the runs are the other's. Otherwise, per
-    row, the symmetric difference of two runs is [p0, p1) and [p2, p3) for
-    their four ends sorted, one run [p0, p3) when those touch (p1 == p2);
-    an empty run is left out.
+    Per row, the symmetric difference of two runs is [p0, p1) and [p2, p3)
+    for their four ends sorted, one run [p0, p3) when those touch (p1 ==
+    p2); an empty run is left out.
     """
     v0, v1, u0, _ = box
-    painted = [f for f in (background, current) if f.painted[0] < f.painted[1]]
-    if len(painted) == 1:
-        ends = painted[0].spans
-    else:
-        ends = np.zeros((v1 - v0, 4), dtype=np.int64)
-        for k, frame in enumerate(painted):
-            fv0, fv1 = frame.painted[:2]
-            ends[fv0 - v0:fv1 - v0, 2 * k:2 * k + 2] = frame.spans
-        ends.sort(axis=1)
-        touch = ends[:, 1] == ends[:, 2]
-        ends[touch, 1:3] = ends[touch, 3:]
-    ends = ends + (np.arange(v1 - v0)[:, None] * stride - u0)
+    ends = np.zeros((v1 - v0, 4), dtype=np.int64)
+    for k, frame in enumerate((background, current)):
+        fv0, fv1 = frame.painted[:2]
+        ends[fv0 - v0:fv1 - v0, 2 * k:2 * k + 2] = frame.spans
+    ends.sort(axis=1)
+    touch = ends[:, 1] == ends[:, 2]
+    ends[touch, 1:3] = ends[touch, 3:]
+    ends += np.arange(v1 - v0)[:, None] * stride - u0
     starts, ends = ends[:, 0::2], ends[:, 1::2]
     runs = starts < ends
     return starts[runs], ends[runs]
+
+
+def _run_rows(starts: np.ndarray, ends: np.ndarray, stride: int):
+    """Runs given at row * stride + col, with every col below stride, as
+    their rows and their column ends."""
+    row, col0 = np.divmod(starts, stride)
+    return row, col0, ends - row * stride
 
 
 def _components(mask: np.ndarray, min_area: int, v_off: int, u_off: int):
@@ -449,78 +457,77 @@ def _components(mask: np.ndarray, min_area: int, v_off: int, u_off: int):
                  | flat[:-2 * stride] | flat[2 * stride:])
     edges = np.flatnonzero(body != flat[stride - 1:-stride - 1])
     # half-open, as row * stride + col
-    return _labelled(edges[0::2], edges[1::2], stride, min_area, v_off, u_off)
+    return _labelled(*_run_rows(edges[0::2], edges[1::2], stride), min_area,
+                     v_off, u_off)
 
 
-def _labelled(starts: np.ndarray, ends: np.ndarray, stride: int,
+def _labelled(row: np.ndarray, col0: np.ndarray, col1: np.ndarray,
               min_area: int, v_off: int, u_off: int):
     """The 4-connected components of row runs as (area, bbox, centroid).
 
-    The runs are half-open, at row * stride + col with every col below
-    stride, in raster order; (v_off, u_off) is the frame position of row 0,
-    col 0. Components come in raster order of their first pixel and those
-    under min_area are left out. A run joins each run of the row above
-    that shares a column with it, and each component is labelled by its
-    first run. A stack of runs, one per row on consecutive rows, each
-    sharing a column with the next, is one component and is summed
-    without labelling (`_stack_runs`): a noise-free frame's vehicle is
-    one. Any other set of runs, such as a noisy whole-frame mask's, is
-    labelled by array union-find (`_array_runs`).
+    Run i lies on row row[i] on the columns [col0[i], col1[i]), the runs
+    in raster order, with no two on one row touching; (v_off, u_off) is
+    the frame position of row 0, col 0. Components come in raster order
+    of their first pixel and those under min_area are left out. A run
+    joins each run of the row above that shares a column with it, and each
+    component is labelled by its first run. A stack of runs, one per row
+    on consecutive rows, each sharing a column with the next, is one
+    component and is summed without labelling (`_stack_runs`): a
+    noise-free frame's vehicle is one. Any other set of runs, such as a
+    noisy whole-frame mask's, is labelled by array union-find
+    (`_array_runs`).
     """
-    rows = _stack_runs(starts, ends, stride, min_area, v_off, u_off)
+    n = len(row)
+    rows = None
+    # n runs on n consecutive rows, in raster order, are one per row
+    # unless two share a row, and then some pair of neighbours does
+    if n and row[-1] - row[0] == n - 1:
+        rows = _stack_runs(int(row[0]), col0, col1, min_area, v_off, u_off)
     if rows is None:
-        rows = _array_runs(starts, ends, stride, min_area, v_off, u_off)
+        rows = _array_runs(row, col0, col1, min_area, v_off, u_off)
     return [(n_px, BoundingBox(u0 + u_off, v0 + v_off, u1 + u_off, v1 + v_off),
              (x, y))
             for n_px, u0, v0, u1, v1, x, y in rows]
 
 
-def _stack_runs(starts: np.ndarray, ends: np.ndarray, stride: int,
+def _stack_runs(v_min: int, col0: np.ndarray, col1: np.ndarray,
                 min_area: int, v_off: int, u_off: int):
-    """`_array_runs`' rows when the runs are one stack, else None.
+    """`_array_runs`' rows when the runs [col0[i], col1[i]) on the rows
+    v_min + i are one stack, else None.
 
-    n runs can be one per row only if the last lies n - 1 rows below the
-    first, which one comparison rules out (a noisy mask fails it). Then
-    run i is taken to lie on row v_min + i, and the runs are a stack
-    exactly when each shares a column with the next on that reading: a
-    run's columns lie below stride, so a pair that is not on consecutive
-    rows, such as two runs of one row, fails the test. The sums are exact
-    ints, and the centroid is `_array_runs`' expression, so its bits are
-    the same.
+    They are a stack exactly when each run shares a column with the next;
+    two runs taken to be on consecutive rows that in fact share one do
+    not. The sums are exact ints, and the centroid is `_array_runs`'
+    expression, so its bits are the same.
     """
-    n = len(starts)
-    if not n:
-        return None
-    v_min = int(starts[0]) // stride
-    v_max = v_min + n - 1
-    if int(starts[-1]) // stride != v_max:
-        return None
-    row = np.arange(v_min, v_max + 1)
-    row_start = row * stride
-    col0 = starts - row_start
-    col1 = ends - row_start
     if not ((col0[1:] < col1[:-1]) & (col0[:-1] < col1[1:])).all():
         return None
     length = col1 - col0
     area = int(length.sum())
     if area < min_area:
         return []
+    v_max = v_min + len(col0) - 1
     u_min = int(col0.min())
     u_sum = int((col0 + col1 - 1) @ length) // 2
-    v_sum = int(row @ length)
+    v_sum = int(np.arange(v_min, v_max + 1) @ length)
     return [(area, u_min, v_min, int(col1.max()) - 1, v_max,
              (u_sum - area * u_min) / area + (u_min + u_off),
              (v_sum - area * v_min) / area + (v_min + v_off))]
 
 
-def _array_runs(starts: np.ndarray, ends: np.ndarray, stride: int,
+def _array_runs(row: np.ndarray, col0: np.ndarray, col1: np.ndarray,
                 min_area: int, v_off: int, u_off: int):
     """`_labelled`'s rows (area, u_min, v_min, u_max, v_max, cu, cv) from
     its runs, by array union-find; the box is not yet offset. The sums are
     exact, so each centroid, the mean of the offsets from the box corner
     plus the corner, has the bits that the golden digests pin.
     """
-    n = len(starts)
+    n = len(row)
+    # each run at row * stride + col: a row's runs lie below the next
+    # row's, and runs of two adjacent rows overlap where their columns do
+    stride = int(col1.max(initial=0)) + 1
+    starts = row * stride + col0
+    ends = row * stride + col1
     # the runs of the row above that overlap run i are the count[i] runs
     # from lo[i] on; pair each with run i
     lo = np.searchsorted(ends, starts - stride, side="right")
@@ -545,8 +552,6 @@ def _array_runs(starts: np.ndarray, ends: np.ndarray, stride: int,
     root = label == np.arange(n)
     first = np.flatnonzero(root)
     comp = (np.cumsum(root) - 1)[label]
-    row, col0 = np.divmod(starts, stride)
-    col1 = ends - row * stride
     length = col1 - col0
     area = np.bincount(comp, length).astype(np.int64)
     u_min = np.full(len(first), stride)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from iea_sim import dynamics
 from iea_sim.control import (ControllerParams, ControllerState, WaypointPlan,
                              filter_step, heading_control, interpolate_path,
-                             select_target)
+                             select_target, suffix_boxes)
 from iea_sim.dynamics import VehicleState
 from iea_sim.geometry import Pose2D
 
@@ -54,25 +54,29 @@ class TestSelectTarget:
 
     def test_from_origin(self):
         path = self._straight()
-        tgt, cs = select_target(path, ControllerState(), Pose2D(0, 0, 0), 10.0)
+        tgt, cs = select_target(path, suffix_boxes(path),
+                                ControllerState(), Pose2D(0, 0, 0), 10.0)
         assert tgt == (10.0, 0.0)
         assert not cs.path_complete
 
     def test_mid_path_scan_oracle(self):
         path = self._straight()
-        tgt, _ = select_target(path, ControllerState(), Pose2D(6, 0, 0), 10.0)
+        tgt, _ = select_target(path, suffix_boxes(path),
+                               ControllerState(), Pose2D(6, 0, 0), 10.0)
         # brute-force scan: first point at distance >= 10 ahead of (6, 0)
         assert tgt == (16.0, 0.0)
 
     def test_past_all_points_sets_complete(self):
         path = self._straight()
-        tgt, cs = select_target(path, ControllerState(), Pose2D(45, 0, 0), 10.0)
+        tgt, cs = select_target(path, suffix_boxes(path),
+                                ControllerState(), Pose2D(45, 0, 0), 10.0)
         assert tgt == (40.0, 0.0)
         assert cs.path_complete
 
     def test_points_behind_are_never_retargeted(self):
         path = self._straight()
-        tgt, _ = select_target(path, ControllerState(), Pose2D(20, 0, 0), 10.0)
+        tgt, _ = select_target(path, suffix_boxes(path),
+                               ControllerState(), Pose2D(20, 0, 0), 10.0)
         assert tgt == (30.0, 0.0)
 
     def test_index_monotonic_over_run(self):
@@ -80,9 +84,83 @@ class TestSelectTarget:
         cs = ControllerState()
         prev = 0
         for x in [0, 5, 3, 12, 11, 20, 35, 45]:  # includes backward motion
-            _, cs = select_target(path, cs, Pose2D(x, 0.5, 0), 10.0)
+            _, cs = select_target(path, suffix_boxes(path), cs,
+                                  Pose2D(x, 0.5, 0), 10.0)
             assert cs.target_index >= prev
             prev = cs.target_index
+
+
+def _exhaustive_select_target(path, cstate, pose, lookahead_m):
+    """The reference: `select_target` as it was when it measured every
+    remaining path point on each call."""
+    here = (pose.x, pose.y)
+    start = cstate.target_index
+    dist = [math.dist(p, here) for p in path[start:]]
+    i = start + dist.index(min(dist))
+    while i < len(path) - 1 and dist[i - start] < lookahead_m:
+        i += 1
+    complete = i == len(path) - 1 and dist[i - start] < lookahead_m
+    return path[i], ControllerState(cstate.y_prev, i,
+                                    cstate.path_complete or complete)
+
+
+@st.composite
+def target_searches(draw):
+    """A path, a pose on it or far off it, and a lookahead from below the
+    interpolation spacing to beyond the path's length. Integer corners make
+    points that repeat along the path and poses at equal distance from
+    several points, so the first of the nearest points matters."""
+    shape = draw(st.sampled_from(("random", "u_turn", "back_past_start",
+                                  "retrace")))
+    a = draw(st.integers(1, 25))
+    b = draw(st.integers(1, 10))
+    if shape == "random":
+        corners = draw(st.lists(
+            st.tuples(st.integers(-20, 20), st.integers(-20, 20)),
+            min_size=2, max_size=5).filter(
+                lambda c: all(p != q for p, q in zip(c, c[1:]))))
+    elif shape == "u_turn":
+        corners = [(0, 0), (a, 0), (a, b), (0, b)]
+    elif shape == "back_past_start":
+        corners = [(0, 0), (a, 0), (a, b), (-b, b), (-b, 0), (-a - b, 0)]
+    else:
+        corners = [(0, 0), (a, 0), (0, 0)]
+    spacing = draw(st.sampled_from((0.5, 1.0, 2.5)) | st.floats(0.3, 4.0))
+    path = interpolate_path(WaypointPlan(corners, spacing))
+    length = sum(math.dist(p, q) for p, q in zip(path, path[1:]))
+    lookahead = draw(st.floats(0.05, 1.0).map(lambda f: f * spacing)
+                     | st.floats(0.05, 2.0).map(lambda f: f * length + 0.1))
+    if draw(st.booleans()):
+        px, py = draw(st.sampled_from(path))
+        jitter = st.sampled_from((0.0, 0.5)) | st.floats(-2.0, 2.0)
+        x, y = px + draw(jitter), py + draw(jitter)
+    else:
+        far = st.floats(-1000.0, 1000.0)
+        x, y = draw(far), draw(far)
+    return path, Pose2D(x, y, 0.0), lookahead
+
+
+class TestBoundedSearch:
+    @settings(max_examples=150, deadline=None)
+    @given(target_searches(), st.booleans())
+    def test_matches_exhaustive_scan(self, case, complete):
+        # from every target index, the search bounded by the suffix boxes
+        # takes the target, index and completion of the exhaustive scan
+        path, pose, lookahead = case
+        boxes = suffix_boxes(path)
+        for index in range(len(path)):
+            cstate = ControllerState(0.1, index, complete)
+            assert (select_target(path, boxes, cstate, pose, lookahead)
+                    == _exhaustive_select_target(path, cstate, pose,
+                                                 lookahead))
+
+    def test_suffix_boxes(self):
+        path = [(0.0, 1.0), (3.0, -2.0), (1.0, 0.5)]
+        assert suffix_boxes(path) == [(0.0, 3.0, -2.0, 1.0),
+                                      (1.0, 3.0, -2.0, 0.5),
+                                      (1.0, 1.0, 0.5, 0.5),
+                                      (math.inf, -math.inf, math.inf,
+                                       -math.inf)]
 
 
 class TestFilterStep:
@@ -153,12 +231,14 @@ class TestStraightPathConvergence:
         plan = WaypointPlan(waypoints=((0, 0), (400, 0)), interp_spacing=1.0,
                             lookahead_m=10.0)
         path = interpolate_path(plan)
+        boxes = suffix_boxes(path)
         params = ControllerParams()
         cs = ControllerState()
         state = VehicleState(Pose2D(0.0, y0, psi0), 3.0, 0.0, 0.0)
         tail = []
         for i in range(3000):  # 60 s at 50 Hz
-            tgt, cs = select_target(path, cs, state.pose, plan.lookahead_m)
+            tgt, cs = select_target(path, boxes, cs, state.pose,
+                                     plan.lookahead_m)
             cmd, cs = heading_control(state.pose, tgt, params, cs)
             state = dynamics.step(state, cmd, 0.02)
             if i >= 2500:

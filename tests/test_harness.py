@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import importlib.util
 import io
@@ -9,6 +10,7 @@ import shutil
 import socket
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 import types
@@ -16,12 +18,15 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iea_sim import cli, harness, netbus, runlog, scenario
 from iea_sim.harness import read_run, run_scenario
 from iea_sim.runlog import (compare_runs, export_plot_data, point_to_polyline,
-                            read_run_csv, run_columns, summarize,
-                            write_net_csv, write_run_csv)
+                            polyline_segments, read_run_csv, run_columns,
+                            summarize, write_estimates_csv, write_net_csv,
+                            write_run_csv)
 from iea_sim.netbus import EstimateMessage, PoseMessage, UdpTransport
 from iea_sim.nodes import DRIVING, WAITING_FOR_FIRST_FIX, MsspNode, VehicleNode
 from iea_sim.scenario import ScenarioConfig, ScenarioError, load_scenario
@@ -520,17 +525,20 @@ class TestDueStepping:
 
 class TestPointToPolyline:
     def test_perpendicular_foot(self):
-        d, pt = point_to_polyline(5.0, 3.0, [(0, 0), (10, 0)])
+        d, pt = point_to_polyline(5.0, 3.0,
+                                  polyline_segments([(0, 0), (10, 0)]))
         assert d == pytest.approx(3.0)
         assert pt == (pytest.approx(5.0), pytest.approx(0.0))
 
     def test_beyond_endpoint_clamps(self):
-        d, pt = point_to_polyline(14.0, 3.0, [(0, 0), (10, 0)])
+        d, pt = point_to_polyline(14.0, 3.0,
+                                  polyline_segments([(0, 0), (10, 0)]))
         assert d == pytest.approx(5.0)
         assert pt == (pytest.approx(10.0), pytest.approx(0.0))
 
     def test_picks_nearest_segment(self):
-        d, _ = point_to_polyline(10.0, 9.0, [(0, 0), (10, 0), (10, 10)])
+        d, _ = point_to_polyline(10.0, 9.0,
+                                 polyline_segments([(0, 0), (10, 0), (10, 10)]))
         assert d == pytest.approx(0.0, abs=1e-12)
 
 
@@ -557,13 +565,73 @@ class TestRunCsvRoundtrip:
 
     def test_field_with_a_comma_roundtrips(self, tmp_path):
         # any process on loopback can send a well-formed datagram whose
-        # sender holds a comma; the node logs it as received
+        # sender holds a comma, a quote, a line end or nothing at all; the
+        # node logs it as received. `csv` itself leaves a bare carriage
+        # return unquoted, and a reader takes it as a line end
         records = [(0.5, "a,b", "veh", 120, 0.001),
-                   (0.52, "mssp1", "veh", 118, 0.0015)]
+                   (0.52, "mssp1", "veh", 118, 0.0015),
+                   (0.54, "a\rb", "veh", 119, 0.001),
+                   (0.56, "a\nb", "veh", 119, 0.001),
+                   (0.58, 'x"y', "veh", 119, 0.001),
+                   (0.6, "", "veh", 119, 0.001)]
         path = tmp_path / "net_metrics.csv"
         write_net_csv(path, records)
         _meta, _cols, back = read_run_csv(path)
         assert [tuple(r.values()) for r in back] == records
+
+
+# names as the logs hold them: anything a datagram's sender may say
+LOG_NAMES = (st.text(alphabet=',"\n a\u00e9\u6f22\x00', max_size=6)
+             | st.text(max_size=8))
+LOG_FLOATS = (st.floats(allow_nan=False)
+              | st.sampled_from((-0.0, 5e-324, 2.5e-310, 1e16, 1e-7)))
+
+
+class TestLogWriter:
+    @staticmethod
+    def _records(data, kind, cfg):
+        """Records shaped like one of the three run logs, and how to
+        write them."""
+        maybe = st.none() | LOG_FLOATS
+        records = data.draw(st.lists(
+            {"net": st.tuples(LOG_FLOATS, LOG_NAMES, LOG_NAMES,
+                              st.integers(-2**63, 2**64), LOG_FLOATS),
+             "estimates": st.tuples(LOG_NAMES, st.integers(0, 2**64),
+                                    *[maybe] * 4),
+             "run": st.tuples(*[maybe] * (len(run_columns(cfg.mssp_ids()))
+                                          - 1), LOG_NAMES),
+             }[kind], max_size=8))
+        if kind == "net":
+            return records, write_net_csv
+        if kind == "estimates":
+            return records, write_estimates_csv
+        cols = run_columns(cfg.mssp_ids())
+        return records, lambda path, recs: write_run_csv(
+            path, [dict(zip(cols, rec)) for rec in recs], cfg)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(("net", "estimates", "run")), st.data())
+    def test_matches_csv_writer_and_reads_back(self, kind, data):
+        # the writer's lines are csv.writer's, which is the reference
+        # wherever no name holds a carriage return; every record reads
+        # back as it was, each float with its bits (repr tells -0.0 apart)
+        cfg = small_cfg()
+        records, write = self._records(data, kind, cfg)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / f"{kind}.csv"
+            write(path, records)
+            with open(path, encoding="utf-8", newline="") as f:
+                comment, body = f.read().split("\n", 1)
+            _meta, cols, back = read_run_csv(path)
+        assert comment.startswith("# schema=")
+        if not any("\r" in v for rec in records for v in rec
+                   if isinstance(v, str)):
+            reference = io.StringIO(newline="")
+            writer = csv.writer(reference, lineterminator="\n")
+            writer.writerow(cols)
+            writer.writerows(records)
+            assert body == reference.getvalue()
+        assert repr([tuple(r.values()) for r in back]) == repr(records)
 
 
 def _assert_json_close(a, b, path="$"):

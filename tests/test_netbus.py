@@ -6,6 +6,7 @@ import threading
 import time
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -150,6 +151,21 @@ class TestCodec:
                     replace(POSE, v="3"), replace(EST, mssp_id=None),
                     replace(POSE, sender=7)):
             with pytest.raises(ValueError):
+                encode(msg)
+
+    def test_encode_rejects_what_decode_would_not_give_back(self):
+        # lockstep hands the sent message itself to its receivers, so a
+        # field must already be what decode makes of its bytes: a numpy
+        # float or a str subclass would reach a lockstep receiver as such
+        # and a UDP one as a float or a str
+        class Name(str):
+            pass
+
+        for msg, key in ((replace(POSE, x=np.float64(1.5)), "'x'"),
+                         (replace(EST, t_capture=np.float64(2.0)),
+                          "'t_capture'"),
+                         (replace(EST, mssp_id=Name("mssp1")), "'mssp_id'")):
+            with pytest.raises(ValueError, match=key):
                 encode(msg)
 
     def test_oversize_datagram_rejected(self):
