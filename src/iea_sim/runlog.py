@@ -254,18 +254,28 @@ def summarize(rows: RowList, est_records: list[tuple], net_records: list[tuple],
 
     end_t = rows[-1]["t"] if rows else 0.0
     window = max(end_t, 1e-9)
-    by_link: dict[str, dict] = {}
+    # [packets, bytes] per (sender, receiver), each link named once after;
+    # pairs whose names collide, such as ("a->b", "c") and ("a", "b->c"),
+    # are one link
+    by_pair: dict[tuple[str, str], list[int]] = {}
     latencies = []
     for t, snd, rcv, nb, lat in net_records:
         latencies.append(lat)
-        d = by_link.setdefault(f"{snd}->{rcv}", {"packets": 0, "bytes": 0})
-        d["packets"] += 1
-        d["bytes"] += nb
+        d = by_pair.get((snd, rcv))
+        if d is None:
+            by_pair[snd, rcv] = d = [0, 0]
+        d[0] += 1
+        d[1] += nb
+    by_link: dict[str, list[int]] = {}
+    for (snd, rcv), (packets, nbytes) in by_pair.items():
+        d = by_link.setdefault(f"{snd}->{rcv}", [0, 0])
+        d[0] += packets
+        d[1] += nbytes
     net = {
         "per_link": {
-            k: {"packets_per_s": d["packets"] / window,
-                "bytes_per_s": d["bytes"] / window}
-            for k, d in sorted(by_link.items())
+            k: {"packets_per_s": packets / window,
+                "bytes_per_s": nbytes / window}
+            for k, (packets, nbytes) in sorted(by_link.items())
         },
         "latency": latency_percentiles(latencies),
         "latency_min": min(latencies) if latencies else None,

@@ -21,12 +21,14 @@ XOR of the two frames' runs, at most two per row, with no pixel made;
 when one paints nothing, as a tracker's empty background does, they are
 the other frame's runs as the renderer made them.
 Two noisy frames are differenced from pixels in the union of their
-boxes, and outside it the slots are compared against per-pixel slot
-limits of the background, so noisy detection costs two slot comparisons
-per pixel plus the box. A stack of row runs, one per row, such as a
-noise-free frame's vehicle, is one component and is summed without
-labelling; any other set of runs, such as a noisy frame's mask, is
-labelled by array union-find.
+boxes, and outside it the slots are tested against per-pixel slot limits
+of the background, so noisy detection costs one uint16 subtraction and
+one comparison per pixel plus the box. Its mask is packed 64 pixels to a
+word, where one-pixel specks are cleared and run ends found a word at a
+time. A stack of row runs, one per row, such as a noise-free frame's
+vehicle, is one component and is summed without labelling; any other set
+of runs, such as a noisy frame's mask, is labelled by array union-find,
+and only the components kept are summed.
 
 Pixel noise is rint(N(0, sigma)) at 2**-16 resolution: each pixel takes
 one 16-bit slot i, four to a 64-bit draw, and its offset is the inverse
@@ -143,14 +145,17 @@ def _vehicle_corners(pose: Pose2D, length: float, width: float):
 
 
 @functools.lru_cache(maxsize=16)
-def _noise_tables(sigma: float) -> tuple[np.ndarray, np.ndarray]:
-    """Each noise slot's offset, and the background pixel it makes.
+def _noise_tables(sigma: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each noise slot's offset, and the background and vehicle pixels it
+    makes.
 
     Slot i's offset is the smallest k with
     NOISE_SLOTS * Phi((k + 1/2) / sigma) >= i + 1/2, the inverse CDF of
     rint(N(0, sigma)), capped at +-NOISE_OFFSET_CAP; its background pixel
-    is clip(BACKGROUND_INTENSITY + k, 0, 255). Both int16 and uint8 tables
-    are read-only and built once per sigma (for the last 16 sigmas used).
+    is clip(BACKGROUND_INTENSITY + k, 0, 255) and its vehicle pixel
+    clip(VEHICLE_INTENSITY + k, 0, 255). The int16 table and the two uint8
+    ones are read-only and built once per sigma (for the last 16 sigmas
+    used).
     """
     # no slot maps beyond 4.5 sigma; cap before rounding, so that a huge
     # sigma does not overflow
@@ -162,11 +167,12 @@ def _noise_tables(sigma: float) -> tuple[np.ndarray, np.ndarray]:
            for m in range(k_max, 0, -1)]
     lower = np.searchsorted(cdf, np.arange(NOISE_SLOTS // 2) + 0.5) - k_max
     offsets = np.concatenate([lower, -lower[::-1]]).astype(np.int16)
-    background = np.clip(BACKGROUND_INTENSITY + offsets, 0, 255)
-    background = background.astype(np.uint8)
-    offsets.setflags(write=False)
-    background.setflags(write=False)
-    return offsets, background
+    background, vehicle = (
+        np.clip(painted + offsets, 0, 255).astype(np.uint8)
+        for painted in (BACKGROUND_INTENSITY, VEHICLE_INTENSITY))
+    for table in (offsets, background, vehicle):
+        table.setflags(write=False)
+    return offsets, background, vehicle
 
 
 def _ground_pixels(rows, points):
@@ -188,12 +194,20 @@ def _ground_pixels(rows, points):
     return out
 
 
+def _painted_mask(painted, spans) -> np.ndarray:
+    """Whether each pixel of a painted box is painted: row r on the
+    columns [spans[r, 0], spans[r, 1]). Compared in int32, which holds
+    any column of a frame that fits in memory, at half int64's traffic."""
+    cols = np.arange(painted[2], painted[3], dtype=np.int32)
+    ends = spans.astype(np.int32)
+    return (ends[:, :1] <= cols) & (cols < ends[:, 1:])
+
+
 def _span_patch(painted, spans) -> np.ndarray:
-    """The pixels of a painted box whose row r is painted on the columns
-    [spans[r, 0], spans[r, 1]) and background elsewhere."""
-    cols = np.arange(painted[2], painted[3])
-    inside = (spans[:, :1] <= cols) & (cols < spans[:, 1:])
-    return np.where(inside, np.uint8(VEHICLE_INTENSITY),
+    """The noise-free pixels of a painted box whose row r is painted on the
+    columns [spans[r, 0], spans[r, 1]) and background elsewhere."""
+    return np.where(_painted_mask(painted, spans),
+                    np.uint8(VEHICLE_INTENSITY),
                     np.uint8(BACKGROUND_INTENSITY))
 
 
@@ -225,8 +239,9 @@ def render_frame(camera: CameraModel, vehicle: Optional[Pose2D],
     dtype=np.uint16)` for numpy's PCG64. The pixel is clip(painted +
     T[slot], 0, 255), where T is the inverse CDF of rint(N(0,
     noise_sigma)) at 2**-16 resolution (offsets end at about +-4.3 sigma;
-    see `_noise_tables`). Only the painted box's pixels are made here; the
-    frame keeps the slots for the rest.
+    see `_noise_tables`), looked up in one uint8 table for each painted
+    value. Only the painted box's pixels are made here; the frame keeps
+    the slots for the rest.
     """
     if noise_sigma > 0.0 and rng is None:
         raise ValueError("noise_sigma > 0 requires an rng")
@@ -283,16 +298,19 @@ def render_frame(camera: CameraModel, vehicle: Optional[Pose2D],
             painted = (v0, v1 + 1, u0, u1 + 1)
     if not noise_sigma > 0.0:
         return Frame(spans, t, painted, camera.height, camera.width)
-    offsets, _ = _noise_tables(noise_sigma)
     n = camera.height * camera.width
     words = rng.integers(0, 1 << 64, -(-n // 4), dtype=np.uint64)
     slots = words.astype("<u8", copy=False).view("<u2")[:n].reshape(
         camera.height, camera.width)
     slots.setflags(write=False)
     v0, v1, u0, u1 = painted
-    patch = np.clip(_span_patch(painted, spans)
-                    + offsets[slots[v0:v1, u0:u1]], 0, 255)
-    patch = patch.astype(np.uint8)
+    box_slots = slots[v0:v1, u0:u1]
+    # a uint16 slot always indexes inside a NOISE_SLOTS-entry table, so
+    # "wrap" never wraps; it only skips the per-index bounds check
+    _, background, vehicle = _noise_tables(noise_sigma)
+    patch = np.take(background, box_slots, mode="wrap")
+    np.copyto(patch, np.take(vehicle, box_slots, mode="wrap"),
+              where=_painted_mask(painted, spans))
     patch.setflags(write=False)
     return Frame(spans, t, painted, camera.height, camera.width, patch,
                  slots, noise_sigma)
@@ -324,8 +342,7 @@ def _in_box(frame: Frame, box) -> np.ndarray:
     if frame.slots is None:
         out = np.full((v1 - v0, u1 - u0), BACKGROUND_INTENSITY, dtype=np.uint8)
     else:
-        # a uint16 slot always indexes inside the NOISE_SLOTS-entry table,
-        # so "wrap" never wraps; it only skips the per-index bounds check
+        # "wrap" only skips the bounds check, as in `render_frame`
         out = np.take(_noise_tables(frame.sigma)[1],
                       frame.slots[v0:v1, u0:u1], mode="wrap")
     out[pv0 - v0:pv1 - v0, pu0 - u0:pu1 - u0] = patch
@@ -333,24 +350,26 @@ def _in_box(frame: Frame, box) -> np.ndarray:
 
 
 def _slot_limits(frame: Frame, threshold: int):
-    """Per-pixel slot limits (lo, hi) of a noisy frame's background.
+    """Per-pixel slot limits (lo, span) of a noisy frame's background.
 
     The background table is non-decreasing in the slot, so the slots whose
     background differs from a background pixel b by more than threshold
     are those below lo, the first slot with a value >= b - threshold, and
-    those above hi, the last slot with a value <= b + threshold. Both fit
-    uint16 because b is a table value. Outside the painted box they are
+    those above hi = lo + span, the last slot with a value <= b +
+    threshold. Since b is a table value, lo <= hi and both fit uint16; in
+    uint16 a slot s below lo wraps to s - lo > span, so s lies outside the
+    limits exactly when s - lo > span. Outside the painted box they are
     exact; inside it they are unused. Built once per frame and threshold
     and kept in `frame.limits`.
     """
     if frame.limits is None or frame.limits[0] != threshold:
         table = _noise_tables(frame.sigma)[1]
         values = np.arange(256)
-        lo = np.searchsorted(table, values - threshold)[table]
-        hi = np.searchsorted(table, values + threshold, side="right")[table]
+        lo = np.searchsorted(table, values - threshold)
+        hi = np.searchsorted(table, values + threshold, side="right") - 1
         frame.limits = threshold, *(
-            np.take(lim.astype(np.uint16), frame.slots, mode="wrap")
-            for lim in (lo, hi - 1))
+            np.take(lim.astype(np.uint16)[table], frame.slots, mode="wrap")
+            for lim in (lo, hi - lo))
     return frame.limits[1:]
 
 
@@ -369,8 +388,9 @@ def _foreground_components(background: Frame, current: Frame,
     of their boxes is differenced from pixels, each frame's part of it
     built from its patch (`_in_box`), and outside it the current frame's
     slot is foreground where it lies outside the background's slot limits
-    (`_slot_limits`). Only that whole-image mask goes through
-    `_components`, which drops its many one-pixel specks before labelling.
+    (`_slot_limits`), one uint16 subtraction and comparison per pixel.
+    Only that whole-image mask goes through `_components`, which drops
+    its many one-pixel specks before labelling.
     """
     if (background.height, background.width) != (current.height, current.width):
         raise ValueError("frame dimensions differ between background and current")
@@ -381,9 +401,8 @@ def _foreground_components(background: Frame, current: Frame,
     box = _box_union(background.painted, current.painted)
     v0, v1, u0, u1 = box
     if background.slots is not None:
-        lo, hi = _slot_limits(background, threshold)
-        mask = current.slots < lo
-        mask |= current.slots > hi
+        lo, span = _slot_limits(background, threshold)
+        mask = current.slots - lo > span
         a, b = _in_box(background, box), _in_box(current, box)
         # |a - b| in uint8 without widening casts
         mask[v0:v1, u0:u1] = np.maximum(a, b) - np.minimum(a, b) > threshold
@@ -393,7 +412,7 @@ def _foreground_components(background: Frame, current: Frame,
         return []
     painted = [f for f in (background, current) if f.painted[0] < f.painted[1]]
     if len(painted) == 2:
-        stride = u1 - u0 + 1  # as `_components` lays out a mask of the box
+        stride = u1 - u0 + 1  # above every run end in the box
         starts, ends = _span_runs(background, current, box, stride)
         return _labelled(*_run_rows(starts, ends, stride), min_area, v0, u0)
     frame, = painted
@@ -405,9 +424,9 @@ def _foreground_components(background: Frame, current: Frame,
 
 def _span_runs(background: Frame, current: Frame, box, stride: int):
     """The row runs of the XOR of two noise-free frames that both paint,
-    inside a box that holds both painted boxes, as `_components` finds them
-    in a mask of the box: half-open, at row * stride + col, in raster
-    order.
+    inside a box that holds both painted boxes, as a mask of the box holds
+    them: half-open, at row * stride + col for a stride above the box's
+    width, in raster order.
 
     Per row, the symmetric difference of two runs is [p0, p1) and [p2, p3)
     for their four ends sorted, one run [p0, p3) when those touch (p1 ==
@@ -440,24 +459,42 @@ def _components(mask: np.ndarray, min_area: int, v_off: int, u_off: int):
     (v_off, u_off) is the frame position of the mask's top-left pixel; the
     mask's row runs are labelled by `_labelled`.
 
+    The mask is packed eight pixels to a byte, little-endian, into uint64
+    words: row r takes the words [(r + 1) * n, (r + 2) * n), pixel (r, c)
+    is bit c of them, and n = w // 64 + 1 leaves at least one zero bit
+    after each row's last pixel; a zero row lies above and below. Pixel
+    (r, c) is then bit p = (r + 1) * 64 * n + c of the words, and its
+    left and right neighbours are bits p -+ 1: the word shifted by one,
+    with the bit that crosses from the word before or after.
+
     With min_area > 1, pixels with no foreground 4-neighbour are cleared
-    before the run scan. Each is a one-pixel component, which min_area
-    leaves out anyway, so the output is the same; on a noisy mask this
-    removes nearly every run.
+    before the run scan, in six word operations. Each is a one-pixel
+    component, which min_area leaves out anyway, so the output is the
+    same; on a noisy mask this removes nearly every run. A run starts or
+    ends at each bit that differs from the bit before it, read from the
+    few non-zero bytes in raster order.
     """
     h, w = mask.shape
-    stride = w + 1  # a background column ends every row's last run
-    # a background row above and below: pixel (r, c) sits at
-    # (r + 1) * stride + c, and its 4-neighbours at +-1 and +-stride
-    flat = np.zeros((h + 2) * stride, dtype=bool)
-    body = flat[stride:-stride]
-    body.reshape(h, stride)[:, :w] = mask
+    n = w // 64 + 1
+    packed = np.zeros((h + 2, 8 * n), dtype=np.uint8)
+    packed[1:-1, :-(-w // 8)] = np.packbits(mask, axis=1, bitorder="little")
+    words = packed.view("<u8").reshape(-1)
+    end = len(words) - n
+    body = words[n:end]
+    # each body word's left neighbours, the bit before bit 0 included
+    left = (body << 1) | (words[n - 1:end - 1] >> 63)
     if min_area > 1:
-        body &= (flat[stride - 1:-stride - 1] | flat[stride + 1:-stride + 1]
-                 | flat[:-2 * stride] | flat[2 * stride:])
-    edges = np.flatnonzero(body != flat[stride - 1:-stride - 1])
-    # half-open, as row * stride + col
-    return _labelled(*_run_rows(edges[0::2], edges[1::2], stride), min_area,
+        body &= (left | (body >> 1) | (words[n + 1:end + 1] << 63)
+                 | words[:end - n] | words[2 * n:])
+        left = (body << 1) | (words[n - 1:end - 1] >> 63)
+    edges = (body ^ left).view(np.uint8)
+    at = np.flatnonzero(edges != 0)
+    # unpacked 0/1 bytes are valid bools, whose nonzero is the fast one
+    bits = np.flatnonzero(np.unpackbits(edges[at], bitorder="little")
+                          .view(bool))
+    # half-open, as row * 64 * n + col
+    pos = at[bits >> 3] * 8 + (bits & 7)
+    return _labelled(*_run_rows(pos[0::2], pos[1::2], 64 * n), min_area,
                      v_off, u_off)
 
 
@@ -548,17 +585,23 @@ def _array_runs(row: np.ndarray, col0: np.ndarray, col1: np.ndarray,
             break
         np.minimum.at(label, np.maximum(a[split], b[split]),
                       np.minimum(a[split], b[split]))
-    # the roots, in order, are the components
-    root = label == np.arange(n)
-    first = np.flatnonzero(root)
-    comp = (np.cumsum(root) - 1)[label]
+    # the roots, in order, are the components; only those of min_area or
+    # more are summed, from their own runs (a non-root's area is 0, so
+    # the root test also keeps it out at min_area 0)
     length = col1 - col0
-    area = np.bincount(comp, length).astype(np.int64)
+    area = np.bincount(label, length, minlength=n).astype(np.int64)
+    keep = (label == np.arange(n)) & (area >= min_area)
+    first = np.flatnonzero(keep)
+    if not len(first):
+        return []
+    runs = np.flatnonzero(keep[label])
+    comp = np.searchsorted(first, label[runs])
+    area, v_min = area[first], row[first]
+    row, col0, col1, length = row[runs], col0[runs], col1[runs], length[runs]
     u_min = np.full(len(first), stride)
     np.minimum.at(u_min, comp, col0)
     u_max = np.zeros(len(first), dtype=np.int64)
     np.maximum.at(u_max, comp, col1 - 1)
-    v_min = row[first]
     v_max = np.zeros(len(first), dtype=np.int64)
     np.maximum.at(v_max, comp, row)
     u_sum = np.bincount(comp, (col0 + col1 - 1) * length // 2)
@@ -566,7 +609,7 @@ def _array_runs(row: np.ndarray, col0: np.ndarray, col1: np.ndarray,
     cu = (u_sum - area * u_min) / area + (u_min + u_off)
     cv = (v_sum - area * v_min) / area + (v_min + v_off)
     columns = (area, u_min, v_min, u_max, v_max, cu, cv)
-    return zip(*(col[area >= min_area].tolist() for col in columns))
+    return zip(*(col.tolist() for col in columns))
 
 
 def detect_by_subtraction(background: Frame, current: Frame,

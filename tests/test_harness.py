@@ -715,6 +715,19 @@ class TestSummary:
         assert link["bytes_per_s"] == pytest.approx(12000.0)
         assert 0.0015 <= rep["latency"]["p50"] <= 0.0020
 
+    def test_net_links_whose_names_collide_are_one(self):
+        # ("a->b", "c") and ("a", "b->c") are both named "a->b->c"
+        rows = [{"t": t, "true_x": 0.0, "true_y": 0.0, "true_v": 3.0,
+                 "fused_x": None, "fused_y": None, "phase": "driving"}
+                for t in (0.0, 2.0)]
+        net = [(0.1, "a->b", "c", 10, 0.001), (0.2, "a", "b->c", 30, 0.001),
+               (0.3, "a->b", "c", 20, 0.001), (0.4, "veh", "a", 5, 0.001)]
+        per_link = summarize(rows, [], net, small_cfg())["net"]["per_link"]
+        assert per_link == {
+            "a->b->c": {"packets_per_s": 1.5, "bytes_per_s": 30.0},
+            "veh->a": {"packets_per_s": 0.5, "bytes_per_s": 2.5}}
+        assert list(per_link) == sorted(per_link)
+
 
 class TestCompareRuns:
     def test_self_compare_is_zero(self, run_3ms):

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import math
 from statistics import NormalDist
@@ -19,6 +20,7 @@ from iea_sim.vision import (BACKGROUND_INTENSITY, DEFAULT_THRESHOLD,
 from conftest import DEFAULT_FY, in_image, make_camera, whole_image
 
 DIMS = (4.5, 2.0)
+SIGMAS = (1e-6, 0.3, 8.0, 1e4, 1e308)
 
 # poses around the default camera (x = 0, looking along +x): in view, partly
 # off-image, behind the camera, or no vehicle at all
@@ -157,17 +159,24 @@ def _reference_render(camera, vehicle, dims, t, noise_sigma=0.0, rng=None):
             px[v0:v1 + 1, u0:u1 + 1][inside] = VEHICLE_INTENSITY
             painted = (v0, v1 + 1, u0, u1 + 1)
     if noise_sigma > 0.0:
-        # the same one uint16 slot per pixel, mapped through the inverse CDF
-        # of rint(N(0, sigma)): the smallest k with
-        # Phi((k + 1/2) / sigma) >= (slot + 1/2) / 2**16
+        # the same one uint16 slot per pixel
         slots = rng.integers(0, 1 << 16, px.shape, dtype=np.uint16)
-        values, index = np.unique(slots, return_inverse=True)
-        normal = NormalDist(0.0, noise_sigma)
-        offsets = np.array([math.ceil(normal.inv_cdf((i + 0.5) / 65536) - 0.5)
-                            for i in values.tolist()])
-        px = np.clip(px + offsets[index.reshape(px.shape)], 0, 255)
+        px = np.clip(px + _reference_offsets(noise_sigma)[slots], 0, 255)
         px = px.astype(np.uint8)
     return px, painted
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_offsets(sigma):
+    """Each uint16 slot's offset, the inverse CDF of rint(N(0, sigma)): the
+    smallest k with Phi((k + 1/2) / sigma) >= (slot + 1/2) / 2**16. An
+    offset beyond +-NOISE_OFFSET_CAP saturates any pixel, as the cap does,
+    and the clamp keeps a huge sigma's infinite quantiles out of ceil."""
+    normal = NormalDist(0.0, sigma)
+    return np.array([
+        math.ceil(min(max(normal.inv_cdf((i + 0.5) / 65536),
+                          -NOISE_OFFSET_CAP), NOISE_OFFSET_CAP) - 0.5)
+        for i in range(1 << 16)])
 
 
 def _turned(pose, yaw):
@@ -241,16 +250,19 @@ class TestRenderMatchesReference:
     @settings(max_examples=10, deadline=None)
     @given(poses, st.integers(0, 2**32 - 1))
     def test_noisy(self, default_camera, pose, seed):
-        fr = render_frame(default_camera, pose, DIMS, 0.5, 8.0,
-                          np.random.default_rng(seed))
-        px, painted = _reference_render(default_camera, pose, DIMS, 0.5, 8.0,
-                                        np.random.default_rng(seed))
-        assert fr.painted == painted == render_frame(default_camera, pose,
-                                                     DIMS, 0.5).painted
-        v0, v1, u0, u1 = painted
-        assert (fr.patch == px[v0:v1, u0:u1]).all()
-        assert (fr.pixels == px).all()
-        _assert_background_outside_box(fr)
+        # every sigma, from offsets that never saturate a pixel to ones
+        # that saturate all
+        for sigma in SIGMAS:
+            fr = render_frame(default_camera, pose, DIMS, 0.5, sigma,
+                              np.random.default_rng(seed))
+            px, painted = _reference_render(default_camera, pose, DIMS, 0.5,
+                                            sigma, np.random.default_rng(seed))
+            assert fr.painted == painted == render_frame(
+                default_camera, pose, DIMS, 0.5).painted
+            v0, v1, u0, u1 = painted
+            assert (fr.patch == px[v0:v1, u0:u1]).all()
+            assert (fr.pixels == px).all()
+            _assert_background_outside_box(fr)
 
 
 # the rows of each bundled camera's matrix (x = 6, 30, 70 and 110 m, 9 m up,
@@ -373,9 +385,6 @@ class TestCorners:
             rows, [(x + dx, y) for dx, y in CORNER_POINTS]) == expected
 
 
-SIGMAS = (1e-6, 0.3, 8.0, 1e4, 1e308)
-
-
 def _offset_pmf(offsets):
     """Share of slots per offset, for offsets -NOISE_OFFSET_CAP .. +CAP."""
     return np.bincount(offsets + NOISE_OFFSET_CAP,
@@ -385,7 +394,7 @@ def _offset_pmf(offsets):
 class TestNoiseTable:
     @pytest.mark.parametrize("sigma", SIGMAS)
     def test_pmf_within_one_slot_of_the_rounded_normal(self, sigma):
-        offsets, _ = vision._noise_tables(sigma)
+        offsets, _, _ = vision._noise_tables(sigma)
         assert offsets.shape == (NOISE_SLOTS,) and offsets.dtype == np.int16
         # P(clip(rint(N(0, sigma)), -CAP, CAP) = k): an offset beyond the
         # cap saturates any pixel just as the cap does
@@ -396,15 +405,19 @@ class TestNoiseTable:
 
     @pytest.mark.parametrize("sigma", SIGMAS)
     def test_symmetric_monotone_read_only_and_built_once(self, sigma):
-        offsets, background = vision._noise_tables(sigma)
+        offsets, background, vehicle = vision._noise_tables(sigma)
         assert (offsets == -offsets[::-1]).all()
         assert (np.diff(offsets) >= 0).all()
         assert background.dtype == np.uint8
         assert (background
                 == np.clip(BACKGROUND_INTENSITY + offsets, 0, 255)).all()
+        assert vehicle.dtype == np.uint8
+        assert (vehicle == np.clip(VEHICLE_INTENSITY + offsets, 0, 255)).all()
         assert not offsets.flags.writeable and not background.flags.writeable
+        assert not vehicle.flags.writeable
         again = vision._noise_tables(sigma)
-        assert again[0] is offsets and again[1] is background
+        assert (again[0] is offsets and again[1] is background
+                and again[2] is vehicle)
 
 
 class TestNoisyFrames:
@@ -593,6 +606,38 @@ def _mask(rows):
     return np.array([[c == "#" for c in r] for r in rows])
 
 
+# mask widths at and around the ends of the bytes and 64-bit words that
+# `_components` packs a row into
+WORD_EDGE_WIDTHS = (1, 7, 8, 9, 63, 64, 65, 127, 128, 129, 800)
+
+
+def _word_edge_masks(width):
+    """Masks `width` columns wide whose runs meet the packed words' ends."""
+    rng = np.random.default_rng(width)
+    # a run ending at the last column beside one starting the next row,
+    # and a lone pixel in the last column of the last row
+    wrap = np.zeros((4, width), dtype=bool)
+    wrap[0, -min(3, width):] = True
+    wrap[1, :min(2, width)] = True
+    wrap[3, -1] = True
+    # lone pixels on the first and last bit of a word, and a domino over
+    # each word boundary
+    ends = np.zeros((4, width), dtype=bool)
+    for col in (0, 63, 64, 127, 128, width - 1):
+        if col < width:
+            ends[1, col] = True
+            ends[3, col:col + 2] = True
+    return {
+        "row_wrap": wrap,
+        "word_ends": ends,
+        "all_true": np.ones((3, width), dtype=bool),
+        "true_rows": np.array([[True] * width, [False] * width,
+                               [True] * width, [True] * width]),
+        "dense": rng.random((6, width)) < 0.4,
+        "sparse": rng.random((6, width)) < 0.05,
+    }
+
+
 def _brick_rows(n_runs, per_row=8):
     """Rows of n_runs three-pixel runs, per_row to a row: every other row
     is shifted by two, so that each run overlaps one or two runs of the row
@@ -704,6 +749,15 @@ class TestComponents:
         comps = vision._components(mask, min_area, 3, 5)
         assert repr(comps) == repr(_flood_fill_components(mask, min_area, 3,
                                                           5))
+
+    @pytest.mark.parametrize("min_area", [0, 1, 2, 25])
+    @pytest.mark.parametrize("width", WORD_EDGE_WIDTHS)
+    def test_word_edges_match_flood_fill(self, width, min_area):
+        # a run or a neighbour that crosses from one packed word to the
+        # next, or from a row's last word to the next row's first
+        for name, mask in _word_edge_masks(width).items():
+            assert (repr(vision._components(mask, min_area, 3, 5))
+                    == repr(_flood_fill_components(mask, min_area, 3, 5))), name
 
     def test_noisy_pair_matches_flood_fill(self, default_camera):
         background = render_frame(default_camera, None, DIMS, 0.0, 8.0,
