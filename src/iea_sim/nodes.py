@@ -2,9 +2,10 @@
 (MSSP) and vehicle.
 
 An MSSP node replays the last received ground-truth pose into its own
-rendered scene, runs the tracker, back-projects detections to the road
-plane and publishes position estimates — but only while tracking and only
-for detections fully inside the image. The vehicle node fuses incoming
+rendered scene (its first frame, the tracker's background, is the empty
+road), runs the tracker, back-projects detections to the road plane and
+publishes position estimates — but only while tracking and only for
+detections fully inside the image. The vehicle node fuses incoming
 estimates, steers toward the lookahead target, broadcasts its true pose
 every dynamics step, logs the run's rows and decides when the run ends.
 
@@ -161,7 +162,9 @@ class MsspNode:
         t_frame = self.frame_clock
         self.frame_clock += self.frame_period
         pose = None
-        if self.last_pose is not None:
+        # frame 0 is the tracker's background, the empty road, whatever
+        # pose has arrived; it draws the same noise slots either way
+        if self.last_pose is not None and self.frame_seq:
             # the scene replays the last synchronized pose (it lags the
             # truth by the network + tick latency, as in a live system)
             pose = Pose2D(self.last_pose.x, self.last_pose.y,

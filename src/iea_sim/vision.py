@@ -5,7 +5,8 @@ vehicle's ground rectangle into a flat grayscale frame, the detector
 differences against a stored background and labels the 4-connected
 foreground components from the mask's row runs, and the tracker runs a
 Searching / Tracking state machine with gated nearest-centroid
-re-association and background re-acquisition on loss.
+re-association against one background per camera: its first frame,
+rendered without the vehicle (the empty road) and kept for the whole run.
 
 Every frame carries the box it painted the vehicle into and, for each
 row of the box, the run of columns it painted; outside the box every
@@ -14,21 +15,19 @@ a noise-free frame costs what the box's rows cost and holds no pixels;
 its pixel array is built only when asked for. A noisy frame also holds
 the noisy pixels inside its box (its patch) and keeps its 16-bit noise
 slots, and its background pixel is its slot's entry of a per-sigma
-table. The detector takes two frames at one sigma, as a camera's tracker
-makes them, and refuses any other pair. Two noise-free frames differ
-where exactly one is painted, so their foreground's row runs are the
-XOR of the two frames' runs, at most two per row, with no pixel made;
-when one paints nothing, as a tracker's empty background does, they are
-the other frame's runs as the renderer made them.
-Two noisy frames are differenced from pixels in the union of their
-boxes, and outside it the slots are tested against per-pixel slot limits
-of the background, so noisy detection costs one uint16 subtraction and
-one comparison per pixel plus the box. Its mask is packed 64 pixels to a
-word, where one-pixel specks are cleared and run ends found a word at a
-time. A stack of row runs, one per row, such as a noise-free frame's
-vehicle, is one component and is summed without labelling; any other set
-of runs, such as a noisy frame's mask, is labelled by array union-find,
-and only the components kept are summed.
+table. The detector takes two frames at one sigma whose background
+paints nothing, as a camera's tracker makes them, and refuses any other
+pair. A noise-free frame's foreground is then its own row runs as the
+renderer made them, with no pixel made. A noisy frame is differenced
+from pixels in its painted box, and outside it the slots are tested
+against per-pixel slot limits of the background, so noisy detection
+costs one uint16 subtraction and one comparison per pixel plus the box.
+Its mask is packed 64 pixels to a word, where one-pixel specks are
+cleared and run ends found a word at a time. A stack of row runs, one
+per row, such as a noise-free frame's vehicle, is one component and is
+summed without labelling; any other set of runs, such as a noisy frame's
+mask, is labelled by array union-find, and only the components kept are
+summed.
 
 Pixel noise is rint(N(0, sigma)) at 2**-16 resolution: each pixel takes
 one 16-bit slot i, four to a 64-bit draw, and its offset is the inverse
@@ -76,7 +75,7 @@ class Frame:
     its noisy box pixels in `patch` and keeps its read-only uint16 noise
     `slots`, one per pixel; its background pixel is
     `_noise_tables(sigma)[1][slot]`, and `limits` caches its
-    `_slot_limits`.
+    `_slot_limits`: a tracker's background builds them once per run.
     """
 
     __slots__ = ("capture_time", "painted", "spans", "patch", "height",
@@ -94,8 +93,20 @@ class Frame:
 
     @property
     def pixels(self) -> np.ndarray:
-        """The full frame, as a read-only array built on each call."""
-        px = _in_box(self, (0, self.height, 0, self.width)).view()
+        """The full frame, as a read-only array built on each call: outside
+        the painted box a noisy frame's pixel is its slot's background, one
+        table lookup per pixel."""
+        patch = self.patch
+        if patch is None:
+            patch = _span_patch(self.painted, self.spans)
+        if self.slots is None:
+            px = np.full((self.height, self.width), BACKGROUND_INTENSITY,
+                         dtype=np.uint8)
+        else:
+            # "wrap" only skips the bounds check, as in `render_frame`
+            px = np.take(_noise_tables(self.sigma)[1], self.slots, mode="wrap")
+        v0, v1, u0, u1 = self.painted
+        px[v0:v1, u0:u1] = patch
         px.setflags(write=False)
         return px
 
@@ -316,39 +327,6 @@ def render_frame(camera: CameraModel, vehicle: Optional[Pose2D],
                  slots, noise_sigma)
 
 
-def _box_union(a, b):
-    """Smallest half-open box holding two (v0, v1, u0, u1) boxes."""
-    if a[0] >= a[1] or a[2] >= a[3]:
-        return b
-    if b[0] >= b[1] or b[2] >= b[3]:
-        return a
-    return min(a[0], b[0]), max(a[1], b[1]), min(a[2], b[2]), max(a[3], b[3])
-
-
-def _in_box(frame: Frame, box) -> np.ndarray:
-    """A frame's pixels inside a box that holds its painted box.
-
-    Outside the painted box a noisy frame's pixels are its slots'
-    background: one table lookup per pixel of the box. An empty painted
-    box pastes nothing: each of its slices has equal ends.
-    """
-    patch = frame.patch
-    if patch is None:
-        patch = _span_patch(frame.painted, frame.spans)
-    if frame.painted == box:
-        return patch
-    v0, v1, u0, u1 = box
-    pv0, pv1, pu0, pu1 = frame.painted
-    if frame.slots is None:
-        out = np.full((v1 - v0, u1 - u0), BACKGROUND_INTENSITY, dtype=np.uint8)
-    else:
-        # "wrap" only skips the bounds check, as in `render_frame`
-        out = np.take(_noise_tables(frame.sigma)[1],
-                      frame.slots[v0:v1, u0:u1], mode="wrap")
-    out[pv0 - v0:pv1 - v0, pu0 - u0:pu1 - u0] = patch
-    return out
-
-
 def _slot_limits(frame: Frame, threshold: int):
     """Per-pixel slot limits (lo, span) of a noisy frame's background.
 
@@ -358,9 +336,9 @@ def _slot_limits(frame: Frame, threshold: int):
     those above hi = lo + span, the last slot with a value <= b +
     threshold. Since b is a table value, lo <= hi and both fit uint16; in
     uint16 a slot s below lo wraps to s - lo > span, so s lies outside the
-    limits exactly when s - lo > span. Outside the painted box they are
-    exact; inside it they are unused. Built once per frame and threshold
-    and kept in `frame.limits`.
+    limits exactly when s - lo > span. They are exact wherever the frame
+    paints nothing. Built once per frame and threshold and kept in
+    `frame.limits`.
     """
     if frame.limits is None or frame.limits[0] != threshold:
         table = _noise_tables(frame.sigma)[1]
@@ -377,20 +355,18 @@ def _foreground_components(background: Frame, current: Frame,
                            threshold: int, min_area: int):
     """4-connected foreground components as (area, bbox, centroid) tuples.
 
-    Both frames must have one size and one sigma: a tracker's background
-    comes from its own camera, at its sigma. Two noise-free frames differ
-    exactly where one of them is painted and the other is not, by
-    VEHICLE_INTENSITY - BACKGROUND_INTENSITY, so their foreground is the
-    XOR of their row runs, or nothing at a threshold of that difference or
-    more. When one of them paints nothing, as a tracker's empty background
-    does, the other's rows with a run are the foreground's; when both
-    paint, `_span_runs` takes the XOR. Between two noisy frames the union
-    of their boxes is differenced from pixels, each frame's part of it
-    built from its patch (`_in_box`), and outside it the current frame's
-    slot is foreground where it lies outside the background's slot limits
-    (`_slot_limits`), one uint16 subtraction and comparison per pixel.
-    Only that whole-image mask goes through `_components`, which drops
-    its many one-pixel specks before labelling.
+    Both frames must have one size and one sigma, and the background must
+    paint no pixel: a tracker's background is its own camera's empty road,
+    at its sigma. A noise-free frame then differs from it exactly where the
+    frame is painted, by VEHICLE_INTENSITY - BACKGROUND_INTENSITY, so the
+    foreground is the frame's rows that have a run, or nothing at a
+    threshold of that difference or more. Against a noisy background the
+    current frame's painted box is differenced from pixels, the
+    background's being table lookups of its slots, and outside it the
+    current frame's slot is foreground where it lies outside the
+    background's slot limits (`_slot_limits`), one uint16 subtraction and
+    comparison per pixel. Only that whole-image mask goes through
+    `_components`, which drops its many one-pixel specks before labelling.
     """
     if (background.height, background.width) != (current.height, current.width):
         raise ValueError("frame dimensions differ between background and current")
@@ -398,59 +374,26 @@ def _foreground_components(background: Frame, current: Frame,
         raise ValueError("threshold must be non-negative")
     if background.sigma != current.sigma:
         raise ValueError("noise sigma differs between background and current")
-    box = _box_union(background.painted, current.painted)
-    v0, v1, u0, u1 = box
+    # an empty box has no runs; any other box may still have none
+    if (background.painted[0] < background.painted[1]
+            and (background.spans[:, 0] < background.spans[:, 1]).any()):
+        raise ValueError("background paints the vehicle")
+    v0, v1, u0, u1 = current.painted
     if background.slots is not None:
         lo, span = _slot_limits(background, threshold)
         mask = current.slots - lo > span
-        a, b = _in_box(background, box), _in_box(current, box)
+        # "wrap" only skips the bounds check, as in `render_frame`
+        a = np.take(_noise_tables(background.sigma)[1],
+                    background.slots[v0:v1, u0:u1], mode="wrap")
+        b = current.patch
         # |a - b| in uint8 without widening casts
         mask[v0:v1, u0:u1] = np.maximum(a, b) - np.minimum(a, b) > threshold
         return _components(mask, min_area, 0, 0)
-    if (v0 >= v1 or u0 >= u1
-            or threshold >= VEHICLE_INTENSITY - BACKGROUND_INTENSITY):
+    if v0 >= v1 or threshold >= VEHICLE_INTENSITY - BACKGROUND_INTENSITY:
         return []
-    painted = [f for f in (background, current) if f.painted[0] < f.painted[1]]
-    if len(painted) == 2:
-        stride = u1 - u0 + 1  # above every run end in the box
-        starts, ends = _span_runs(background, current, box, stride)
-        return _labelled(*_run_rows(starts, ends, stride), min_area, v0, u0)
-    frame, = painted
-    col0, col1 = frame.spans[:, 0], frame.spans[:, 1]
+    col0, col1 = current.spans[:, 0], current.spans[:, 1]
     rows = np.flatnonzero(col0 < col1)  # an empty run is no run
-    return _labelled(rows + frame.painted[0], col0[rows], col1[rows],
-                     min_area, 0, 0)
-
-
-def _span_runs(background: Frame, current: Frame, box, stride: int):
-    """The row runs of the XOR of two noise-free frames that both paint,
-    inside a box that holds both painted boxes, as a mask of the box holds
-    them: half-open, at row * stride + col for a stride above the box's
-    width, in raster order.
-
-    Per row, the symmetric difference of two runs is [p0, p1) and [p2, p3)
-    for their four ends sorted, one run [p0, p3) when those touch (p1 ==
-    p2); an empty run is left out.
-    """
-    v0, v1, u0, _ = box
-    ends = np.zeros((v1 - v0, 4), dtype=np.int64)
-    for k, frame in enumerate((background, current)):
-        fv0, fv1 = frame.painted[:2]
-        ends[fv0 - v0:fv1 - v0, 2 * k:2 * k + 2] = frame.spans
-    ends.sort(axis=1)
-    touch = ends[:, 1] == ends[:, 2]
-    ends[touch, 1:3] = ends[touch, 3:]
-    ends += np.arange(v1 - v0)[:, None] * stride - u0
-    starts, ends = ends[:, 0::2], ends[:, 1::2]
-    runs = starts < ends
-    return starts[runs], ends[runs]
-
-
-def _run_rows(starts: np.ndarray, ends: np.ndarray, stride: int):
-    """Runs given at row * stride + col, with every col below stride, as
-    their rows and their column ends."""
-    row, col0 = np.divmod(starts, stride)
-    return row, col0, ends - row * stride
+    return _labelled(rows + v0, col0[rows], col1[rows], min_area, 0, 0)
 
 
 def _components(mask: np.ndarray, min_area: int, v_off: int, u_off: int):
@@ -494,7 +437,8 @@ def _components(mask: np.ndarray, min_area: int, v_off: int, u_off: int):
                           .view(bool))
     # half-open, as row * 64 * n + col
     pos = at[bits >> 3] * 8 + (bits & 7)
-    return _labelled(*_run_rows(pos[0::2], pos[1::2], 64 * n), min_area,
+    row, col0 = np.divmod(pos[0::2], 64 * n)
+    return _labelled(row, col0, pos[1::2] - row * (64 * n), min_area,
                      v_off, u_off)
 
 
@@ -626,14 +570,15 @@ def track_step(state: TrackerState, frame: Frame
                ) -> tuple[TrackerState, Optional[Detection]]:
     """Advance the Searching/Tracking state machine by one frame.
 
-    Searching: the first frame seen becomes the background; afterwards the
-    largest foreground blob starts a track. Tracking: the blob whose
-    centroid is nearest the previous box center (within GATE_PX) continues
-    the track; after LOSS_LIMIT consecutive misses the tracker drops back
-    to Searching and will take a fresh background.
+    Searching: the first frame seen becomes the background, kept for the
+    whole run, and must paint no vehicle; afterwards the largest foreground
+    blob starts a track. Tracking: the blob whose centroid is nearest the
+    previous box center (within GATE_PX) continues the track; after
+    LOSS_LIMIT consecutive misses the tracker drops back to Searching,
+    against the same background.
     """
     if state.background is None:
-        return TrackerState(SEARCHING, state.last_box, frame), None
+        return TrackerState(background=frame), None
 
     if state.mode == SEARCHING:
         box = detect_by_subtraction(state.background, frame)
@@ -657,7 +602,7 @@ def track_step(state: TrackerState, frame: Frame
     if best is None:
         lost = state.frames_lost + 1
         if lost > LOSS_LIMIT:
-            return TrackerState(), None  # re-acquire background next frame
+            return TrackerState(background=state.background), None
         return TrackerState(state.mode, state.last_box, state.background,
                             lost), None
     new = TrackerState(TRACKING, best, state.background)

@@ -148,6 +148,15 @@ class TestMsspNode:
         out = node.step(0.15, [pose_msg(21.0, seq=2)])
         assert abs(out[0].x - 21.0) < 0.5
 
+    def test_pose_before_the_first_frame_stays_out_of_the_background(self):
+        # a pose that arrives with frame 0 is not painted into the tracker's
+        # background, so the parked vehicle is found in the next frame
+        node = MsspNode(MSSP_CFG, "mssp1")
+        assert node.step(0.0, [pose_msg(20.0)]) == []
+        out = node.step(0.05, [])
+        assert len(out) == 1
+        assert math.hypot(out[0].x - 20.0, out[0].y) < 0.5
+
     def test_stale_pose_seq_ignored(self):
         node = self._warmed()
         node.step(0.05, [pose_msg(20.0, seq=5)])

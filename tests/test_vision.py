@@ -520,20 +520,50 @@ class TestDetectBySubtraction:
         # the shape check comes first
         with pytest.raises(ValueError, match="dimensions"):
             detect_by_subtraction(bg, _blank(11, 10), threshold=-1)
+        # and both come before the painted-background check
+        painted = _rect_frame(10, 10, (2, 4, 2, 4))
+        with pytest.raises(ValueError, match="threshold"):
+            detect_by_subtraction(painted, bg, threshold=-1)
+        with pytest.raises(ValueError, match="dimensions"):
+            detect_by_subtraction(painted, _blank(11, 10))
+
+    def test_painted_background_is_refused(self, default_camera):
+        # a tracker's background is the empty road: one that paints a run,
+        # noise-free or noisy, is refused by the detector and the tracker
+        # alike; a whole-image box with no run paints nothing
+        pose = Pose2D(20.0, 0.0, 0.0)
+        rng = np.random.default_rng(24)
+        for sigma in (0.0, 8.0):
+            bg = render_frame(default_camera, pose, DIMS, 0.0, sigma, rng)
+            cur = render_frame(default_camera, None, DIMS, 0.05, sigma, rng)
+            with pytest.raises(ValueError, match="background paints"):
+                detect_by_subtraction(bg, cur)
+            tracking = TrackerState(mode=TRACKING,
+                                    last_box=vision.BoundingBox(0, 0, 1, 1),
+                                    background=bg)
+            for state in (TrackerState(background=bg), tracking):
+                with pytest.raises(ValueError, match="background paints"):
+                    track_step(state, cur)
+        empty = whole_image(render_frame(default_camera, None, DIMS, 0.0))
+        assert empty.painted == (0, 600, 0, 800)
+        fr = render_frame(default_camera, pose, DIMS, 0.05)
+        assert detect_by_subtraction(empty, fr) == detect_by_subtraction(
+            render_frame(default_camera, None, DIMS, 0.0), fr) is not None
+        state, det = track_step(TrackerState(background=empty), fr)
+        assert state.mode == TRACKING and det is not None
 
     @settings(max_examples=60, deadline=None)
-    @given(poses, poses, st.integers(0, 255), st.integers(1, 60))
-    def test_sparse_path_matches_dense(self, default_camera, bg_pose, cur_pose,
+    @given(poses, st.integers(0, 255), st.integers(1, 60))
+    def test_sparse_path_matches_dense(self, default_camera, cur_pose,
                                        threshold, min_area):
-        # the background may hold the vehicle's ghost, as after a tracker
-        # loss. The runs' components are the flood fill of the pixel
-        # difference, which is empty outside the union of the two boxes;
-        # the same frames on whole-image boxes, alone or against a frame
-        # on its own box, give the same
-        bg = render_frame(default_camera, bg_pose, DIMS, 0.0)
+        # against the empty road, the runs' components are the flood fill
+        # of the pixel difference, which is empty outside the current
+        # frame's box; the same frames on whole-image boxes, alone or
+        # against a frame on its own box, give the same
+        bg = render_frame(default_camera, None, DIMS, 0.0)
         cur = render_frame(default_camera, cur_pose, DIMS, 0.05)
         mask = np.abs(bg.pixels.astype(np.int16) - cur.pixels) > threshold
-        v0, v1, u0, u1 = vision._box_union(bg.painted, cur.painted)
+        v0, v1, u0, u1 = cur.painted
         box_mask = mask[v0:v1, u0:u1].copy()
         mask[v0:v1, u0:u1] = False
         assert not mask.any()
@@ -776,15 +806,15 @@ class TestComponents:
         "one_sigma", "two_sigmas", "noisy_vs_clean", "clean_vs_noisy",
         "wrapped_vs_noisy", "noisy_vs_wrapped"])
     @settings(max_examples=25, deadline=None)
-    @given(small_poses, small_poses, st.sampled_from(SIGMAS),
+    @given(small_poses, st.sampled_from(SIGMAS),
            st.sampled_from(SIGMAS), st.sampled_from((0, 1, 30, 255, 300)),
            st.integers(1, 30), st.integers(0, 2**32 - 1))
-    def test_noisy_pairs_match_flood_fill(self, pairing, bg_pose, cur_pose,
+    def test_noisy_pairs_match_flood_fill(self, pairing, cur_pose,
                                           sigma, other_sigma, threshold,
                                           min_area, seed):
-        # the vehicle in the background, the current frame, both or neither;
-        # outside the union of the boxes two noisy frames at one sigma are
-        # compared by slot. A pair whose sigmas differ is one no tracker
+        # the empty road against the vehicle or no vehicle; outside the
+        # current frame's box two noisy frames at one sigma are compared
+        # by slot. A pair whose sigmas differ is one no tracker
         # makes, and is refused, also when the noise-free frame's box is
         # its whole image (`whole_image`)
         if pairing == "two_sigmas" and other_sigma == sigma:
@@ -799,7 +829,7 @@ class TestComponents:
             "noisy_vs_clean": (sigma, 0.0), "clean_vs_noisy": (0.0, sigma),
             "wrapped_vs_noisy": (0.0, sigma),
             "noisy_vs_wrapped": (sigma, 0.0)}[pairing]
-        bg, cur = frame(bg_pose, 0.0, bg_sigma), frame(cur_pose, 0.05, cur_sigma)
+        bg, cur = frame(None, 0.0, bg_sigma), frame(cur_pose, 0.05, cur_sigma)
         if pairing == "wrapped_vs_noisy":
             bg = whole_image(bg)
         elif pairing == "noisy_vs_wrapped":
@@ -821,7 +851,8 @@ class TestComponents:
             self, default_camera):
         # a tracker whose background has another sigma than its frames
         # refuses them, as the detector does; a size mismatch and a
-        # negative threshold are named first
+        # negative threshold are named first, and a sigma mismatch before
+        # a painted background
         clean = render_frame(default_camera, None, DIMS, 0.0)
         noisy = render_frame(default_camera, Pose2D(20.0, 0.0, 0.0), DIMS,
                              0.05, 8.0, np.random.default_rng(21))
@@ -842,6 +873,16 @@ class TestComponents:
             detect_by_subtraction(clean, small, threshold=-1)
         with pytest.raises(ValueError, match="threshold"):
             detect_by_subtraction(clean, noisy, threshold=-1)
+        painted = render_frame(default_camera, Pose2D(20.0, 0.0, 0.0), DIMS,
+                               0.0)
+        with pytest.raises(ValueError, match="dimensions"):
+            detect_by_subtraction(painted, small)
+        with pytest.raises(ValueError, match="threshold"):
+            detect_by_subtraction(painted, clean, threshold=-1)
+        with pytest.raises(ValueError, match="sigma differs"):
+            detect_by_subtraction(painted, noisy)
+        with pytest.raises(ValueError, match="sigma differs"):
+            track_step(TrackerState(background=painted), noisy)
 
     def test_u_shape_is_one_component_before_the_dot(self):
         comps = vision._components(_mask(["#.....#..#",
@@ -988,64 +1029,6 @@ class TestStacks:
         assert repr(comps) == repr(_flood_fill_components(mask, 1, 2, 4))
 
 
-SPAN_H, SPAN_W = 10, 14
-
-
-@st.composite
-def span_frames(draw):
-    """A noise-free SPAN_H x SPAN_W frame with one run on each row of a
-    box, or one that paints nothing. Box and runs are small, so that the
-    runs of two frames often nest, overlap, touch or match."""
-    if draw(st.integers(0, 5)) == 0:
-        return Frame(vision._NO_SPANS, 0.0, EMPTY_BOX, SPAN_H, SPAN_W)
-    v0 = draw(st.integers(0, SPAN_H - 1))
-    v1 = draw(st.integers(v0 + 1, SPAN_H))
-    u0 = draw(st.integers(0, SPAN_W - 1))
-    u1 = draw(st.integers(u0 + 1, SPAN_W))
-    spans = []
-    for _ in range(v1 - v0):
-        lo = draw(st.integers(u0, u1))
-        spans.append((lo, draw(st.integers(lo, u1))))
-    return Frame(np.array(spans, dtype=np.int64), 0.0, (v0, v1, u0, u1),
-                 SPAN_H, SPAN_W)
-
-
-class TestSpanPairs:
-    @settings(max_examples=300, deadline=None)
-    @given(span_frames(), span_frames(),
-           st.sampled_from((0, 30, VEHICLE_INTENSITY - BACKGROUND_INTENSITY - 1,
-                            VEHICLE_INTENSITY - BACKGROUND_INTENSITY, 255)),
-           st.integers(1, 6))
-    def test_match_flood_fill(self, bg, cur, threshold, min_area):
-        # two noise-free frames differ where exactly one is painted, by
-        # VEHICLE_INTENSITY - BACKGROUND_INTENSITY: the components of their
-        # runs' XOR are the flood fill of the pixel difference, and empty
-        # at that threshold or above
-        mask = np.abs(bg.pixels.astype(np.int16) - cur.pixels) > threshold
-        assert (repr(vision._foreground_components(bg, cur, threshold,
-                                                   min_area))
-                == repr(_flood_fill_components(mask, min_area, 0, 0)))
-
-    @pytest.mark.parametrize("bg_run, cur_run, runs", [
-        ((2, 5), (5, 9), [(2, 9)]),
-        ((5, 9), (2, 5), [(2, 9)]),
-        ((2, 9), (4, 6), [(2, 4), (6, 9)]),
-        ((2, 6), (4, 9), [(2, 4), (6, 9)]),
-        ((2, 6), (2, 6), []),
-        ((3, 3), (2, 6), [(2, 6)]),
-        ((2, 4), (6, 9), [(2, 4), (6, 9)])],
-        ids=["touching", "touching_left", "nested", "overlapping", "equal",
-             "empty_inside", "apart"])
-    def test_row_runs(self, bg_run, cur_run, runs):
-        # the XOR of one row's two runs is at most two runs, one when they
-        # touch, as a mask's row holds them
-        bg, cur = (Frame(np.array([run]), 0.0, (4, 5, 1, 11), 10, 12)
-                   for run in (bg_run, cur_run))
-        starts, ends = vision._span_runs(bg, cur, (4, 5, 1, 11), 11)
-        assert list(zip(starts.tolist(), ends.tolist())) == [
-            (s - 1, e - 1) for s, e in runs]
-
-
 def _drive_through(camera, x_start, x_end, v=3.0, fps=20.0, y=0.0):
     """Yield (t, pose, frame) for a constant-speed traversal."""
     t, x = 0.0, x_start
@@ -1103,11 +1086,11 @@ class TestTrackStep:
         assert state.mode == SEARCHING
 
     def test_noisy_track_survives_a_loss_as_pixels_do(self, default_camera):
-        # the vehicle in view, out of it until the tracker gives up, then a
-        # fresh background that holds its ghost, and a new track: at every
-        # step the components are the flood fill of the pixel difference
-        # from the tracker's background, so the new background's slot
-        # limits are its own, and the detection is one of them
+        # the vehicle in view, out of it until the tracker gives up, then
+        # back in view and a new track against the same background, the
+        # empty road: at every step the components are the flood fill of
+        # the pixel difference from the tracker's background, and the
+        # detection is one of them
         gone = Pose2D(500.0, 0.0, 0.0)
         poses = ([None] + [Pose2D(20.0 + 0.15 * i, 0.0, 0.0) for i in range(3)]
                  + [gone] * (vision.LOSS_LIMIT + 1)
@@ -1133,9 +1116,9 @@ class TestTrackStep:
             assert det is None or det.box in boxes
             modes.append(noisy.mode)
             found.append(det is not None)
-        assert found == [False, True, True, True] + [False] * 7 + [True] * 3
-        assert modes[3] == TRACKING and modes[9:11] == [SEARCHING] * 2
-        assert noisy.background is frames[10]
+        assert found == [False, True, True, True] + [False] * 6 + [True] * 4
+        assert modes[3] == TRACKING and modes[9:11] == [SEARCHING, TRACKING]
+        assert noisy.background is frames[0]
 
     def test_pipeline_consistency_back_projection(self, default_camera):
         # noise-free detections back-project within 0.5 m of the true
