@@ -14,10 +14,14 @@ body y axis, positive pitches the axis *down* from horizontal), then roll
 Optical/image frame (standard computer vision): x right, y down, z forward
 along the optical axis. Pixel u grows right (columns), v grows down (rows).
 
-A camera is summarized by the 3x4 matrix [M p4] = K [R t] mapping
-homogeneous world points to homogeneous pixels. Back-projection of a pixel
-p follows the ray P(lam) = C + lam * M^-1 [u v 1]^T, where C is the camera
-center and lam equals the camera-frame depth of P(lam).
+A camera is summarized by the 3x4 matrix P = K [R t] with rows P1, P2, P3,
+mapping homogeneous world points to homogeneous pixels. Back-projection of
+a pixel (u, v) to the road solves the two plane equations
+(u P3 - P1) . (x, y, 0, 1) = 0 and (v P3 - P2) . (x, y, 0, 1) = 0 for
+(x, y) by Cramer's rule, with no inverse of P's left 3x3 block.
+
+The matrix, projection and back-projection are plain Python float sums in
+a fixed order, with no BLAS call, so their bits do not depend on the CPU.
 """
 
 from __future__ import annotations
@@ -27,15 +31,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
-import numpy as np
-
 TWO_PI = 2.0 * math.pi
 
-# Fixed permutation from the camera body frame (x fwd, y left, z up) into
-# the optical frame (x right, y down, z fwd).
-_BODY_TO_OPTICAL = np.array([[0.0, -1.0, 0.0],
-                             [0.0, 0.0, -1.0],
-                             [1.0, 0.0, 0.0]])
+Rows = tuple[tuple[float, float, float, float], ...]
 
 
 class InvalidCameraError(ValueError):
@@ -61,9 +59,6 @@ class WorldPoint:
     def __post_init__(self):
         if not all(math.isfinite(c) for c in (self.x, self.y, self.z)):
             raise ValueError("WorldPoint components must be finite")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z])
 
 
 @dataclass(frozen=True)
@@ -93,11 +88,10 @@ class CameraModel:
     Pitch is measured down from horizontal; a camera with pitch pi/4 at
     altitude 9 m has its optical axis hit the ground 9 m ahead.
 
-    The constants that rendering and back-projection use (`matrix`,
-    `matrix_rows`, `inverse`) are derived once per camera and kept on it as
-    cached properties, so that no frame or back-projection hashes the
-    camera to look them up; they are not fields, so equality, hashing and
-    repr ignore them.
+    `matrix_rows`, the camera matrix that projection and back-projection
+    use, is derived once per camera and kept on it as a cached property,
+    so that no frame or back-projection hashes the camera to look it up;
+    it is not a field, so equality, hashing and repr ignore it.
     """
 
     position: WorldPoint
@@ -118,63 +112,53 @@ class CameraModel:
             raise InvalidCameraError("principal point must lie inside the image")
         if self.position.z <= 0:
             raise InvalidCameraError("camera must sit above the road plane (z > 0)")
-        if abs(np.linalg.det(self.matrix[:, :3])) < 1e-12:
+        (a0, a1, a2, _), (b0, b1, b2, _), (c0, c1, c2, _) = self.matrix_rows
+        det = (a0 * (b1 * c2 - b2 * c1) - a1 * (b0 * c2 - b2 * c0)
+               + a2 * (b0 * c1 - b1 * c0))
+        if abs(det) < 1e-12:
             raise InvalidCameraError("degenerate orientation: M is singular")
 
     @cached_property
-    def matrix(self) -> np.ndarray:
-        """The read-only `camera_matrix`."""
+    def matrix_rows(self) -> Rows:
+        """This camera's `camera_matrix`."""
         return camera_matrix(self)
 
-    @cached_property
-    def matrix_rows(self) -> tuple[tuple[float, ...], ...]:
-        """The camera matrix's rows as tuples of Python floats."""
-        return tuple(map(tuple, self.matrix.tolist()))
 
-    @cached_property
-    def inverse(self) -> np.ndarray:
-        """The read-only inverse of M, the matrix's left 3x3 block."""
-        Minv = np.linalg.inv(self.matrix[:, :3])
-        Minv.setflags(write=False)
-        return Minv
+def camera_matrix(camera: CameraModel) -> Rows:
+    """The rows of the 3x4 matrix K [R t] mapping world points into pixels,
+    as tuples of floats; a camera keeps its own as `CameraModel.matrix_rows`.
 
-
-def _intrinsic_matrix(camera: CameraModel) -> np.ndarray:
-    return np.array([[camera.fx, 0.0, camera.cx],
-                     [0.0, camera.fy, camera.cy],
-                     [0.0, 0.0, 1.0]])
-
-
-def _rotation_world_to_optical(roll: float, pitch: float, yaw: float) -> np.ndarray:
-    cy, sy = math.cos(yaw), math.sin(yaw)
-    cp, sp = math.cos(pitch), math.sin(pitch)
-    cr, sr = math.cos(roll), math.sin(roll)
-    Rz = np.array([[cy, -sy, 0.0], [sy, cy, 0.0], [0.0, 0.0, 1.0]])
-    Ry = np.array([[cp, 0.0, sp], [0.0, 1.0, 0.0], [-sp, 0.0, cp]])
-    Rx = np.array([[1.0, 0.0, 0.0], [0.0, cr, -sr], [0.0, sr, cr]])
-    body_to_world = Rz @ Ry @ Rx
-    return _BODY_TO_OPTICAL @ body_to_world.T
+    The body axes (forward, left, up) in world coordinates are the columns
+    of Rz Ry Rx. The optical axes are right = -left, down = -up and
+    forward, so R's rows are those, and K adds cx and cy times the forward
+    row to the two top rows. The last column, K t with t = -R C for the
+    camera center C, is taken as -M C for M = K R, the left 3x3 block.
+    """
+    cy, sy = math.cos(camera.yaw), math.sin(camera.yaw)
+    cp, sp = math.cos(camera.pitch), math.sin(camera.pitch)
+    cr, sr = math.cos(camera.roll), math.sin(camera.roll)
+    fwd = (cy * cp, sy * cp, -sp)
+    left = (cy * sp * sr - sy * cr, sy * sp * sr + cy * cr, cp * sr)
+    up = (cy * sp * cr + sy * sr, sy * sp * cr - cy * sr, cp * cr)
+    m = (tuple(camera.cx * f - camera.fx * l for f, l in zip(fwd, left)),
+         tuple(camera.cy * f - camera.fy * u for f, u in zip(fwd, up)),
+         fwd)
+    c = camera.position
+    return tuple((m0, m1, m2, -(m0 * c.x + m1 * c.y + m2 * c.z))
+                 for m0, m1, m2 in m)
 
 
-def camera_matrix(camera: CameraModel) -> np.ndarray:
-    """3x4 matrix [M p4] = K [R t] mapping world points into pixels; a
-    camera keeps its own as `CameraModel.matrix`."""
-    K = _intrinsic_matrix(camera)
-    R = _rotation_world_to_optical(camera.roll, camera.pitch, camera.yaw)
-    t = -R @ camera.position.as_array()
-    P = K @ np.hstack([R, t[:, None]])
-    P.setflags(write=False)
-    return P
-
-
-def project_xyz(P: np.ndarray, x: float, y: float, z: float = 0.0
+def project_xyz(rows: Rows, x: float, y: float, z: float = 0.0
                 ) -> Optional[tuple[float, float]]:
-    """(u, v) of the world point (x, y, z) under the camera matrix P; None
-    when the point is behind the camera (w <= 0)."""
-    h = P @ np.array([x, y, z, 1.0])
-    if h[2] <= 0.0:
+    """(u, v) of the world point (x, y, z) under the camera matrix given by
+    its rows; None when the point is behind the camera (w <= 0). Each row
+    is summed left to right: r[0] * x + r[1] * y + r[2] * z + r[3]."""
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3) = rows
+    w = c0 * x + c1 * y + c2 * z + c3
+    if w <= 0.0:
         return None
-    return float(h[0] / h[2]), float(h[1] / h[2])
+    return ((a0 * x + a1 * y + a2 * z + a3) / w,
+            (b0 * x + b1 * y + b2 * z + b3) / w)
 
 
 def project(camera: CameraModel, p: WorldPoint) -> Optional[PixelPoint]:
@@ -182,7 +166,7 @@ def project(camera: CameraModel, p: WorldPoint) -> Optional[PixelPoint]:
 
     A point outside the image bounds still projects to its pixel.
     """
-    uv = project_xyz(camera.matrix, p.x, p.y, p.z)
+    uv = project_xyz(camera.matrix_rows, p.x, p.y, p.z)
     return None if uv is None else PixelPoint(*uv)
 
 
@@ -190,13 +174,17 @@ def back_project_ground(camera: CameraModel, p: PixelPoint) -> Optional[WorldPoi
     """Intersect the pixel's viewing ray with the road plane z = 0.
 
     Returns None when the ray is parallel to the plane or the intersection
-    lies behind the camera.
+    lies behind the camera (w <= 0).
     """
-    d = camera.inverse @ np.array([p.u, p.v, 1.0])
-    if abs(d[2]) < 1e-15:
+    (a0, a1, _, a3), (b0, b1, _, b3), (c0, c1, _, c3) = camera.matrix_rows
+    # (u P3 - P1) . (x, y, 0, 1) = 0 and (v P3 - P2) . (x, y, 0, 1) = 0
+    e0, e1, e3 = p.u * c0 - a0, p.u * c1 - a1, p.u * c3 - a3
+    f0, f1, f3 = p.v * c0 - b0, p.v * c1 - b1, p.v * c3 - b3
+    det = e0 * f1 - f0 * e1
+    if det == 0.0:
         return None
-    lam = -camera.position.z / d[2]
-    if lam <= 0.0:
+    x = (e1 * f3 - f1 * e3) / det
+    y = (f0 * e3 - e0 * f3) / det
+    if c0 * x + c1 * y + c3 <= 0.0:
         return None
-    c = camera.position
-    return WorldPoint(float(c.x + lam * d[0]), float(c.y + lam * d[1]), 0.0)
+    return WorldPoint(x, y, 0.0)

@@ -80,16 +80,19 @@ class CellLayout:
             lo = cam.position.x
             hi = cam.position.x + 20.0 * cam.position.z  # generous far bound
             xs = np.arange(lo, hi, CELL_SCAN_RESOLUTION)
-            P = cam.matrix
+            p1, p2, p3 = cam.matrix_rows
             visible = np.ones(len(xs), dtype=bool)
             for dx, dy in ((hl, hw), (hl, -hw), (-hl, -hw), (-hl, hw)):
-                h = P @ np.stack([xs + dx, np.full_like(xs, CELL_SCAN_Y + dy),
-                                  np.zeros_like(xs), np.ones_like(xs)])
-                # a corner behind the camera (h[2] <= 0) is not visible; its
+                # `geometry.project_xyz`'s row sums, elementwise (at z = 0
+                # its r[2] * z term adds a zero, which moves no nonzero sum)
+                x, y = xs + dx, CELL_SCAN_Y + dy
+                w = p3[0] * x + p3[1] * y + p3[3]
+                # a corner behind the camera (w <= 0) is not visible; its
                 # division below may give inf or nan, which every test fails
                 with np.errstate(divide="ignore", invalid="ignore"):
-                    u, v = h[0] / h[2], h[1] / h[2]
-                visible &= ((h[2] > 0.0)
+                    u = (p1[0] * x + p1[1] * y + p1[3]) / w
+                    v = (p2[0] * x + p2[1] * y + p2[3]) / w
+                visible &= ((w > 0.0)
                             & (m <= u) & (u <= cam.width - 1 - m)
                             & (m <= v) & (v <= cam.height - 1 - m))
             kept = np.flatnonzero(visible)

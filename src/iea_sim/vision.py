@@ -10,7 +10,9 @@ rendered without the vehicle (the empty road) and kept for the whole run.
 
 Every frame carries the box it painted the vehicle into and, for each
 row of the box, the run of columns it painted; outside the box every
-pixel is background. The renderer finds each row's run by bisection, so
+pixel is background. The renderer projects the rectangle's corners with
+`geometry.project_xyz`, the camera model's one projection, in plain
+float sums, and finds each row's run by bisection, so
 a noise-free frame costs what the box's rows cost and holds no pixels;
 its pixel array is built only when asked for. A noisy frame also holds
 the noisy pixels inside its box (its patch) and keeps its 16-bit noise
@@ -45,7 +47,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import CameraModel, Pose2D
+from .geometry import CameraModel, Pose2D, project_xyz
 
 BACKGROUND_INTENSITY = 40
 VEHICLE_INTENSITY = 220
@@ -186,25 +188,6 @@ def _noise_tables(sigma: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return offsets, background, vehicle
 
 
-def _ground_pixels(rows, points):
-    """(u, v) of each ground point (x, y) under a camera matrix given by its
-    rows, or None for a point behind the camera (w <= 0).
-
-    Each row i is summed as (P[i][0] * x + P[i][2] * 0.0) +
-    (P[i][1] * y + P[i][3]), in plain float arithmetic: the order in which
-    OpenBLAS's SkylakeX kernel sums the product of `geometry.project_xyz`,
-    whose bits the golden digests pin.
-    """
-    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3) = rows
-    out = []
-    for x, y in points:
-        w = (c0 * x + c2 * 0.0) + (c1 * y + c3)
-        out.append(None if w <= 0.0 else
-                   (((a0 * x + a2 * 0.0) + (a1 * y + a3)) / w,
-                    ((b0 * x + b2 * 0.0) + (b1 * y + b3)) / w))
-    return out
-
-
 def _painted_mask(painted, spans) -> np.ndarray:
     """Whether each pixel of a painted box is painted: row r on the
     columns [spans[r, 0], spans[r, 1]). Compared in int32, which holds
@@ -260,8 +243,8 @@ def render_frame(camera: CameraModel, vehicle: Optional[Pose2D],
     spans = _NO_SPANS
     quad = None
     if vehicle is not None:
-        quad = _ground_pixels(camera.matrix_rows,
-                              _vehicle_corners(vehicle, *vehicle_dims))
+        quad = [project_xyz(camera.matrix_rows, x, y)
+                for x, y in _vehicle_corners(vehicle, *vehicle_dims)]
         if None in quad:
             quad = None
     if quad is not None:

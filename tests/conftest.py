@@ -32,10 +32,11 @@ def back_project_depth(camera: CameraModel, p: PixelPoint, d: float) -> WorldPoi
     """Back-project a pixel to exact camera-frame depth d, via lam = d * ||m3||."""
     if d <= 0:
         raise ValueError("depth must be positive")
-    M = camera_matrix(camera)[:, :3]
+    M = np.array(camera_matrix(camera))[:, :3]
     lam = d * np.linalg.norm(M[2])
     ray = np.linalg.inv(M) @ np.array([p.u, p.v, 1.0])
-    c = camera.position.as_array() + lam * ray
+    pos = camera.position
+    c = np.array([pos.x, pos.y, pos.z]) + lam * ray
     return WorldPoint(float(c[0]), float(c[1]), float(c[2]))
 
 

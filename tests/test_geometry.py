@@ -37,7 +37,7 @@ class TestCameraMatrix:
     def test_zero_rotation_is_axis_permutation(self):
         cam = make_camera(z=1.0, pitch=0.0, fx=1.0, fy=1.0, cx=1.0, cy=1.0,
                           width=2, height=2)
-        P = camera_matrix(cam)
+        P = np.array(camera_matrix(cam))
         K = np.array([[1, 0, 1], [0, 1, 1], [0, 0, 1.0]])
         perm = np.array([[0, -1, 0], [0, 0, -1], [1, 0, 0.0]])
         np.testing.assert_allclose(P[:, :3], K @ perm, atol=1e-12)
@@ -45,14 +45,14 @@ class TestCameraMatrix:
 
     def test_default_camera_matches_composition_oracle(self, default_camera):
         expected = _oracle_default_matrix(DEFAULT_FY, DEFAULT_FY, 400, 300)
-        np.testing.assert_allclose(camera_matrix(default_camera), expected,
-                                   atol=1e-9)
+        np.testing.assert_allclose(np.array(camera_matrix(default_camera)),
+                                   expected, atol=1e-9)
 
     def test_intrinsic_scaling_scales_top_rows_only(self):
         base = make_camera()
         scaled = make_camera(fx=0.5 * DEFAULT_FY, fy=0.5 * DEFAULT_FY,
                              cx=200.0, cy=150.0)
-        Pb, Ps = camera_matrix(base), camera_matrix(scaled)
+        Pb, Ps = np.array(camera_matrix(base)), np.array(camera_matrix(scaled))
         np.testing.assert_allclose(Ps[:2], 0.5 * Pb[:2], atol=1e-9)
         np.testing.assert_allclose(Ps[2], Pb[2], atol=1e-12)
 
@@ -63,6 +63,8 @@ class TestCameraMatrix:
             make_camera(z=0.0)
         with pytest.raises(InvalidCameraError):
             make_camera(cx=900.0)
+        with pytest.raises(InvalidCameraError):
+            make_camera(fx=1e-7, fy=1e-7)  # |det M| = fx * fy < 1e-12
 
 
 class TestProject:
@@ -88,7 +90,7 @@ class TestProject:
 
     @given(st.floats(1e-6, 1e6))
     def test_homogeneous_scale_invariance(self, k):
-        P = camera_matrix(make_camera())
+        P = np.array(camera_matrix(make_camera()))
         h1 = P @ np.array([20.0, 2.0, 0.0, 1.0])
         h2 = P @ (k * np.array([20.0, 2.0, 0.0, 1.0]))
         assert h2[0] / h2[2] == pytest.approx(h1[0] / h1[2], rel=1e-9)
@@ -136,7 +138,7 @@ class TestBackProjectDepth:
         assert p.z == pytest.approx(0.0, abs=1e-9)
 
     def test_returned_point_has_requested_depth(self, default_camera):
-        P = camera_matrix(default_camera)
+        P = np.array(camera_matrix(default_camera))
         m3 = P[2, :3]
         for u, v, d in ((400, 300, 5.0), (123, 456, 17.0), (700, 40, 2.5)):
             p = back_project_depth(default_camera, PixelPoint(u, v), d)
@@ -145,7 +147,8 @@ class TestBackProjectDepth:
             assert w / np.linalg.norm(m3) == pytest.approx(d, rel=1e-9)
 
     def test_point_on_positive_ray(self, default_camera):
-        c = default_camera.position.as_array()
+        pos = default_camera.position
+        c = np.array([pos.x, pos.y, pos.z])
         p9 = back_project_depth(default_camera, PixelPoint(400.0, 300.0), 9.0)
         p18 = back_project_depth(default_camera, PixelPoint(400.0, 300.0), 18.0)
         v1 = np.array([p9.x, p9.y, p9.z]) - c

@@ -2,8 +2,11 @@
 noisy lockstep run.
 
 The determinism test only compares two runs of one build; these digests
-pin the outputs across code versions. A change that alters any of these
-bytes on purpose must update the digest and say why in CHANGES.md.
+pin the outputs across code versions. The camera model and the renderer
+compute in plain Python floats in a fixed order and the run path makes no
+BLAS call, so the digests are also the same on every CPU, whichever
+OpenBLAS kernel numpy picks. A change that alters any of these bytes on
+purpose must update the digest and say why in CHANGES.md.
 """
 
 import hashlib
@@ -13,17 +16,17 @@ import pytest
 GOLDEN = {
     "run_3ms": {
         "scenario.json": "8b450cd0732cbace3f8543ce011ceb6d2d9c812632ceaa0f66209259bb600693",
-        "run.csv": "114fd5af45fd4f5c05311584be9894efedb263aeba86876f7caa2f8bd4ad3ac4",
-        "estimates.csv": "482bdfbb60d8fb7e5652c6a060a0af9fef164bd29601f713e447a99bb6adfbe2",
-        "net_metrics.csv": "c9b9e6ecebbcb016a7270a8438d64b696e761b43c925a296e60b14e0b59ca3a1",
-        "summary.json": "48a8c3454d8ed804e51e43291c019e5fdd040f197e33501da3c301111e572184",
+        "run.csv": "c4c965d80b257ebef658d98fea65c4bd5e12f580b6c4b0028652e8c77817fc24",
+        "estimates.csv": "234c6188f624ad2d1966d920a668ca27592ba99c0afa7ae58ea1a2c8263fe0a5",
+        "net_metrics.csv": "fa73b78dc95d21d52575cf4dbfcd11b293b5a6b00ce497ff481606e8b6c680c2",
+        "summary.json": "695ca522b5cd558d658a17b4408521ccefd7720b672f4d999550b801305f7b80",
     },
     "run_6ms": {
         "scenario.json": "77830c4104954aaffb2a5a0941ad6a922f578be3a61929abe11a2435ba00216d",
-        "run.csv": "f9db987afc4032fd465e5f47ea65551966af51bc40c0517217d2d21501928344",
-        "estimates.csv": "4cb4df209457ada30b6cf95160fa195dfa22435f22fc129da7891b1c00b319cd",
-        "net_metrics.csv": "99b81e40257223107488ea55b6e200ee7a90e6a972f59cb13bd6e32b37338b64",
-        "summary.json": "3e465f793d05abfd94f4b687a14aff4c28d1811834489e05c2e31e55803eefea",
+        "run.csv": "41b3a961bfbd5950340abcbec353d4495f9dbc586af098e051752be6e2b7bca2",
+        "estimates.csv": "74ec64044a3896cdede4e6dc30fb9b4e409c907aa4ff10a261d4526befe7844e",
+        "net_metrics.csv": "67540042097dcd2f08f45e41037a4ce8403e70b154a5eb1c3ba1830191acecfa",
+        "summary.json": "66e29bce8921a73894dec91dfecf16d4c52c34dc514acc22c44d412769d10989",
     },
     "run_baseline_3ms": {
         "scenario.json": "5af39d22e4075525b9fc865eed4f66f26bd09c7747c48b50803756caa0cc0c90",
@@ -35,10 +38,10 @@ GOLDEN = {
     # pixel noise and drops: the noisy render and the dense detector
     "run_noisy_smoke": {
         "scenario.json": "aab5bd336f925cc183c1d30d1886c18be69a80a12b4c6b8ede7d57ef575484fb",
-        "run.csv": "dabba80fdc9c9260200d6d7ec677be921a50c5c485db8de611d154fae0d42fc9",
-        "estimates.csv": "aab27ef0a7e9a921547c1d5b5362adbe7c171e4e7f7ddee1b8f13d37cff5d412",
-        "net_metrics.csv": "b936d9604ab35e026164a444f7a45093fb53792f0da5341ba0db150e95859ca3",
-        "summary.json": "9932ae18801dcf98b4e3b6aa4cdcdf0d00a9d89c2067a11a8b14c29fcd18e132",
+        "run.csv": "399645758f8d353a39184e3be99f8337938e95f85969fce3b46d0151e6a43613",
+        "estimates.csv": "0a91588bdbffe947436d875ddc8477c4eea8af4185dca40bf7a0139df330ebe6",
+        "net_metrics.csv": "d8c90b2ef82fcd1bf7174e69dfa01e691a1b840199643631ef351c2aa8305727",
+        "summary.json": "996b34af663df35db5840231aba4fda71b11f7e4c6f760fbeb44b75cd3664363",
     },
 }
 

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from iea_sim import vision
 from iea_sim.geometry import Pose2D, PixelPoint, WorldPoint, \
-    back_project_ground, project
+    back_project_ground, camera_matrix, project, project_xyz
+from iea_sim.scenario import load_scenario
 from iea_sim.vision import (BACKGROUND_INTENSITY, DEFAULT_THRESHOLD,
                             EMPTY_BOX, NOISE_OFFSET_CAP, NOISE_SLOTS,
                             SEARCHING, TRACKING, VEHICLE_INTENSITY, Frame,
@@ -267,8 +268,11 @@ class TestRenderMatchesReference:
 
 # the rows of each bundled camera's matrix (x = 6, 30, 70 and 110 m, 9 m up,
 # pitched 45 degrees down, 800 x 600 pixels), and the (u, v) or None that
-# `geometry.project_xyz` gave for the ground point (x + dx, y) of each
-# CORNER_POINTS entry before the renderer projected its corners itself
+# `geometry.project_xyz` gives from those rows for the ground point
+# (x + dx, y) of each CORNER_POINTS entry
+BUNDLED_CAMERAS = {camera.position.x: camera
+                   for name in ("straight_3ms", "distributed_smoke")
+                   for camera in load_scenario(name).cameras}
 CORNER_POINTS = [(-30.0, 0.0), (-9.5, 2.0), (-9.0, 0.0), (-8.5, -1.0),
                  (-5.0, 12.0), (0.0, 0.0), (3.7, 1.0), (4.5, -1.0), (9.0, 0.0),
                  (12.25, 0.5), (17.75, -0.75), (20.0, 17.5), (24.0, -3.0),
@@ -277,112 +281,113 @@ CORNER_POINTS = [(-30.0, 0.0), (-9.5, 2.0), (-9.0, 0.0), (-8.5, -1.0),
 PINNED_CORNERS = {
     6.0: (
         ((282.842712474619, -418.7162709997704, -282.84271247461896, 848.5281374238566),
-         (-83.94508026111748, 0.0, -508.20914897304607, 5077.552822324119),
-         (0.7071067811865476, 0.0, -0.7071067811865475, 2.1213203435596415)),
+         (-83.94508026111748, 0.0, -508.209148973046, 5077.55282232412),
+         (0.7071067811865476, 0.0, -0.7071067811865475, 2.121320343559642)),
         [None,
          None,
          None,
-         (1584.3084584683309, 14955.069484992011),
-         (-1376.4626877024916, 1765.506948499197),
+         (1584.3084584683288, 14955.069484991995),
+         (-1376.4626877024912, 1765.506948499197),
          (399.99999999999994, 718.7162709997705),
-         (353.37368273746745, 474.7398611258885),
-         (443.8632762395677, 439.5720903332568),
-         (399.99999999999994, 300.0),
-         (386.0669593121373, 235.96104090591749),
-         (416.6024550252569, 163.03673378512187),
-         (42.665551324211634, 141.17658686215606),
-         (453.8322026576512, 109.67442227283166),
-         (344.0043282048072, 59.46086559587663),
-         (399.99999999999994, 6.8986103001607715),
-         (636.8616916936654, -2.764072876757021),
-         (383.36645423499544, -34.03208135936735),
-         (399.99999999999994, -60.29074481375587),
-         (-1753.2881063060497, 566.4558088180357),
-         (400.0657876046255, 718.6232332770729)]),
+         (353.37368273746733, 474.7398611258885),
+         (443.86327623956777, 439.5720903332569),
+         (399.99999999999994, 300.00000000000006),
+         (386.0669593121373, 235.96104090591754),
+         (416.6024550252569, 163.0367337851219),
+         (42.665551324211634, 141.1765868621561),
+         (453.83220265765124, 109.6744222728317),
+         (344.0043282048072, 59.46086559587666),
+         (399.99999999999994, 6.898610300160793),
+         (636.8616916936654, -2.764072876757001),
+         (383.36645423499544, -34.03208135936734),
+         (399.99999999999994, -60.29074481375586),
+         (-1753.2881063060495, 566.4558088180358),
+         (400.0657876046255, 718.623233277073)]),
     30.0: (
-        ((282.842712474619, -418.7162709997704, -282.84271247461896, -5939.696961967),
-         (-83.94508026111748, 0.0, -508.20914897304607, 7092.23474859094),
+        ((282.842712474619, -418.7162709997704, -282.84271247461896, -5939.696961966999),
+         (-83.94508026111748, 0.0, -508.209148973046, 7092.2347485909395),
          (0.7071067811865476, 0.0, -0.7071067811865475, -14.849242404917499)),
         [None,
          None,
          None,
-         (1584.3084584683277, 14955.069484991998),
-         (-1376.462687702491, 1765.506948499197),
-         (399.99999999999983, 718.7162709997707),
-         (353.3736827374675, 474.7398611258884),
-         (443.8632762395675, 439.57209033325694),
-         (399.9999999999999, 300.0000000000001),
-         (386.06695931213727, 235.96104090591757),
-         (416.6024550252569, 163.03673378512192),
-         (42.665551324211684, 141.17658686215617),
-         (453.83220265765107, 109.6744222728317),
-         (344.00432820480717, 59.46086559587668),
-         (399.99999999999994, 6.898610300160814),
-         (636.8616916936654, -2.7640728767569813),
-         (383.3664542349954, -34.032081359367325),
-         (400.00000000000006, -60.29074481375586),
-         (-1753.2881063060495, 566.4558088180358),
-         (400.0657876046252, 718.623233277073)]),
+         (1584.3084584683302, 14955.069484991993),
+         (-1376.4626877024907, 1765.5069484991968),
+         (399.99999999999994, 718.7162709997705),
+         (353.37368273746756, 474.7398611258884),
+         (443.8632762395676, 439.57209033325694),
+         (399.99999999999994, 300.00000000000006),
+         (386.06695931213727, 235.9610409059175),
+         (416.6024550252569, 163.03673378512187),
+         (42.66555132421173, 141.17658686215614),
+         (453.83220265765124, 109.67442227283168),
+         (344.00432820480717, 59.460865595876655),
+         (400.00000000000006, 6.898610300160793),
+         (636.8616916936654, -2.764072876757001),
+         (383.3664542349954, -34.03208135936734),
+         (400.00000000000006, -60.290744813755865),
+         (-1753.288106306049, 566.4558088180357),
+         (400.0657876046255, 718.6232332770727)]),
     70.0: (
         ((282.842712474619, -418.7162709997704, -282.84271247461896, -17253.40546095176),
-         (-83.94508026111748, 0.0, -508.20914897304607, 10450.03795903564),
+         (-83.94508026111748, 0.0, -508.209148973046, 10450.037959035639),
          (0.7071067811865476, 0.0, -0.7071067811865475, -43.1335136523794)),
         [None,
          None,
          None,
-         (1584.3084584683245, 14955.069484991851),
-         (-1376.4626877024893, 1765.5069484991964),
-         (400.0, 718.7162709997706),
-         (353.3736827374673, 474.73986112588835),
-         (443.86327623956765, 439.57209033325677),
-         (400.0, 300.0000000000001),
-         (386.06695931213727, 235.96104090591763),
-         (416.60245502525686, 163.03673378512198),
-         (42.66555132421186, 141.17658686215623),
-         (453.8322026576511, 109.67442227283172),
-         (344.0043282048073, 59.46086559587671),
-         (400.0, 6.8986103001608345),
-         (636.8616916936653, -2.764072876756961),
-         (383.36645423499544, -34.03208135936731),
-         (400.00000000000006, -60.29074481375585),
-         (-1753.288106306048, 566.4558088180356),
-         (400.0657876046256, 718.6232332770725)]),
+         (1584.3084584683245, 14955.069484991845),
+         (-1376.4626877024893, 1765.5069484991957),
+         (400.0, 718.7162709997702),
+         (353.3736827374673, 474.7398611258881),
+         (443.86327623956765, 439.5720903332566),
+         (400.0, 300.0),
+         (386.06695931213727, 235.9610409059175),
+         (416.60245502525686, 163.03673378512187),
+         (42.66555132421186, 141.17658686215614),
+         (453.8322026576511, 109.67442227283163),
+         (344.0043282048073, 59.460865595876655),
+         (400.0, 6.898610300160792),
+         (636.8616916936654, -2.7640728767570004),
+         (383.36645423499544, -34.03208135936734),
+         (400.00000000000006, -60.290744813755865),
+         (-1753.288106306048, 566.4558088180354),
+         (400.0657876046256, 718.6232332770721)]),
     110.0: (
-        ((282.842712474619, -418.7162709997704, -282.84271247461896, -28567.113959936523),
-         (-83.94508026111748, 0.0, -508.20914897304607, 13807.841169480336),
+        ((282.842712474619, -418.7162709997704, -282.84271247461896, -28567.11395993652),
+         (-83.94508026111748, 0.0, -508.209148973046, 13807.841169480338),
          (0.7071067811865476, 0.0, -0.7071067811865475, -71.41778489984131)),
         [None,
          None,
          None,
-         (1584.3084584683143, 14955.069484991838),
-         (-1376.4626877024941, 1765.5069484991996),
-         (399.99999999999983, 718.7162709997708),
-         (353.37368273746745, 474.7398611258887),
-         (443.86327623956794, 439.5720903332571),
-         (399.9999999999997, 299.99999999999983),
-         (386.06695931213744, 235.96104090591757),
-         (416.602455025257, 163.03673378512184),
-         (42.6655513242117, 141.17658686215609),
-         (453.83220265765124, 109.67442227283159),
-         (344.0043282048072, 59.46086559587652),
-         (399.9999999999999, 6.89861030016075),
-         (636.8616916936654, -2.7640728767570404),
-         (383.3664542349954, -34.03208135936737),
-         (400.00000000000006, -60.290744813755865),
-         (-1753.2881063060515, 566.4558088180362),
-         (400.0657876046255, 718.6232332770727)]),
+         (1584.3084584683245, 14955.069484991842),
+         (-1376.462687702493, 1765.5069484992),
+         (400.00000000000045, 718.716270999771),
+         (353.37368273746785, 474.7398611258889),
+         (443.86327623956794, 439.57209033325734),
+         (400.0, 300.0),
+         (386.0669593121379, 235.96104090591768),
+         (416.6024550252572, 163.03673378512192),
+         (42.6655513242117, 141.1765868621562),
+         (453.83220265765124, 109.67442227283168),
+         (344.00432820480734, 59.46086559587658),
+         (399.99999999999994, 6.898610300160793),
+         (636.8616916936656, -2.764072876757001),
+         (383.36645423499544, -34.03208135936734),
+         (400.00000000000006, -60.29074481375585),
+         (-1753.288106306051, 566.4558088180364),
+         (400.06578760462605, 718.6232332770729)]),
 }
 
 
 class TestCorners:
     @pytest.mark.parametrize("x", sorted(PINNED_CORNERS))
     def test_pinned_bits(self, x):
-        # in view, outside the image, on the camera's horizon plane and
-        # behind it: every bit, from literal matrix rows, so no BLAS call
-        # and no CPU feature enters
+        # the camera's rows, and its pixels of points in view, outside the
+        # image, on the camera's horizon plane and behind it: every bit,
+        # which plain float sums in a fixed order make on every CPU
         rows, expected = PINNED_CORNERS[x]
-        assert vision._ground_pixels(
-            rows, [(x + dx, y) for dx, y in CORNER_POINTS]) == expected
+        assert camera_matrix(BUNDLED_CAMERAS[x]) == rows
+        assert [project_xyz(rows, x + dx, y)
+                for dx, y in CORNER_POINTS] == expected
 
 
 def _offset_pmf(offsets):
@@ -402,6 +407,14 @@ class TestNoiseTable:
         exact = np.diff([0.0] + [cdf(k + 0.5) for k in range(
             -NOISE_OFFSET_CAP, NOISE_OFFSET_CAP)] + [1.0])
         assert np.abs(_offset_pmf(offsets) - exact).max() <= 2.0 ** -16
+        # each CDF entry the table can be built from, NOISE_SLOTS *
+        # Phi(-(m - 1/2) / sigma) for m = 1 .. NOISE_OFFSET_CAP, lies at
+        # least 1e6 ulps from its nearest slot boundary i + 1/2, so the last
+        # bit of the C library's erfc cannot move any slot's offset
+        scale = sigma * math.sqrt(2.0)
+        for m in range(1, NOISE_OFFSET_CAP + 1):
+            c = NOISE_SLOTS / 2 * math.erfc((m - 0.5) / scale)
+            assert abs(c - (math.floor(c) + 0.5)) >= 1e6 * math.ulp(c)
 
     @pytest.mark.parametrize("sigma", SIGMAS)
     def test_symmetric_monotone_read_only_and_built_once(self, sigma):
