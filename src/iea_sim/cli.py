@@ -9,7 +9,7 @@
       (prints `ready` once set up, then reads t = 0 as a time.time()
        from one stdin line)
 
-Exit codes: 0 success, 1 validation error, 2 runtime failure.
+Exit codes: 0 success, 1 validation error or usage error, 2 runtime failure.
 """
 
 from __future__ import annotations
@@ -101,7 +101,10 @@ def _cmd_node(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # a usage error is a validation error
+        raise SystemExit(EXIT_VALIDATION if exc.code else EXIT_OK) from None
     handlers = {"run": _cmd_run, "compare": _cmd_compare,
                 "export": _cmd_export, "node": _cmd_node}
     try:

@@ -32,6 +32,10 @@ class VehicleParams:
     tau_w: float = 0.2       # yaw-rate actuator lag [s]; <= 0 disables the lag
     yaw_rate_limit: float = 1.0  # hard DBW saturation [rad/s]
 
+    def __post_init__(self):
+        if not self.yaw_rate_limit > 0:
+            raise ValueError("yaw_rate_limit must be positive")
+
 
 @dataclass(frozen=True)
 class VehicleState:

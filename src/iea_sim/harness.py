@@ -74,6 +74,14 @@ def write_run(out_dir: Path, vehicle: VehicleNode, cfg: ScenarioConfig,
 
 def run_lockstep(cfg: ScenarioConfig, out_dir: Path,
                  dump_frames: bool = False) -> RunResult:
+    """Run every node in this process on the tick grid `i * dt` until the
+    vehicle is done, and write the run logs into `out_dir`.
+
+    Each tick steps every camera whose frame is due, then the vehicle, and
+    a message leaves at its own stamp over one seeded `LockstepNetwork`,
+    so a scenario and seed give byte-identical logs. With `dump_frames`
+    each camera writes its frames as PGM into `out_dir / "frames"`.
+    """
     dt = cfg.dt
     net = LockstepNetwork(cfg.link, cfg.seed)
     for node_id in cfg.nodes():

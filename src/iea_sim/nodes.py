@@ -53,11 +53,14 @@ CELL_SCAN_RESOLUTION = 0.1  # step of the cell scan along the corridor [m]
 
 @dataclass(frozen=True)
 class CellLayout:
-    """Per-MSSP ground footprint x-intervals along the corridor."""
+    """Per-MSSP ground footprint x-intervals along the corridor, in road
+    order: each starts no earlier than, and overlaps, the one before."""
     intervals: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
         for (a0, a1), (b0, b1) in zip(self.intervals, self.intervals[1:]):
+            if b0 < a0:
+                raise ValueError("cameras must be listed in road order")
             if b0 >= a1:
                 raise ValueError("consecutive camera cells must overlap")
 

@@ -3,10 +3,13 @@
 Stands in for a real roadside camera feed: the renderer paints the
 vehicle's ground rectangle into a flat grayscale frame, the detector
 differences against a stored background and labels the 4-connected
-foreground components from the mask's row runs, and the tracker runs a
-Searching / Tracking state machine with gated nearest-centroid
-re-association against one background per camera: its first frame,
+foreground components from the mask's row runs, and the tracker searches
+for the largest component and then follows it by gated nearest-centroid
+re-association, against one background per camera: its first frame,
 rendered without the vehicle (the empty road) and kept for the whole run.
+The detector has one fixed tuning: a pixel is foreground where it differs
+from the background by more than THRESHOLD (30), and a component counts
+from MIN_AREA (25) pixels.
 
 Every frame carries the box it painted the vehicle into and, for each
 row of the box, the run of columns it painted; outside the box every
@@ -22,14 +25,14 @@ paints nothing, as a camera's tracker makes them, and refuses any other
 pair. A noise-free frame's foreground is then its own row runs as the
 renderer made them, with no pixel made. A noisy frame is differenced
 from pixels in its painted box, and outside it the slots are tested
-against per-pixel slot limits of the background, so noisy detection
-costs one uint16 subtraction and one comparison per pixel plus the box.
-Its mask is packed 64 pixels to a word, where one-pixel specks are
-cleared and run ends found a word at a time. A stack of row runs, one
-per row, such as a noise-free frame's vehicle, is one component and is
-summed without labelling; any other set of runs, such as a noisy frame's
-mask, is labelled by array union-find, and only the components kept are
-summed.
+against per-pixel slot limits, built once per background, so noisy
+detection costs one uint16 subtraction and one comparison per pixel plus
+the box. Its mask is packed 64 pixels to a word, where one-pixel specks
+are cleared and run ends found a word at a time. A stack of row runs,
+one per row, such as a noise-free frame's vehicle, is one component and
+is summed without labelling; any other set of runs, such as a noisy
+frame's mask, is labelled by array union-find, and only the components
+kept are summed.
 
 Pixel noise is rint(N(0, sigma)) at 2**-16 resolution: each pixel takes
 one 16-bit slot i, four to a 64-bit draw, and its offset is the inverse
@@ -51,15 +54,12 @@ from .geometry import CameraModel, Pose2D, project_xyz
 
 BACKGROUND_INTENSITY = 40
 VEHICLE_INTENSITY = 220
-DEFAULT_THRESHOLD = 30
-DEFAULT_MIN_AREA = 25
+THRESHOLD = 30  # a pixel is foreground if it differs by more than this
+MIN_AREA = 25  # the fewest pixels a component needs to be kept
 GATE_PX = 80.0
 LOSS_LIMIT = 5
 NOISE_SLOTS = 1 << 16  # one 16-bit slot per noisy pixel
 NOISE_OFFSET_CAP = 256  # an offset this large saturates any pixel
-
-SEARCHING = "searching"
-TRACKING = "tracking"
 
 EMPTY_BOX = (0, 0, 0, 0)  # a painted box that holds no pixel
 _NO_SPANS = np.zeros((0, 2), dtype=np.int64)  # the runs of EMPTY_BOX
@@ -77,7 +77,8 @@ class Frame:
     its noisy box pixels in `patch` and keeps its read-only uint16 noise
     `slots`, one per pixel; its background pixel is
     `_noise_tables(sigma)[1][slot]`, and `limits` caches its
-    `_slot_limits`: a tracker's background builds them once per run.
+    `_slot_limits`, the two arrays (lo, span): a tracker's background
+    builds them once per run.
     """
 
     __slots__ = ("capture_time", "painted", "spans", "patch", "height",
@@ -143,7 +144,7 @@ class Detection:
 
 @dataclass(frozen=True)
 class TrackerState:
-    mode: str = SEARCHING
+    """A camera's tracker: searching while `last_box` is None."""
     last_box: Optional[BoundingBox] = None
     background: Optional[Frame] = None
     frames_lost: int = 0
@@ -310,51 +311,48 @@ def render_frame(camera: CameraModel, vehicle: Optional[Pose2D],
                  slots, noise_sigma)
 
 
-def _slot_limits(frame: Frame, threshold: int):
+def _slot_limits(frame: Frame):
     """Per-pixel slot limits (lo, span) of a noisy frame's background.
 
     The background table is non-decreasing in the slot, so the slots whose
-    background differs from a background pixel b by more than threshold
-    are those below lo, the first slot with a value >= b - threshold, and
+    background differs from a background pixel b by more than THRESHOLD
+    are those below lo, the first slot with a value >= b - THRESHOLD, and
     those above hi = lo + span, the last slot with a value <= b +
-    threshold. Since b is a table value, lo <= hi and both fit uint16; in
+    THRESHOLD. Since b is a table value, lo <= hi and both fit uint16; in
     uint16 a slot s below lo wraps to s - lo > span, so s lies outside the
     limits exactly when s - lo > span. They are exact wherever the frame
-    paints nothing. Built once per frame and threshold and kept in
-    `frame.limits`.
+    paints nothing. Built on the first call and kept in `frame.limits`.
     """
-    if frame.limits is None or frame.limits[0] != threshold:
+    if frame.limits is None:
         table = _noise_tables(frame.sigma)[1]
         values = np.arange(256)
-        lo = np.searchsorted(table, values - threshold)
-        hi = np.searchsorted(table, values + threshold, side="right") - 1
-        frame.limits = threshold, *(
+        lo = np.searchsorted(table, values - THRESHOLD)
+        hi = np.searchsorted(table, values + THRESHOLD, side="right") - 1
+        frame.limits = tuple(
             np.take(lim.astype(np.uint16)[table], frame.slots, mode="wrap")
             for lim in (lo, hi - lo))
-    return frame.limits[1:]
+    return frame.limits
 
 
-def _foreground_components(background: Frame, current: Frame,
-                           threshold: int, min_area: int):
-    """4-connected foreground components as (area, bbox, centroid) tuples.
+def _foreground_components(background: Frame, current: Frame):
+    """4-connected foreground components of MIN_AREA or more pixels as
+    (area, bbox, centroid) tuples, in raster order of their first pixel.
 
     Both frames must have one size and one sigma, and the background must
     paint no pixel: a tracker's background is its own camera's empty road,
     at its sigma. A noise-free frame then differs from it exactly where the
-    frame is painted, by VEHICLE_INTENSITY - BACKGROUND_INTENSITY, so the
-    foreground is the frame's rows that have a run, or nothing at a
-    threshold of that difference or more. Against a noisy background the
-    current frame's painted box is differenced from pixels, the
-    background's being table lookups of its slots, and outside it the
-    current frame's slot is foreground where it lies outside the
-    background's slot limits (`_slot_limits`), one uint16 subtraction and
-    comparison per pixel. Only that whole-image mask goes through
-    `_components`, which drops its many one-pixel specks before labelling.
+    frame is painted, by VEHICLE_INTENSITY - BACKGROUND_INTENSITY, which
+    is more than THRESHOLD, so the foreground is the frame's rows that have
+    a run. Against a noisy background the current frame's painted box is
+    differenced from pixels, the background's being table lookups of its
+    slots, and outside it the current frame's slot is foreground where it
+    lies outside the background's slot limits (`_slot_limits`), one uint16
+    subtraction and comparison per pixel. Only that whole-image mask goes
+    through `_components`, which drops its many one-pixel specks before
+    labelling.
     """
     if (background.height, background.width) != (current.height, current.width):
         raise ValueError("frame dimensions differ between background and current")
-    if threshold < 0:
-        raise ValueError("threshold must be non-negative")
     if background.sigma != current.sigma:
         raise ValueError("noise sigma differs between background and current")
     # an empty box has no runs; any other box may still have none
@@ -363,27 +361,26 @@ def _foreground_components(background: Frame, current: Frame,
         raise ValueError("background paints the vehicle")
     v0, v1, u0, u1 = current.painted
     if background.slots is not None:
-        lo, span = _slot_limits(background, threshold)
+        lo, span = _slot_limits(background)
         mask = current.slots - lo > span
         # "wrap" only skips the bounds check, as in `render_frame`
         a = np.take(_noise_tables(background.sigma)[1],
                     background.slots[v0:v1, u0:u1], mode="wrap")
         b = current.patch
         # |a - b| in uint8 without widening casts
-        mask[v0:v1, u0:u1] = np.maximum(a, b) - np.minimum(a, b) > threshold
-        return _components(mask, min_area, 0, 0)
-    if v0 >= v1 or threshold >= VEHICLE_INTENSITY - BACKGROUND_INTENSITY:
+        mask[v0:v1, u0:u1] = np.maximum(a, b) - np.minimum(a, b) > THRESHOLD
+        return _components(mask)
+    if v0 >= v1:
         return []
     col0, col1 = current.spans[:, 0], current.spans[:, 1]
     rows = np.flatnonzero(col0 < col1)  # an empty run is no run
-    return _labelled(rows + v0, col0[rows], col1[rows], min_area, 0, 0)
+    return _labelled(rows + v0, col0[rows], col1[rows])
 
 
-def _components(mask: np.ndarray, min_area: int, v_off: int, u_off: int):
-    """4-connected components of a boolean mask as (area, bbox, centroid).
-
-    (v_off, u_off) is the frame position of the mask's top-left pixel; the
-    mask's row runs are labelled by `_labelled`.
+def _components(mask: np.ndarray):
+    """4-connected components of MIN_AREA or more pixels of a boolean
+    frame-sized mask as (area, bbox, centroid); its row runs are labelled
+    by `_labelled`.
 
     The mask is packed eight pixels to a byte, little-endian, into uint64
     words: row r takes the words [(r + 1) * n, (r + 2) * n), pixel (r, c)
@@ -393,12 +390,12 @@ def _components(mask: np.ndarray, min_area: int, v_off: int, u_off: int):
     left and right neighbours are bits p -+ 1: the word shifted by one,
     with the bit that crosses from the word before or after.
 
-    With min_area > 1, pixels with no foreground 4-neighbour are cleared
-    before the run scan, in six word operations. Each is a one-pixel
-    component, which min_area leaves out anyway, so the output is the
-    same; on a noisy mask this removes nearly every run. A run starts or
-    ends at each bit that differs from the bit before it, read from the
-    few non-zero bytes in raster order.
+    Pixels with no foreground 4-neighbour are cleared before the run scan,
+    in six word operations. Each is a one-pixel component, which MIN_AREA
+    (above 1) leaves out anyway, so the output is the same; on a noisy
+    mask this removes nearly every run. A run starts or ends at each bit
+    that differs from the bit before it, read from the few non-zero bytes
+    in raster order.
     """
     h, w = mask.shape
     n = w // 64 + 1
@@ -409,10 +406,9 @@ def _components(mask: np.ndarray, min_area: int, v_off: int, u_off: int):
     body = words[n:end]
     # each body word's left neighbours, the bit before bit 0 included
     left = (body << 1) | (words[n - 1:end - 1] >> 63)
-    if min_area > 1:
-        body &= (left | (body >> 1) | (words[n + 1:end + 1] << 63)
-                 | words[:end - n] | words[2 * n:])
-        left = (body << 1) | (words[n - 1:end - 1] >> 63)
+    body &= (left | (body >> 1) | (words[n + 1:end + 1] << 63)
+             | words[:end - n] | words[2 * n:])
+    left = (body << 1) | (words[n - 1:end - 1] >> 63)
     edges = (body ^ left).view(np.uint8)
     at = np.flatnonzero(edges != 0)
     # unpacked 0/1 bytes are valid bools, whose nonzero is the fast one
@@ -421,22 +417,19 @@ def _components(mask: np.ndarray, min_area: int, v_off: int, u_off: int):
     # half-open, as row * 64 * n + col
     pos = at[bits >> 3] * 8 + (bits & 7)
     row, col0 = np.divmod(pos[0::2], 64 * n)
-    return _labelled(row, col0, pos[1::2] - row * (64 * n), min_area,
-                     v_off, u_off)
+    return _labelled(row, col0, pos[1::2] - row * (64 * n))
 
 
-def _labelled(row: np.ndarray, col0: np.ndarray, col1: np.ndarray,
-              min_area: int, v_off: int, u_off: int):
+def _labelled(row: np.ndarray, col0: np.ndarray, col1: np.ndarray):
     """The 4-connected components of row runs as (area, bbox, centroid).
 
-    Run i lies on row row[i] on the columns [col0[i], col1[i]), the runs
-    in raster order, with no two on one row touching; (v_off, u_off) is
-    the frame position of row 0, col 0. Components come in raster order
-    of their first pixel and those under min_area are left out. A run
-    joins each run of the row above that shares a column with it, and each
-    component is labelled by its first run. A stack of runs, one per row
-    on consecutive rows, each sharing a column with the next, is one
-    component and is summed without labelling (`_stack_runs`): a
+    Run i lies on frame row row[i] on the columns [col0[i], col1[i]), the
+    runs in raster order, with no two on one row touching. Components come
+    in raster order of their first pixel and those under MIN_AREA are left
+    out. A run joins each run of the row above that shares a column with
+    it, and each component is labelled by its first run. A stack of runs,
+    one per row on consecutive rows, each sharing a column with the next,
+    is one component and is summed without labelling (`_stack_runs`): a
     noise-free frame's vehicle is one. Any other set of runs, such as a
     noisy whole-frame mask's, is labelled by array union-find
     (`_array_runs`).
@@ -446,16 +439,14 @@ def _labelled(row: np.ndarray, col0: np.ndarray, col1: np.ndarray,
     # n runs on n consecutive rows, in raster order, are one per row
     # unless two share a row, and then some pair of neighbours does
     if n and row[-1] - row[0] == n - 1:
-        rows = _stack_runs(int(row[0]), col0, col1, min_area, v_off, u_off)
+        rows = _stack_runs(int(row[0]), col0, col1)
     if rows is None:
-        rows = _array_runs(row, col0, col1, min_area, v_off, u_off)
-    return [(n_px, BoundingBox(u0 + u_off, v0 + v_off, u1 + u_off, v1 + v_off),
-             (x, y))
+        rows = _array_runs(row, col0, col1)
+    return [(n_px, BoundingBox(u0, v0, u1, v1), (x, y))
             for n_px, u0, v0, u1, v1, x, y in rows]
 
 
-def _stack_runs(v_min: int, col0: np.ndarray, col1: np.ndarray,
-                min_area: int, v_off: int, u_off: int):
+def _stack_runs(v_min: int, col0: np.ndarray, col1: np.ndarray):
     """`_array_runs`' rows when the runs [col0[i], col1[i]) on the rows
     v_min + i are one stack, else None.
 
@@ -468,23 +459,22 @@ def _stack_runs(v_min: int, col0: np.ndarray, col1: np.ndarray,
         return None
     length = col1 - col0
     area = int(length.sum())
-    if area < min_area:
+    if area < MIN_AREA:
         return []
     v_max = v_min + len(col0) - 1
     u_min = int(col0.min())
     u_sum = int((col0 + col1 - 1) @ length) // 2
     v_sum = int(np.arange(v_min, v_max + 1) @ length)
     return [(area, u_min, v_min, int(col1.max()) - 1, v_max,
-             (u_sum - area * u_min) / area + (u_min + u_off),
-             (v_sum - area * v_min) / area + (v_min + v_off))]
+             (u_sum - area * u_min) / area + u_min,
+             (v_sum - area * v_min) / area + v_min)]
 
 
-def _array_runs(row: np.ndarray, col0: np.ndarray, col1: np.ndarray,
-                min_area: int, v_off: int, u_off: int):
+def _array_runs(row: np.ndarray, col0: np.ndarray, col1: np.ndarray):
     """`_labelled`'s rows (area, u_min, v_min, u_max, v_max, cu, cv) from
-    its runs, by array union-find; the box is not yet offset. The sums are
-    exact, so each centroid, the mean of the offsets from the box corner
-    plus the corner, has the bits that the golden digests pin.
+    its runs, by array union-find. The sums are exact, so each centroid,
+    the mean of the offsets from the box corner plus the corner, has the
+    bits that the golden digests pin.
     """
     n = len(row)
     # each run at row * stride + col: a row's runs lie below the next
@@ -512,12 +502,11 @@ def _array_runs(row: np.ndarray, col0: np.ndarray, col1: np.ndarray,
             break
         np.minimum.at(label, np.maximum(a[split], b[split]),
                       np.minimum(a[split], b[split]))
-    # the roots, in order, are the components; only those of min_area or
-    # more are summed, from their own runs (a non-root's area is 0, so
-    # the root test also keeps it out at min_area 0)
+    # the roots, in order, are the components; only those of MIN_AREA or
+    # more are summed, from their own runs
     length = col1 - col0
     area = np.bincount(label, length, minlength=n).astype(np.int64)
-    keep = (label == np.arange(n)) & (area >= min_area)
+    keep = (label == np.arange(n)) & (area >= MIN_AREA)
     first = np.flatnonzero(keep)
     if not len(first):
         return []
@@ -533,17 +522,16 @@ def _array_runs(row: np.ndarray, col0: np.ndarray, col1: np.ndarray,
     np.maximum.at(v_max, comp, row)
     u_sum = np.bincount(comp, (col0 + col1 - 1) * length // 2)
     v_sum = np.bincount(comp, row * length)
-    cu = (u_sum - area * u_min) / area + (u_min + u_off)
-    cv = (v_sum - area * v_min) / area + (v_min + v_off)
+    cu = (u_sum - area * u_min) / area + u_min
+    cv = (v_sum - area * v_min) / area + v_min
     columns = (area, u_min, v_min, u_max, v_max, cu, cv)
     return zip(*(col.tolist() for col in columns))
 
 
-def detect_by_subtraction(background: Frame, current: Frame,
-                          threshold: int = DEFAULT_THRESHOLD,
-                          min_area: int = DEFAULT_MIN_AREA) -> Optional[BoundingBox]:
+def detect_by_subtraction(background: Frame,
+                          current: Frame) -> Optional[BoundingBox]:
     """Tight box of the largest foreground component, or None."""
-    comps = _foreground_components(background, current, threshold, min_area)
+    comps = _foreground_components(background, current)
     if not comps:
         return None
     return max(comps, key=lambda c: c[0])[1]
@@ -551,46 +539,37 @@ def detect_by_subtraction(background: Frame, current: Frame,
 
 def track_step(state: TrackerState, frame: Frame
                ) -> tuple[TrackerState, Optional[Detection]]:
-    """Advance the Searching/Tracking state machine by one frame.
+    """Advance the tracker by one frame.
 
-    Searching: the first frame seen becomes the background, kept for the
-    whole run, and must paint no vehicle; afterwards the largest foreground
-    blob starts a track. Tracking: the blob whose centroid is nearest the
-    previous box center (within GATE_PX) continues the track; after
-    LOSS_LIMIT consecutive misses the tracker drops back to Searching,
-    against the same background.
+    The first frame seen becomes the background, kept for the whole run,
+    and must paint no vehicle. Searching (no `last_box`), the largest
+    foreground blob starts a track. Tracking, the blob whose centroid is
+    nearest the previous box center (within GATE_PX) continues it; after
+    LOSS_LIMIT consecutive misses the tracker searches again, against the
+    same background.
     """
     if state.background is None:
         return TrackerState(background=frame), None
-
-    if state.mode == SEARCHING:
+    if state.last_box is None:
         box = detect_by_subtraction(state.background, frame)
         if box is None:
             return state, None
-        new = TrackerState(TRACKING, box, state.background)
-        cu, cv = box.center()
-        return new, Detection(box, cu, cv, frame.capture_time)
-
-    # Tracking: gate on distance from the previous box center
-    comps = _foreground_components(state.background, frame,
-                                   DEFAULT_THRESHOLD, DEFAULT_MIN_AREA)
-    prev_u, prev_v = state.last_box.center()
-    best = None
-    best_d = GATE_PX
-    for _, box, (cu, cv) in comps:
-        d = math.hypot(cu - prev_u, cv - prev_v)
-        if d <= best_d:
-            best_d = d
-            best = box
-    if best is None:
-        lost = state.frames_lost + 1
-        if lost > LOSS_LIMIT:
-            return TrackerState(background=state.background), None
-        return TrackerState(state.mode, state.last_box, state.background,
-                            lost), None
-    new = TrackerState(TRACKING, best, state.background)
-    cu, cv = best.center()
-    return new, Detection(best, cu, cv, frame.capture_time)
+    else:  # gate on distance from the previous box center
+        prev_u, prev_v = state.last_box.center()
+        box, best_d = None, GATE_PX
+        for _, blob, (cu, cv) in _foreground_components(state.background,
+                                                        frame):
+            d = math.hypot(cu - prev_u, cv - prev_v)
+            if d <= best_d:
+                box, best_d = blob, d
+        if box is None:
+            lost = state.frames_lost + 1
+            if lost > LOSS_LIMIT:
+                return TrackerState(background=state.background), None
+            return TrackerState(state.last_box, state.background, lost), None
+    cu, cv = box.center()
+    return (TrackerState(box, state.background),
+            Detection(box, cu, cv, frame.capture_time))
 
 
 def write_pgm(frame: Frame, path) -> None:

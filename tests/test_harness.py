@@ -81,21 +81,29 @@ class TestScenarioConfig:
             small_cfg(cameras=cams, camera_spacing_m=40.0)
 
     @pytest.mark.parametrize("mode", ["lockstep", "distributed"])
-    @pytest.mark.parametrize("layout, error", [("gap", "cells must overlap"),
-                                               ("blind", "sees no cell")],
-                             ids=["gap", "blind"])
+    @pytest.mark.parametrize("layout, error", [
+        ("gap", "cells must overlap"), ("blind", "sees no cell"),
+        ("reversed", "road order"), ("reversed_gap", "road order")],
+        ids=["gap", "blind", "reversed", "reversed_gap"])
     def test_camera_layout_without_cells_rejected(self, layout, error, mode,
                                                   tmp_path, capsys):
         # mssp2 200 m and mssp3 a further 400 m on leave gaps between the
-        # cells, and mssp3 turned to face back sees no cell; either is
-        # refused at load, in both modes, before a run writes anything
+        # cells, mssp3 turned to face back sees no cell, and the cameras
+        # listed against the road, all three or without the middle one,
+        # have cells out of order; each is refused at load, in both modes,
+        # before a run writes anything
         obj = load_scenario("straight_3ms").to_json_obj()
-        if layout == "gap":
+        if layout == "blind":
+            obj["cameras"][2]["yaw_rad"] = math.pi
+        else:
             obj["camera_spacing_m"] = None
+        if layout == "gap":
             for cam, x in zip(obj["cameras"], (30.0, 230.0, 630.0)):
                 cam["x"] = x
-        else:
-            obj["cameras"][2]["yaw_rad"] = math.pi
+        elif layout == "reversed":
+            obj["cameras"].reverse()
+        elif layout == "reversed_gap":
+            obj["cameras"] = obj["cameras"][::-2]
         with pytest.raises(ScenarioError, match=f"cameras: .*{error}"):
             ScenarioConfig.from_json_obj(obj)
         path = tmp_path / "cells.json"
@@ -171,8 +179,13 @@ class TestScenarioConfig:
          "scenario.controller: kp, u_max, v_cruise must be positive"),
         ("plan", "lookahead_m", 0, "scenario.plan: interp_spacing and "
          "lookahead_m must be positive"),
-        ("cameras", "z", None, "scenario.cameras[1].z missing")],
-        ids=["link", "controller", "plan", "camera_without_z"])
+        ("cameras", "z", None, "scenario.cameras[1].z missing"),
+        ("vehicle", "yaw_rate_limit", -1,
+         "scenario.vehicle: yaw_rate_limit must be positive"),
+        ("vehicle", "yaw_rate_limit", 0,
+         "scenario.vehicle: yaw_rate_limit must be positive")],
+        ids=["link", "controller", "plan", "camera_without_z",
+             "negative_yaw_rate_limit", "zero_yaw_rate_limit"])
     def test_nested_error_names_its_section(self, section, key, value, error,
                                             tmp_path, capsys):
         # a range check inside a nested object starts with the object's
@@ -1072,8 +1085,18 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: --id 'mssp9'")
         assert "valid ids: veh, mssp1" in err
-        with pytest.raises(SystemExit):
-            cli.main(["node", "--role", "mssp", "--id", "mssp1", *args])
+        # a usage error is a validation error, exit 1, not argparse's 2;
+        # --help still exits 0
+        for argv in (["node", "--role", "mssp", "--id", "mssp1", *args],
+                     ["run", "--scenario", "straight_3ms", "--seed", "abc"],
+                     ["bogus"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 1, argv
+            assert "error:" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", "--help"])
+        assert exc.value.code == 0
 
     def test_run_unknown_scenario_exit_1(self, capsys):
         assert cli.main(["run", "--scenario", "nope"]) == 1

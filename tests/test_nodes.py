@@ -75,10 +75,17 @@ def _full_scan(cam, dims):
 
 class TestCellLayout:
     def test_consecutive_cells_must_overlap(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="overlap"):
             CellLayout(intervals=((0.0, 10.0), (10.0, 20.0)))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="overlap"):
             CellLayout(intervals=((0.0, 10.0), (12.0, 20.0)))
+        # cells listed against the road, overlapping or with a gap
+        for reversed_cells in (((5.0, 20.0), (0.0, 10.0)),
+                               ((12.0, 20.0), (0.0, 10.0))):
+            with pytest.raises(ValueError, match="road order"):
+                CellLayout(intervals=reversed_cells)
+        # a cell may start where the one before it starts
+        CellLayout(intervals=((0.0, 10.0), (0.0, 20.0)))
 
     def test_from_cameras_three_unit_spacing(self):
         cams = [make_camera(x=x) for x in (30.0, 70.0, 110.0)]
@@ -207,6 +214,24 @@ class TestMsspNode:
                 t_frame = node.tracker.background.capture_time
                 assert t_frame <= now + 1e-12 < node.frame_clock
                 assert node.frame_clock == t_frame + period
+
+    def test_noisy_background_builds_its_slot_limits_once(self):
+        # at sigma 8 every later frame is compared with the slot limits of
+        # the camera's background, the empty road, built on the first
+        # comparison and kept: the same two arrays, frame after frame
+        node = MsspNode(dataclasses.replace(MSSP_CFG, noise_sigma=8.0),
+                        "mssp1")
+        node.step(0.0, [])
+        background = node.tracker.background
+        assert background.limits is None
+        limits = []
+        for i in range(1, 6):
+            node.step(i * 0.05, [pose_msg(20.0 + 0.15 * i, seq=i)])
+            assert node.tracker.background is background
+            limits.append(background.limits)
+        assert node.tracker.last_box is not None
+        lo, span = limits[0]
+        assert all(a is lo and b is span for a, b in limits)
 
     def test_done_once_its_clock_reaches_the_stop_tail_past_the_cap(self):
         # a camera is due at its frame clock and runs on STOP_TAIL_S past

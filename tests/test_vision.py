@@ -12,11 +12,11 @@ from iea_sim import vision
 from iea_sim.geometry import Pose2D, PixelPoint, WorldPoint, \
     back_project_ground, camera_matrix, project, project_xyz
 from iea_sim.scenario import load_scenario
-from iea_sim.vision import (BACKGROUND_INTENSITY, DEFAULT_THRESHOLD,
-                            EMPTY_BOX, NOISE_OFFSET_CAP, NOISE_SLOTS,
-                            SEARCHING, TRACKING, VEHICLE_INTENSITY, Frame,
-                            TrackerState, detect_by_subtraction,
-                            render_frame, track_step, write_pgm)
+from iea_sim.vision import (BACKGROUND_INTENSITY, EMPTY_BOX,
+                            NOISE_OFFSET_CAP, NOISE_SLOTS, THRESHOLD,
+                            VEHICLE_INTENSITY, Frame, TrackerState,
+                            detect_by_subtraction, render_frame, track_step,
+                            write_pgm)
 
 from conftest import DEFAULT_FY, in_image, make_camera, whole_image
 
@@ -458,12 +458,12 @@ class TestNoisyFrames:
     def test_share_over_threshold_between_two_frames(self, default_camera):
         a = self._background_pixels(default_camera, 12)
         b = self._background_pixels(default_camera, 13)
-        share = (np.abs(a - b) > DEFAULT_THRESHOLD).mean()
+        share = (np.abs(a - b) > THRESHOLD).mean()
         # the difference of two offsets drawn from the table's pmf
         pmf = _offset_pmf(vision._noise_tables(self.SIGMA)[0])
         diff = np.convolve(pmf, pmf[::-1])
         lag = np.arange(len(diff)) - 2 * NOISE_OFFSET_CAP
-        p = diff[np.abs(lag) > DEFAULT_THRESHOLD].sum()
+        p = diff[np.abs(lag) > THRESHOLD].sum()
         assert 0.005 < p < 0.01
         assert abs(share - p) <= 4 * math.sqrt(p * (1 - p) / a.size)
 
@@ -522,21 +522,11 @@ class TestDetectBySubtraction:
         assert detect_by_subtraction(bg, cur) is None
 
     def test_dimension_mismatch_raises(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="dimensions"):
             detect_by_subtraction(_blank(10, 10),
                                   _blank(11, 10))
-
-    def test_negative_threshold_raises(self):
-        bg = _blank(10, 10)
-        with pytest.raises(ValueError, match="threshold"):
-            detect_by_subtraction(bg, bg, threshold=-1)
-        # the shape check comes first
-        with pytest.raises(ValueError, match="dimensions"):
-            detect_by_subtraction(bg, _blank(11, 10), threshold=-1)
-        # and both come before the painted-background check
+        # the shape check comes before the painted-background check
         painted = _rect_frame(10, 10, (2, 4, 2, 4))
-        with pytest.raises(ValueError, match="threshold"):
-            detect_by_subtraction(painted, bg, threshold=-1)
         with pytest.raises(ValueError, match="dimensions"):
             detect_by_subtraction(painted, _blank(11, 10))
 
@@ -551,8 +541,7 @@ class TestDetectBySubtraction:
             cur = render_frame(default_camera, None, DIMS, 0.05, sigma, rng)
             with pytest.raises(ValueError, match="background paints"):
                 detect_by_subtraction(bg, cur)
-            tracking = TrackerState(mode=TRACKING,
-                                    last_box=vision.BoundingBox(0, 0, 1, 1),
+            tracking = TrackerState(last_box=vision.BoundingBox(0, 0, 1, 1),
                                     background=bg)
             for state in (TrackerState(background=bg), tracking):
                 with pytest.raises(ValueError, match="background paints"):
@@ -563,16 +552,19 @@ class TestDetectBySubtraction:
         assert detect_by_subtraction(empty, fr) == detect_by_subtraction(
             render_frame(default_camera, None, DIMS, 0.0), fr) is not None
         state, det = track_step(TrackerState(background=empty), fr)
-        assert state.mode == TRACKING and det is not None
+        assert state.last_box is not None and det is not None
 
     @settings(max_examples=60, deadline=None)
-    @given(poses, st.integers(0, 255), st.integers(1, 60))
+    @given(poses,
+           st.integers(0, VEHICLE_INTENSITY - BACKGROUND_INTENSITY - 1),
+           st.integers(2, 60))
     def test_sparse_path_matches_dense(self, default_camera, cur_pose,
                                        threshold, min_area):
         # against the empty road, the runs' components are the flood fill
         # of the pixel difference, which is empty outside the current
-        # frame's box; the same frames on whole-image boxes, alone or
-        # against a frame on its own box, give the same
+        # frame's box, at any THRESHOLD below the vehicle's contrast; the
+        # same frames on whole-image boxes, alone or against a frame on
+        # its own box, give the same
         bg = render_frame(default_camera, None, DIMS, 0.0)
         cur = render_frame(default_camera, cur_pose, DIMS, 0.05)
         mask = np.abs(bg.pixels.astype(np.int16) - cur.pixels) > threshold
@@ -580,13 +572,15 @@ class TestDetectBySubtraction:
         box_mask = mask[v0:v1, u0:u1].copy()
         mask[v0:v1, u0:u1] = False
         assert not mask.any()
-        sparse = vision._foreground_components(bg, cur, threshold, min_area)
-        assert repr(sparse) == repr(_flood_fill_components(
-            box_mask, min_area, v0, u0) if box_mask.size else [])
         full_bg, full_cur = whole_image(bg), whole_image(cur)
-        for a, b in ((full_bg, full_cur), (bg, full_cur), (full_bg, cur)):
-            assert vision._foreground_components(a, b, threshold,
-                                                 min_area) == sparse
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(vision, "THRESHOLD", threshold)
+            monkeypatch.setattr(vision, "MIN_AREA", min_area)
+            sparse = vision._foreground_components(bg, cur)
+            assert repr(sparse) == repr(_flood_fill_components(
+                box_mask, min_area, v0, u0) if box_mask.size else [])
+            for a, b in ((full_bg, full_cur), (bg, full_cur), (full_bg, cur)):
+                assert vision._foreground_components(a, b) == sparse
 
     @given(st.integers(0, 40), st.integers(0, 40),
            st.integers(5, 19), st.integers(5, 19))
@@ -611,10 +605,11 @@ small_poses = st.one_of(st.none(), st.builds(
     st.floats(-math.pi, math.pi)))
 
 
-def _flood_fill_components(mask, min_area, v_off, u_off):
+def _flood_fill_components(mask, min_area, v_off=0, u_off=0):
     """Reference labeller: a 4-connected flood fill from each unlabelled
     pixel in raster order, centroids rounded as the mean offset from the
-    box corner plus the corner."""
+    box corner plus the corner; (v_off, u_off) is the frame position of
+    the mask's top-left pixel."""
     cells = mask.tolist()
     h, w = len(cells), len(cells[0])
     seen = [[False] * w for _ in range(h)]
@@ -698,17 +693,22 @@ def _brick_rows(n_runs, per_row=8):
     return rows
 
 
+def _components_at(mask, min_area):
+    """`vision._components(mask)` with MIN_AREA set to min_area."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(vision, "MIN_AREA", min_area)
+        return vision._components(mask)
+
+
 class TestComponents:
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 60), st.integers(1, 60), st.floats(0.05, 0.7),
-           st.integers(1, 6), st.integers(0, 800), st.integers(0, 600),
-           st.integers(0, 2**32 - 1))
-    def test_matches_flood_fill(self, h, w, density, min_area, v_off, u_off,
-                                seed):
+           st.integers(2, 6), st.integers(0, 2**32 - 1))
+    def test_matches_flood_fill(self, h, w, density, min_area, seed):
         mask = np.random.default_rng(seed).random((h, w)) < density
         # repr: the same order, areas, boxes and centroid bits
-        assert (repr(vision._components(mask, min_area, v_off, u_off))
-                == repr(_flood_fill_components(mask, min_area, v_off, u_off)))
+        assert (repr(_components_at(mask, min_area))
+                == repr(_flood_fill_components(mask, min_area)))
 
     @pytest.mark.parametrize("rows", [
         ["#"],
@@ -748,20 +748,22 @@ class TestComponents:
             "corner_staircase", "spiral", "alternating_row",
             "bricks_140_runs", "bricks_141_runs"])
     def test_shapes(self, rows):
+        # every pixel but the one-pixel specks is in a component of two
+        # pixels or more
         mask = _mask(rows)
-        comps = vision._components(mask, 1, 3, 5)
-        assert repr(comps) == repr(_flood_fill_components(mask, 1, 3, 5))
-        assert sum(c[0] for c in comps) == mask.sum()
+        comps = _components_at(mask, 2)
+        assert repr(comps) == repr(_flood_fill_components(mask, 2))
+        assert sum(c[0] for c in comps) == _without_specks(mask).sum()
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 100), st.integers(1, 200), st.floats(0.001, 0.05),
-           st.integers(1, 30), st.integers(0, 2**32 - 1))
+           st.integers(2, 30), st.integers(0, 2**32 - 1))
     def test_noise_like_masks_match_flood_fill(self, h, w, density, min_area,
                                                seed):
-        # at min_area > 1 the one-pixel specks are cleared before labelling
+        # the one-pixel specks are cleared before labelling
         mask = np.random.default_rng(seed).random((h, w)) < density
-        assert (repr(vision._components(mask, min_area, 7, 9))
-                == repr(_flood_fill_components(mask, min_area, 7, 9)))
+        assert (repr(_components_at(mask, min_area))
+                == repr(_flood_fill_components(mask, min_area)))
 
     # transposed, the vertical dominoes lie along rows: neighbours at +-1
     # in the flat buffer, where the row-wrap case has its neighbours
@@ -786,21 +788,24 @@ class TestComponents:
          ".#...#"],
     ], ids=["lone_border_pixels", "row_wrap", "edge_dominoes"])
     def test_speck_shapes(self, rows, min_area, transposed):
+        # MIN_AREA 1 is no camera's, but speck clearing does not look at
+        # it: a lone pixel is cleared there too, as at 2
         mask = _mask(rows)
         if transposed:
             mask = np.ascontiguousarray(mask.T)
-        comps = vision._components(mask, min_area, 3, 5)
-        assert repr(comps) == repr(_flood_fill_components(mask, min_area, 3,
-                                                          5))
+        comps = _components_at(mask, min_area)
+        assert repr(comps) == repr(_flood_fill_components(mask, 2))
 
     @pytest.mark.parametrize("min_area", [0, 1, 2, 25])
     @pytest.mark.parametrize("width", WORD_EDGE_WIDTHS)
     def test_word_edges_match_flood_fill(self, width, min_area):
         # a run or a neighbour that crosses from one packed word to the
-        # next, or from a row's last word to the next row's first
+        # next, or from a row's last word to the next row's first; below 2
+        # the specks are still cleared, so the flood fill is taken at 2
         for name, mask in _word_edge_masks(width).items():
-            assert (repr(vision._components(mask, min_area, 3, 5))
-                    == repr(_flood_fill_components(mask, min_area, 3, 5))), name
+            assert (repr(_components_at(mask, min_area))
+                    == repr(_flood_fill_components(mask, max(min_area, 2)))
+                    ), name
 
     def test_noisy_pair_matches_flood_fill(self, default_camera):
         background = render_frame(default_camera, None, DIMS, 0.0, 8.0,
@@ -808,12 +813,10 @@ class TestComponents:
         current = render_frame(default_camera, Pose2D(20.0, 0.0, 0.0), DIMS,
                                0.05, 8.0, np.random.default_rng(18))
         a = background.pixels.astype(np.int16)
-        mask = np.abs(a - current.pixels) > DEFAULT_THRESHOLD
-        comps = vision._foreground_components(background, current,
-                                              DEFAULT_THRESHOLD,
-                                              vision.DEFAULT_MIN_AREA)
+        mask = np.abs(a - current.pixels) > THRESHOLD
+        comps = vision._foreground_components(background, current)
         assert comps and repr(comps) == repr(_flood_fill_components(
-            mask, vision.DEFAULT_MIN_AREA, 0, 0))
+            mask, vision.MIN_AREA))
 
     @pytest.mark.parametrize("pairing", [
         "one_sigma", "two_sigmas", "noisy_vs_clean", "clean_vs_noisy",
@@ -821,15 +824,16 @@ class TestComponents:
     @settings(max_examples=25, deadline=None)
     @given(small_poses, st.sampled_from(SIGMAS),
            st.sampled_from(SIGMAS), st.sampled_from((0, 1, 30, 255, 300)),
-           st.integers(1, 30), st.integers(0, 2**32 - 1))
+           st.integers(2, 30), st.integers(0, 2**32 - 1))
     def test_noisy_pairs_match_flood_fill(self, pairing, cur_pose,
                                           sigma, other_sigma, threshold,
                                           min_area, seed):
-        # the empty road against the vehicle or no vehicle; outside the
-        # current frame's box two noisy frames at one sigma are compared
-        # by slot. A pair whose sigmas differ is one no tracker
-        # makes, and is refused, also when the noise-free frame's box is
-        # its whole image (`whole_image`)
+        # the empty road against the vehicle or no vehicle, at a patched
+        # THRESHOLD and MIN_AREA; outside the current frame's box two noisy
+        # frames at one sigma are compared by slot, against limits built
+        # for the frame just rendered. A pair whose sigmas differ is one no
+        # tracker makes, and is refused, also when the noise-free frame's
+        # box is its whole image (`whole_image`)
         if pairing == "two_sigmas" and other_sigma == sigma:
             other_sigma = SIGMAS[SIGMAS.index(sigma) - 1]
         rng = np.random.default_rng(seed)
@@ -847,33 +851,29 @@ class TestComponents:
             bg = whole_image(bg)
         elif pairing == "noisy_vs_wrapped":
             cur = whole_image(cur)
-        if pairing != "one_sigma":
-            with pytest.raises(ValueError, match="sigma differs"):
-                vision._foreground_components(bg, cur, threshold, min_area)
-            return
-        a = bg.pixels.astype(np.int16)
-        # a second threshold on the same background, and the first again:
-        # limits cached for one threshold are not used for another
-        for thr in (threshold, DEFAULT_THRESHOLD, threshold):
-            mask = np.abs(a - cur.pixels) > thr
-            assert (repr(vision._foreground_components(bg, cur, thr,
-                                                       min_area))
-                    == repr(_flood_fill_components(mask, min_area, 0, 0)))
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(vision, "THRESHOLD", threshold)
+            monkeypatch.setattr(vision, "MIN_AREA", min_area)
+            if pairing != "one_sigma":
+                with pytest.raises(ValueError, match="sigma differs"):
+                    vision._foreground_components(bg, cur)
+                return
+            comps = vision._foreground_components(bg, cur)
+        mask = np.abs(bg.pixels.astype(np.int16) - cur.pixels) > threshold
+        assert repr(comps) == repr(_flood_fill_components(mask, min_area))
 
     def test_mixed_sigma_pair_is_refused_after_the_size_check(
             self, default_camera):
         # a tracker whose background has another sigma than its frames
-        # refuses them, as the detector does; a size mismatch and a
-        # negative threshold are named first, and a sigma mismatch before
-        # a painted background
+        # refuses them, as the detector does; a size mismatch is named
+        # first, and a sigma mismatch before a painted background
         clean = render_frame(default_camera, None, DIMS, 0.0)
         noisy = render_frame(default_camera, Pose2D(20.0, 0.0, 0.0), DIMS,
                              0.05, 8.0, np.random.default_rng(21))
         for bg, cur in ((clean, noisy), (noisy, clean)):
             with pytest.raises(ValueError, match="sigma differs"):
                 detect_by_subtraction(bg, cur)
-        tracking = TrackerState(mode=TRACKING,
-                                last_box=vision.BoundingBox(0, 0, 1, 1),
+        tracking = TrackerState(last_box=vision.BoundingBox(0, 0, 1, 1),
                                 background=clean)
         for state in (TrackerState(background=clean), tracking):
             with pytest.raises(ValueError, match="sigma differs"):
@@ -882,28 +882,23 @@ class TestComponents:
                              np.random.default_rng(22))
         with pytest.raises(ValueError, match="dimensions"):
             detect_by_subtraction(clean, small)
-        with pytest.raises(ValueError, match="dimensions"):
-            detect_by_subtraction(clean, small, threshold=-1)
-        with pytest.raises(ValueError, match="threshold"):
-            detect_by_subtraction(clean, noisy, threshold=-1)
         painted = render_frame(default_camera, Pose2D(20.0, 0.0, 0.0), DIMS,
                                0.0)
         with pytest.raises(ValueError, match="dimensions"):
             detect_by_subtraction(painted, small)
-        with pytest.raises(ValueError, match="threshold"):
-            detect_by_subtraction(painted, clean, threshold=-1)
         with pytest.raises(ValueError, match="sigma differs"):
             detect_by_subtraction(painted, noisy)
         with pytest.raises(ValueError, match="sigma differs"):
             track_step(TrackerState(background=painted), noisy)
 
     def test_u_shape_is_one_component_before_the_dot(self):
-        comps = vision._components(_mask(["#.....#..#",
-                                          "#.....#...",
-                                          "#######..."]), 1, 0, 0)
+        # the dot is two pixels tall, so that MIN_AREA 2 keeps it
+        comps = _components_at(_mask(["#.....#..#",
+                                      "#.....#..#",
+                                      "#######..."]), 2)
         assert [(area, box) for area, box, _ in comps] == [
             (11, vision.BoundingBox(0, 0, 6, 2)),
-            (1, vision.BoundingBox(9, 0, 9, 0))]
+            (2, vision.BoundingBox(9, 0, 9, 1))]
 
 
 STACK_FLAWS = ("none", "empty_row", "two_in_row", "right_diagonal",
@@ -953,7 +948,7 @@ def stack_masks(draw):
 
 def _without_specks(mask):
     """The mask without its one-pixel components: what `_components`
-    labels at min_area > 1."""
+    labels."""
     padded = np.pad(mask, 1)
     return mask & (padded[:-2, 1:-1] | padded[2:, 1:-1]
                    | padded[1:-1, :-2] | padded[1:-1, 2:])
@@ -990,27 +985,26 @@ class TestStacks:
         return calls
 
     @settings(max_examples=150, deadline=None)
-    @given(stack_masks(), st.sampled_from(("one", "at", "just_below")),
-           st.integers(0, 600), st.integers(0, 800))
-    def test_match_flood_fill(self, stack, min_area_case, v_off, u_off):
-        # the runs labelled are the mask's, less its one-pixel specks at
-        # min_area > 1 (a two_in_row flaw's lone pixel, say): a stack is
-        # summed without labelling, and any other set, an empty one too,
-        # goes to union-find. Either way the area, box and
-        # centroid bits are the flood fill's, also with the component's
-        # area at min_area and one below it
+    @given(stack_masks(), st.sampled_from(("two", "at", "just_below")))
+    def test_match_flood_fill(self, stack, min_area_case):
+        # the runs labelled are the mask's, less its one-pixel specks (a
+        # two_in_row flaw's lone pixel, say): a stack is summed without
+        # labelling, and any other set, an empty one too, goes to
+        # union-find. Either way the area, box and centroid bits are the
+        # flood fill's, at MIN_AREA 2, at the mask's area (2 at least) and
+        # one above it
         mask, flaw = stack
         area = int(mask.sum())
-        min_area = {"one": 1, "at": area, "just_below": area + 1}[
+        min_area = {"two": 2, "at": max(area, 2), "just_below": area + 1}[
             min_area_case]
         with pytest.MonkeyPatch.context() as monkeypatch:
             calls = self._labeller_calls(monkeypatch)
-            comps = vision._components(mask, min_area, v_off, u_off)
-        assert repr(comps) == repr(_flood_fill_components(mask, min_area,
-                                                          v_off, u_off))
-        labelled = mask if min_area == 1 else _without_specks(mask)
+            monkeypatch.setattr(vision, "MIN_AREA", min_area)
+            comps = vision._components(mask)
+        assert repr(comps) == repr(_flood_fill_components(mask, min_area))
         assert _is_stack(mask) == (flaw == "none")
-        assert calls == ([] if _is_stack(labelled) else ["_array_runs"])
+        assert calls == ([] if _is_stack(_without_specks(mask))
+                         else ["_array_runs"])
 
     @pytest.mark.parametrize("rows, stack", [
         (["###", ".##", "##."], True),
@@ -1026,10 +1020,10 @@ class TestStacks:
     def test_shapes(self, rows, stack, monkeypatch):
         mask = _mask(rows)
         calls = self._labeller_calls(monkeypatch)
-        for min_area in (1, int(mask.sum()), int(mask.sum()) + 1):
-            comps = vision._components(mask, min_area, 3, 5)
-            assert repr(comps) == repr(_flood_fill_components(mask, min_area,
-                                                              3, 5))
+        for min_area in (2, int(mask.sum()), int(mask.sum()) + 1):
+            monkeypatch.setattr(vision, "MIN_AREA", min_area)
+            comps = vision._components(mask)
+            assert repr(comps) == repr(_flood_fill_components(mask, min_area))
         assert (not calls) == stack
 
     def test_tall_stack(self, monkeypatch):
@@ -1037,9 +1031,10 @@ class TestStacks:
         mask = _mask([("." * (k % 4) + "#" * 5).ljust(10, ".")
                       for k in range(170)])
         calls = self._labeller_calls(monkeypatch)
-        comps = vision._components(mask, 1, 2, 4)
+        comps = vision._components(mask)
         assert len(comps) == 1 and not calls
-        assert repr(comps) == repr(_flood_fill_components(mask, 1, 2, 4))
+        assert repr(comps) == repr(_flood_fill_components(mask,
+                                                          vision.MIN_AREA))
 
 
 def _drive_through(camera, x_start, x_end, v=3.0, fps=20.0, y=0.0):
@@ -1058,7 +1053,7 @@ class TestTrackStep:
         for i in range(20):
             state, det = track_step(state, _blank(80, 60, i * 0.05))
             assert det is None
-        assert state.mode == SEARCHING
+        assert state.last_box is None
 
     def test_drive_through_tracks_with_subpixel_centers(self, default_camera):
         # center of each detection within 1 px of the projected-rectangle
@@ -1091,12 +1086,12 @@ class TestTrackStep:
         state, _ = track_step(state, render_frame(default_camera, None, DIMS, 0.0))
         state, det = track_step(
             state, render_frame(default_camera, Pose2D(20, 0, 0), DIMS, 0.05))
-        assert state.mode == TRACKING and det is not None
+        assert state.last_box is not None and det is not None
         for i in range(6):
             state, det = track_step(
                 state, render_frame(default_camera, None, DIMS, 0.1 + i * 0.05))
             assert det is None
-        assert state.mode == SEARCHING
+        assert state.last_box is None
 
     def test_noisy_track_survives_a_loss_as_pixels_do(self, default_camera):
         # the vehicle in view, out of it until the tracker gives up, then
@@ -1113,24 +1108,22 @@ class TestTrackStep:
         frames = [render_frame(default_camera, pose, DIMS, 0.05 * i, 8.0, rng)
                   for i, pose in enumerate(poses)]
         noisy = TrackerState()
-        modes, found = [], []
+        tracking, found = [], []
         for fr in frames:
             boxes = None
             if noisy.background is not None:
                 mask = np.abs(noisy.background.pixels.astype(np.int16)
-                              - fr.pixels) > DEFAULT_THRESHOLD
-                reference = _flood_fill_components(
-                    mask, vision.DEFAULT_MIN_AREA, 0, 0)
+                              - fr.pixels) > THRESHOLD
+                reference = _flood_fill_components(mask, vision.MIN_AREA)
                 assert repr(vision._foreground_components(
-                    noisy.background, fr, DEFAULT_THRESHOLD,
-                    vision.DEFAULT_MIN_AREA)) == repr(reference)
+                    noisy.background, fr)) == repr(reference)
                 boxes = [box for _, box, _ in reference]
             noisy, det = track_step(noisy, fr)
             assert det is None or det.box in boxes
-            modes.append(noisy.mode)
+            tracking.append(noisy.last_box is not None)
             found.append(det is not None)
         assert found == [False, True, True, True] + [False] * 6 + [True] * 4
-        assert modes[3] == TRACKING and modes[9:11] == [SEARCHING, TRACKING]
+        assert tracking[3] and tracking[9:11] == [False, True]
         assert noisy.background is frames[0]
 
     def test_pipeline_consistency_back_projection(self, default_camera):
