@@ -9,14 +9,17 @@ inbox, and its messages go to its peers. Lockstep steps them on the tick
 grid `i * dt` over a `LockstepNetwork`, each camera whose frame is due and
 then the vehicle, and a message leaves at its own stamp. In a distributed
 run each node process is one paced loop on the wall clock, which stamps
-every message at its socket write. The vehicle node logs each step and
-alone ends a run, and `write_run` then writes the run logs (`runlog`).
+every message at its socket write, and t = 0 is the moment the parent
+sends the epoch, once the last node is ready. The vehicle node logs each
+step and alone ends a run, and `write_run` then writes the run logs
+(`runlog`).
 `run_scenario` writes `scenario.json` before either starts.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import select
 import subprocess
 import sys
@@ -33,8 +36,6 @@ from .scenario import ScenarioConfig, load_scenario
 
 READY = "ready"  # a distributed node's line once it is set up
 READY_TIMEOUT_S = 60.0  # longest wait for every node to say READY
-START_MARGIN_S = 0.1  # t = 0 this long after the epoch is sent, so every
-                      # node has read it before its first step is due
 
 
 @dataclass
@@ -118,11 +119,14 @@ def run_distributed(cfg: ScenarioConfig, out_dir: Path,
     bind), prints READY and reads the shared epoch, the `time.time()` of
     t = 0, from its stdin. The epoch is sent once every node is ready. A
     node that ends first, or is not ready within READY_TIMEOUT_S, stops the
-    run before t = 0.
+    run before t = 0. Every node runs with OPENBLAS_NUM_THREADS=1: no node
+    makes a BLAS call, and without it `import numpy` starts a thread pool
+    that spins on a CPU the other nodes need.
     """
     common = (["--scenario", str(out_dir / "scenario.json"),
                "--out", str(out_dir)]
               + (["--dump-frames"] if dump_frames else []))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
     timeout = cfg.duration_cap_s + 30.0
     procs = {}
     try:
@@ -130,7 +134,7 @@ def run_distributed(cfg: ScenarioConfig, out_dir: Path,
             procs[node_id] = subprocess.Popen(
                 [sys.executable, "-m", "iea_sim.cli", "node",
                  "--id", node_id, *common],
-                stdin=PIPE, stdout=PIPE, text=True)
+                stdin=PIPE, stdout=PIPE, text=True, env=env)
         _start_nodes(procs)
         try:
             rc = procs[VEHICLE_ID].wait(timeout=timeout)
@@ -163,7 +167,9 @@ def run_distributed(cfg: ScenarioConfig, out_dir: Path,
 
 def _start_nodes(procs: dict) -> None:
     """Wait until every node process has said READY, then send each the
-    same epoch: START_MARGIN_S from now."""
+    same epoch: now. Each node is blocked reading it, so it takes its first
+    step as soon as the line arrives, which is late only as after any
+    stall."""
     waiting = {p.stdout: node_id for node_id, p in procs.items()}
     deadline = time.time() + READY_TIMEOUT_S
     while waiting:
@@ -177,7 +183,7 @@ def _start_nodes(procs: dict) -> None:
             if f.readline() != READY + "\n":
                 raise RuntimeError(f"node {node_id} exited before it was "
                                    "ready; the run was not started")
-    epoch = time.time() + START_MARGIN_S
+    epoch = time.time()
     for node_id, p in procs.items():
         try:
             p.stdin.write(f"{epoch!r}\n")
@@ -212,8 +218,8 @@ def _await_epoch() -> float:
 def _serve(node, transport: UdpTransport) -> None:
     """Run `node` in this process from the epoch until it is done: wait
     until it is due, step it on what arrived and send each of its messages
-    to its peers. Then close the socket and report the datagrams that
-    could not be decoded."""
+    to its peers. Then, also when the node is ended early, close the
+    socket and report the datagrams that could not be decoded."""
     try:
         transport.epoch = _await_epoch()
         while not node.done:

@@ -838,15 +838,17 @@ class FakeNode:
 
     `start` says ready at once; `events` logs each ("ready", node id,
     time.time()) and each ("epoch", node id, time.time(), line written to
-    the node's stdin). Subclasses change when it is ready and how it ends.
+    the node's stdin). `env` is the environment the node was given.
+    Subclasses change when it is ready and how it ends.
     """
 
     children: list = []
     events: list = []
 
-    def __init__(self, args, stdin=None, stdout=None, text=False):
+    def __init__(self, args, stdin=None, stdout=None, text=False, env=None):
         assert stdin == stdout == subprocess.PIPE and text
         self.args = args
+        self.env = env
         self.node_id = args[args.index("--id") + 1] if "--id" in args else "veh"
         self.terminated = False
         read_fd, self._write_fd = os.pipe()
@@ -931,6 +933,8 @@ class TestCli:
         logs = tmp_path / "lockstep"
         run_scenario(dataclasses.replace(cfg, duration_cap_s=2.0), logs)
         children = install_fake_nodes(monkeypatch, LateVehicle)
+        # the nodes run with one BLAS thread, whatever the parent has
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
         rc = cli.main(["run", "--scenario", "straight_3ms", "--mode",
                        "distributed", "--out", str(tmp_path / "out")])
         assert rc == 0
@@ -946,7 +950,11 @@ class TestCli:
         [line] = {e[3] for e in epochs}
         assert line.endswith("\n")
         assert float(line) > max(e[2] for e in said_ready)
+        # t = 0 is when the epoch is sent, not ahead of it
+        assert all(float(e[3]) <= e[2] for e in epochs)
         assert all(c.terminated for c in children)
+        assert all(c.env == {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+                   for c in children)
 
     def test_truth_fed_distributed_run_starts_only_the_vehicle(
             self, tmp_path, monkeypatch, capsys):
@@ -1059,6 +1067,56 @@ class TestCli:
         harness._serve(finished, cam)
         assert capsys.readouterr().err == ("mssp1: ignored 1 undecodable "
                                            "datagram(s)\n")
+
+    @staticmethod
+    def _run_real_nodes(tmp_path, monkeypatch, started) -> None:
+        """Run distributed_smoke capped at 1 s as real node processes;
+        `started(procs, cfg)` runs once every node has its epoch."""
+        doc = json.loads((resources.files("iea_sim") / "scenarios"
+                          / "distributed_smoke.json").read_text())
+        doc["duration_cap_s"] = 1.0
+        scenario = tmp_path / "short.json"
+        scenario.write_text(json.dumps(doc))
+        start_nodes = harness._start_nodes
+
+        def start_then(procs):
+            start_nodes(procs)
+            started(procs, load_scenario(scenario))
+
+        monkeypatch.setattr(harness, "_start_nodes", start_then)
+        monkeypatch.setenv("PYTHONPATH", _src_env()["PYTHONPATH"])
+        assert cli.main(["run", "--scenario", str(scenario),
+                         "--out", str(tmp_path / "out")]) == 0
+
+    def test_terminated_camera_reports_undecodable_datagrams(
+            self, tmp_path, monkeypatch, capfd):
+        # the camera outlives the vehicle and is ended by the parent; it
+        # still prints its exit report
+        def send_junk(procs, cfg):
+            with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as junk:
+                for addr in cfg.nodes().values():
+                    for _ in range(2):
+                        junk.sendto(b"not a wire message", addr)
+
+        self._run_real_nodes(tmp_path, monkeypatch, send_junk)
+        err = capfd.readouterr().err.splitlines()
+        assert "mssp1: ignored 2 undecodable datagram(s)" in err
+        assert "veh: ignored 2 undecodable datagram(s)" in err
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux")
+                        or len(os.sched_getaffinity(0)) < 2,
+                        reason="OpenBLAS starts no thread pool on one CPU")
+    def test_nodes_run_single_threaded(self, tmp_path, monkeypatch):
+        # the parent's setting does not reach the nodes
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        threads = {}
+
+        def count_threads(procs, cfg):
+            for node_id, p in procs.items():
+                threads[node_id] = len(os.listdir(f"/proc/{p.pid}/task"))
+
+        self._run_real_nodes(tmp_path, monkeypatch, count_threads)
+        assert threads == {"veh": 1, "mssp1": 1}
 
     def test_runs_without_scipy(self, tmp_path):
         # numpy is the only runtime dependency: with scipy unimportable the
