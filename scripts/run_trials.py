@@ -4,7 +4,7 @@
 Exits 1 if any run did not end stopped (`stop_reason` other than
 "stopped"), such as a vehicle still driving at `duration_cap_s`.
 
-Usage: python scripts/run_trials.py [--out DIR] [--skip-distributed]
+Usage: python scripts/run_trials.py [--out DIR]
 """
 
 import argparse
@@ -21,16 +21,12 @@ SCENARIOS = ["straight_3ms", "straight_6ms", "baseline_truth_3ms",
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--out", default="out/trials")
-    ap.add_argument("--skip-distributed", action="store_true")
     args = ap.parse_args(argv)
     root = Path(args.out)
     unstopped = []
     for source in SCENARIOS:
         cfg = load_scenario(source)
         name = cfg.name
-        if args.skip_distributed and cfg.mode == "distributed":
-            print(f"{name:<22} skipped (distributed)")
-            continue
         res = run_scenario(cfg, root / name)
         s = res.summary
         ct = s["cross_track"]["max_after_settle_m"]

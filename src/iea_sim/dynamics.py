@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .geometry import Pose2D, wrap_angle
+from .geometry import Pose2D
 
 MAX_STEP_S = 0.1
 _STRAIGHT_EPS = 1e-9
@@ -77,4 +77,4 @@ def step(state: VehicleState, cmd: DbwCommand, dt: float,
         r = v / w
         x += r * (math.sin(psi_new) - math.sin(psi))
         y += r * (math.cos(psi) - math.cos(psi_new))
-    return VehicleState(Pose2D(x, y, wrap_angle(psi_new)), v, w, state.t + dt)
+    return VehicleState(Pose2D(x, y, psi_new), v, w, state.t + dt)

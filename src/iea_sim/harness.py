@@ -5,14 +5,14 @@ byte-identical CSVs for identical scenario+seed) or distributed, with one
 OS process per node talking UDP on loopback. Both build the nodes of
 `ScenarioConfig.nodes` from the scenario and drive them through one
 contract (`nodes`): each node says when it is next due, steps on its
-inbox, and its messages go to its peers. Lockstep steps them on the tick
-grid `i * dt` over a `LockstepNetwork`, each camera whose frame is due and
-then the vehicle, and a message leaves at its own stamp. In a distributed
-run each node process is one paced loop on the wall clock, which stamps
-every message at its socket write, and t = 0 is the moment the parent
-sends the epoch, once the last node is ready. The vehicle node logs each
-step and alone ends a run, and `write_run` then writes the run logs
-(`runlog`).
+inbox, and its messages go to its peers. One loop, `_serve`, steps them
+in both modes over a transport, which stamps the messages (`netbus`):
+lockstep steps every node over a `LockstepNetwork` on a virtual clock
+paced by the vehicle; each node process of a distributed run steps its
+node over a `UdpTransport` on the wall clock, and t = 0 is the moment
+the parent sends the epoch, once the last node is ready. The vehicle
+node logs each step and alone ends a run, and `write_run` then writes
+the run logs (`runlog`).
 `run_scenario` writes `scenario.json` before either starts.
 """
 
@@ -24,12 +24,12 @@ import select
 import subprocess
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from subprocess import PIPE
 
 from .netbus import LockstepNetwork, UdpTransport
-from .nodes import VEHICLE_ID, MsspNode, VehicleNode
+from .nodes import DUE_EPS_S, VEHICLE_ID, MsspNode, VehicleNode
 from .runlog import (RowList, read_run_csv, summarize, write_estimates_csv,
                      write_json, write_net_csv, write_run_csv)
 from .scenario import ScenarioConfig, load_scenario
@@ -75,38 +75,20 @@ def write_run(out_dir: Path, vehicle: VehicleNode, cfg: ScenarioConfig,
 
 def run_lockstep(cfg: ScenarioConfig, out_dir: Path,
                  dump_frames: bool = False) -> RunResult:
-    """Run every node in this process on the tick grid `i * dt` until the
-    vehicle is done, and write the run logs into `out_dir`.
-
-    Each tick steps every camera whose frame is due, then the vehicle, and
-    a message leaves at its own stamp over one seeded `LockstepNetwork`,
-    so a scenario and seed give byte-identical logs. With `dump_frames`
-    each camera writes its frames as PGM into `out_dir / "frames"`.
-    """
-    dt = cfg.dt
+    """Run every node in this process, cameras before the vehicle, over
+    one seeded `LockstepNetwork` whose clock moves to each vehicle step
+    `i * dt`, and write the run logs into `out_dir`: a scenario and seed
+    give byte-identical logs. With `dump_frames` each camera writes its
+    frames as PGM into `out_dir / "frames"`."""
     net = LockstepNetwork(cfg.link, cfg.seed)
     for node_id in cfg.nodes():
         net.register(node_id)
     vehicle = VehicleNode(cfg)
     frames = out_dir / "frames" if dump_frames else None
     mssps = [MsspNode(cfg, mid, frames) for mid in vehicle.peers]
-    i = 0
-    while not vehicle.done:
-        t = i * dt
-        for m in mssps:
-            # a camera takes its poses when its frame is due: it keeps only
-            # the latest, and each delivery is logged at its own time
-            if m.due(t):
-                for msg in m.step(t, net.deliver(m.id, t)):
-                    net.send(msg, m.peers, msg.t)
-        # a message leaves at its stamp: an estimate at its step, a pose a
-        # control step later
-        for msg in vehicle.step(t, net.deliver(vehicle.id, t)):
-            net.send(msg, vehicle.peers, msg.t)
-        i += 1
+    _serve([*mssps, vehicle], net)
     for m in mssps:  # log the poses that arrived after a camera's last frame
-        net.deliver(m.id, t)
-
+        net.drain(m.id)
     return write_run(out_dir, vehicle, cfg, sorted(net.records))
 
 
@@ -203,33 +185,39 @@ def run_scenario(cfg: ScenarioConfig, out_dir: Path,
     return run_lockstep(cfg, out_dir, dump_frames)
 
 
+def _serve(nodes: list, transport) -> None:
+    """Step `nodes` over `transport` until the last is done. Each pass
+    waits until the last node is due, then steps each node that is due, in
+    list order, on what arrived for it, and sends its messages to its
+    peers."""
+    pacer = nodes[-1]
+    while not pacer.done:
+        due = transport.wait(pacer.next_due) + DUE_EPS_S
+        for node in nodes:
+            # a node takes what arrived only when it is due: a camera keeps
+            # only its latest pose, and each delivery is logged at its time
+            if node.next_due <= due:
+                inbox = transport.drain(node.id)
+                # timestamp after the drain so no drained message postdates it
+                for msg in node.step(transport.now(), inbox):
+                    transport.send(msg, node.peers)
+
+
 # ---------------------------------------------------------------------------
 # distributed node mains (invoked by the CLI in each spawned process)
 
-def _await_epoch() -> float:
-    """Tell the parent this node is set up; return the epoch it sends."""
-    print(READY, flush=True)
-    line = sys.stdin.readline()
-    if not line:
-        raise RuntimeError("input closed before the epoch was sent")
-    return float(line)
-
-
-def _serve(node, transport: UdpTransport) -> None:
-    """Run `node` in this process from the epoch until it is done: wait
-    until it is due, step it on what arrived and send each of its messages
-    to its peers. Then, also when the node is ended early, close the
-    socket and report the datagrams that could not be decoded."""
+def _run_node(node, transport: UdpTransport) -> None:
+    """Run `node` alone in this process: say READY, read the epoch that
+    the parent sends, and serve the node from it until it is done. Then,
+    also when the node is ended early, close the socket and report the
+    datagrams that could not be decoded."""
     try:
-        transport.epoch = _await_epoch()
-        while not node.done:
-            transport.wait(node.next_due)
-            inbox = transport.drain()
-            # timestamp after the drain so no drained message postdates it
-            for msg in node.step(transport.now(), inbox):
-                # stamp the send time right before the socket write so the
-                # logged one-way latency excludes the step's processing time
-                transport.send(replace(msg, t=transport.now()), node.peers)
+        print(READY, flush=True)
+        line = sys.stdin.readline()
+        if not line:
+            raise RuntimeError("input closed before the epoch was sent")
+        transport.epoch = float(line)
+        _serve([node], transport)
     finally:
         transport.close()
         if transport.rejected:
@@ -239,8 +227,8 @@ def _serve(node, transport: UdpTransport) -> None:
 
 def mssp_node_main(cfg: ScenarioConfig, node_id: str, out_dir: Path,
                    dump_frames: bool = False) -> int:
-    _serve(MsspNode(cfg, node_id, out_dir / "frames" if dump_frames else None),
-           UdpTransport(node_id, cfg.nodes()))
+    node = MsspNode(cfg, node_id, out_dir / "frames" if dump_frames else None)
+    _run_node(node, UdpTransport(node_id, cfg.nodes()))
     return 0
 
 
@@ -248,7 +236,7 @@ def vehicle_node_main(cfg: ScenarioConfig, out_dir: Path) -> int:
     vehicle = VehicleNode(cfg)
     transport = UdpTransport(vehicle.id, cfg.nodes())
     try:
-        _serve(vehicle, transport)
+        _run_node(vehicle, transport)
         write_run(out_dir, vehicle, cfg, transport.records)
         return 0
     finally:

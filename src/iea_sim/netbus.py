@@ -20,9 +20,10 @@ delivery time broken by sender then seq), which hands over the sent
 message itself, and a UDP socket per node for the distributed mode, which
 decodes what arrives. A message whose float fields hold Python floats
 decodes to itself, field for field and bit for bit, so node logic runs
-unmodified over either and sees the same message. Each message is sent at
-its `t`: lockstep passes the stamp as the send time, and a node process
-stamps each message right before its socket write.
+unmodified over either and sees the same message. Both serve the node
+loop (`harness._serve`) through `wait`, `now`, `drain` and `send`, and
+each owns its stamp rule: lockstep, on a virtual clock that `wait` sets,
+sends a message at its own `t`; UDP stamps `t` at the socket write.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import select
 import socket
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from json.encoder import encode_basestring_ascii
 from typing import Union
 
@@ -204,7 +205,8 @@ class LockstepNetwork:
     draws from its own rng, seeded from `seed` (the scenario seed), and
     the heap is keyed on (delivery_time, sender, seq, send_counter), so
     delivery order is a pure function of `seed`. Every delivery is logged
-    in `records` as (t_received, sender, receiver, bytes, latency).
+    in `records` as (t_received, sender, receiver, bytes, latency). Its
+    clock is virtual: `wait` sets it and `drain` delivers up to it.
     """
 
     def __init__(self, cfg: LinkConfig, seed: int = 0):
@@ -215,6 +217,7 @@ class LockstepNetwork:
         self._counter = 0
         self.dropped = 0
         self.records: list[tuple] = []
+        self.clock = 0.0
 
     def register(self, node_id: str) -> None:
         self._queues.setdefault(node_id, [])
@@ -225,9 +228,16 @@ class LockstepNetwork:
             self._rngs[key] = random.Random(f"{self.seed}|{src}|{dst}")
         return self._rngs[key]
 
-    def send(self, msg: WireMessage, dests: list[str], now: float) -> None:
-        """Send to each of `dests` in order; an id never registered raises
-        KeyError before any draw or enqueue."""
+    def wait(self, t: float) -> float:
+        self.clock = t
+        return t
+
+    def now(self) -> float:
+        return self.clock
+
+    def send(self, msg: WireMessage, dests: list[str]) -> None:
+        """Send at `msg.t` to each of `dests` in order; an id never
+        registered raises KeyError before any draw or enqueue."""
         for dest in dests:
             if dest not in self._queues:
                 raise KeyError(f"unknown destination node {dest!r}")
@@ -243,8 +253,8 @@ class LockstepNetwork:
                 continue
             self._counter += 1
             heapq.heappush(self._queues[dest],
-                           (now + latency, msg.sender, msg.seq, self._counter,
-                            nbytes, msg))
+                           (msg.t + latency, msg.sender, msg.seq,
+                            self._counter, nbytes, msg))
 
     def deliver(self, node_id: str, now: float) -> list[WireMessage]:
         """Pop all messages due at or before `now`."""
@@ -257,14 +267,17 @@ class LockstepNetwork:
             out.append(msg)
         return out
 
+    def drain(self, node_id: str) -> list[WireMessage]:
+        return self.deliver(node_id, self.clock)
+
 
 class UdpTransport:
     """A node's datagram socket for distributed mode, bound to its address
     in `nodes`, the run's node table (`ScenarioConfig.nodes`). Each node is
     one thread. It waits for its next due time in wait(), a `select` on its
     own non-blocking socket, and stamps every datagram when it arrives.
-    drain() decodes the stored arrivals and logs each one in `records` as
-    (t_received, sender, node_id, bytes, latency); a datagram that does not
+    drain(node_id) decodes the stored arrivals and logs each in `records`
+    as (t_received, sender, node_id, bytes, latency); one that does not
     decode is counted in `rejected`. Timestamps are seconds since `epoch`,
     the shared `time.time()` of t = 0 (valid for one-way latency on a
     single host); a node binds first and sets `epoch` once it is known.
@@ -309,14 +322,15 @@ class UdpTransport:
 
     def send(self, msg: WireMessage, dests: list[str]) -> None:
         """One encoding of `msg` to each of `dests`, none for no dests; an
-        unknown id raises KeyError before any datagram leaves."""
+        unknown id raises KeyError before any datagram leaves. `t` becomes
+        now(), so the logged latency excludes the sender's processing."""
         addrs = [self.nodes[dest] for dest in dests]
         if addrs:
-            data = encode(msg)
+            data = encode(replace(msg, t=self.now()))
             for addr in addrs:
                 self._sock.sendto(data, addr)
 
-    def drain(self) -> list[WireMessage]:
+    def drain(self, node_id: str) -> list[WireMessage]:
         self._receive()
         arrivals, self._arrivals = self._arrivals, []
         out = []
@@ -327,7 +341,7 @@ class UdpTransport:
                 self.rejected += 1  # foreign traffic on the port
                 continue
             t_recv = stamp - self.epoch
-            self.records.append((t_recv, msg.sender, self.node_id, len(data),
+            self.records.append((t_recv, msg.sender, node_id, len(data),
                                  t_recv - msg.t))
             out.append(msg)
         return out

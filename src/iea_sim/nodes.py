@@ -9,10 +9,11 @@ detections fully inside the image. The vehicle node fuses incoming
 estimates, steers toward the lookahead target, broadcasts its true pose
 every dynamics step, logs the run's rows and decides when the run ends.
 
-Both runtimes drive either node through one contract: `step(now, inbox)`
-returns the messages for the node's `peers` (the vehicle for a camera,
-the cameras for the vehicle), `next_due` is the time of its next step on
-its own schedule, and `done` says it has finished.
+One loop (`harness._serve`) drives either node, in both modes, through
+one contract: `step(now, inbox)` returns the messages for the node's
+`peers` (the vehicle for a camera, the cameras for the vehicle),
+`next_due` is the time of its next step on its own schedule, and `done`
+says it has finished.
 
 The vehicle's control path never sees the vehicle's true position: the
 controller receives the fused camera estimate plus the true heading (an
@@ -45,6 +46,7 @@ STOPPED = "stopped"
 
 VEHICLE_ID = "veh"  # the vehicle's node id; cameras are mssp1, mssp2, ...
 STOP_TAIL_S = 2.0  # keep logging this long after the stop is commanded
+DUE_EPS_S = 1e-12  # a step is due once `now` is this close to its time
 DEFAULT_VEHICLE_DIMS = (4.5, 2.0)
 BORDER_MARGIN_PX = 1
 CELL_SCAN_Y = 0.0           # lateral position of the cell scan [m]
@@ -139,11 +141,6 @@ class MsspNode:
     def done(self) -> bool:
         return self.frame_clock >= self.t_end
 
-    def due(self, now: float) -> bool:
-        """Whether a frame falls due at or before `now`: `step` at `now`
-        then processes one, and before that it only keeps the poses."""
-        return self.frame_clock <= now + 1e-12
-
     def step(self, now: float, inbox: list) -> list[EstimateMessage]:
         """Consume pose messages, process the most recent due camera frame
         (skipping any older backlog), emit estimates."""
@@ -155,15 +152,15 @@ class MsspNode:
         # beyond the most recent due frame instead of bursting through it.
         # Jump to a period short of it (the division may round either way),
         # then step on with the due test and the arithmetic used below.
-        # Neither moves the clock past `now`, so `due` gives the same
-        # answer before them as after.
+        # Neither moves the clock past `now`, so the due test gives the
+        # same answer before them as after.
         behind = now - self.frame_clock
         if behind > self.frame_period:
             self.frame_clock += ((int(behind / self.frame_period) - 1)
                                  * self.frame_period)
-        while self.frame_clock + self.frame_period <= now + 1e-12:
+        while self.frame_clock + self.frame_period <= now + DUE_EPS_S:
             self.frame_clock += self.frame_period
-        if not self.due(now):
+        if self.frame_clock > now + DUE_EPS_S:  # no frame due at `now`
             return []
         t_frame = self.frame_clock
         self.frame_clock += self.frame_period

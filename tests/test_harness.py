@@ -423,9 +423,9 @@ class TestReplay:
         send = netbus.LockstepNetwork.send
         deliver = netbus.LockstepNetwork.deliver
 
-        def recorded_send(net, msg, dests, now):
+        def recorded_send(net, msg, dests):
             sent[type(msg)][id(msg)] = msg
-            return send(net, msg, dests, now)
+            return send(net, msg, dests)
 
         def recorded_deliver(net, node_id, now):
             out = deliver(net, node_id, now)
@@ -484,9 +484,9 @@ def _polling_lockstep(cfg, out_dir):
         t = i * dt
         for m in mssps:
             for est in m.step(t, net.deliver(m.id, t)):
-                net.send(est, ["veh"], t)
+                net.send(est, ["veh"])
         [pose_msg] = vehicle.step(t, net.deliver("veh", t))
-        net.send(pose_msg, vehicle.peers, t + dt)
+        net.send(pose_msg, vehicle.peers)
         i += 1
     out_dir.mkdir(parents=True)
     runlog.write_json(out_dir / "scenario.json", cfg.to_json_obj())
@@ -1058,13 +1058,13 @@ class TestCli:
         monkeypatch.setattr(sys, "stdin", io.StringIO("0.0\n0.0\n"))
         finished = types.SimpleNamespace(done=True)
         quiet = UdpTransport("veh", {"veh": ("127.0.0.1", 0)})
-        harness._serve(finished, quiet)
+        harness._run_node(finished, quiet)
         cam = UdpTransport("mssp1", {"mssp1": ("127.0.0.1", 0)})
         with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as junk:
             junk.sendto(b"not a wire message", cam._sock.getsockname())
         cam.wait(cam.now() + 0.05)
-        assert cam.drain() == []
-        harness._serve(finished, cam)
+        assert cam.drain("mssp1") == []
+        harness._run_node(finished, cam)
         assert capsys.readouterr().err == ("mssp1: ignored 1 undecodable "
                                            "datagram(s)\n")
 

@@ -184,14 +184,15 @@ class TestLockstepNetwork:
 
     def test_fixed_latency_delivery_time(self):
         net = self._net(latency_min=0.002, latency_max=0.002)
-        net.send(POSE, ["mssp1"], now=1.000)
+        pose = replace(POSE, t=1.000)
+        net.send(pose, ["mssp1"])
         assert net.deliver("mssp1", now=1.0019) == []
-        assert net.deliver("mssp1", now=1.002) == [POSE]
+        assert net.deliver("mssp1", now=1.002) == [pose]
 
     def test_full_drop(self):
         net = self._net(drop_probability=1.0)
         for i in range(20):
-            net.send(PoseMessage("veh", i, 0.0, 0, 0, 0, 0), ["mssp1"], 0.0)
+            net.send(PoseMessage("veh", i, 0.0, 0, 0, 0, 0), ["mssp1"])
         assert net.deliver("mssp1", now=10.0) == []
         assert net.dropped == 20
 
@@ -200,7 +201,7 @@ class TestLockstepNetwork:
             net = self._net(seed=42, drop_probability=0.3)
             for i in range(50):
                 net.send(PoseMessage("veh", i, i * 0.1, 0, 0, 0, 0),
-                         ["mssp1"], i * 0.1)
+                         ["mssp1"])
             out = net.deliver("mssp1", now=100.0)
             return [(m.seq, m.t) for m in out]
         assert schedule() == schedule()
@@ -209,7 +210,7 @@ class TestLockstepNetwork:
         net = self._net()  # defaults 1.5-2.0 ms
         for i in range(200):
             net.send(PoseMessage("veh", i, i * 0.02, 0, 0, 0, 0),
-                     ["mssp1"], i * 0.02)
+                     ["mssp1"])
         net.deliver("mssp1", now=100.0)
         lats = [r[4] for r in net.records if r[2] == "mssp1"]
         assert len(lats) == 200
@@ -219,15 +220,15 @@ class TestLockstepNetwork:
         net = self._net(latency_min=0.001, latency_max=0.001)
         a = PoseMessage("veh", 2, 0.0, 0, 0, 0, 0)
         b = PoseMessage("aaa", 9, 0.0, 0, 0, 0, 0)
-        net.send(a, ["mssp1"], 0.0)
-        net.send(b, ["mssp1"], 0.0)
+        net.send(a, ["mssp1"])
+        net.send(b, ["mssp1"])
         out = net.deliver("mssp1", 1.0)
         assert [m.sender for m in out] == ["aaa", "veh"]
 
     def test_unknown_destination(self):
         net = self._net()
         with pytest.raises(KeyError):
-            net.send(POSE, ["nobody"], 0.0)
+            net.send(POSE, ["nobody"])
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.floats(0.0, 1.0),
@@ -240,10 +241,10 @@ class TestLockstepNetwork:
             pose = PoseMessage("veh", k + 1, 0.02 * k, 3.0 * k, 0.5, 0.1, 3)
             est = replace(EST, seq=k + 1, t=0.02 * k)
             for net in (one, each):
-                net.send(est, ["veh"], 0.02 * k)
-            one.send(pose, dests, 0.02 * k)
+                net.send(est, ["veh"])
+            one.send(pose, dests)
             for dest in dests:
-                each.send(pose, [dest], 0.02 * k)
+                each.send(pose, [dest])
         for node_id in ("veh",) + CAMERAS:
             assert one.deliver(node_id, 10.0) == each.deliver(node_id, 10.0)
         assert one.records == each.records
@@ -260,14 +261,73 @@ class TestLockstepNetwork:
         net = self._net(seed, drop_probability=0.5)
         at = data.draw(st.integers(0, len(known)))
         with pytest.raises(KeyError):
-            net.send(POSE, known[:at] + ["nobody"] + known[at:], 0.0)
+            net.send(POSE, known[:at] + ["nobody"] + known[at:])
         assert net._rngs == {} and net.dropped == 0
         assert all(net.deliver(node_id, 10.0) == []
                    for node_id in ("veh",) + CAMERAS)
         assert net.records == []
 
+    def test_virtual_clock_drains_what_deliver_would(self):
+        # the node loop's surface: `wait` sets the clock, `now` reads it and
+        # `drain` returns, and logs, what `deliver` at the clock would
+        drained, delivered = self._net(seed=7), self._net(seed=7)
+        for net in (drained, delivered):
+            for k in range(10):
+                net.send(PoseMessage("veh", k + 1, 0.02 * k, 0, 0, 0, 0),
+                         list(CAMERAS))
+        for t in (0.01, 0.05, 0.1, 0.3):
+            assert drained.wait(t) == t and drained.now() == t
+            for cam in CAMERAS:
+                assert drained.drain(cam) == delivered.deliver(cam, t)
+        assert len(drained.records) == 30
+        assert drained.records == delivered.records
+
+    def test_message_arrives_at_its_stamp_plus_latency(self):
+        # the clock at the send does not matter, only the message's stamp
+        net = self._net(latency_min=0.002, latency_max=0.002)
+        net.wait(0.5)
+        pose = replace(POSE, t=1.0)
+        net.send(pose, ["mssp1"])
+        net.wait(1.0019)
+        assert net.drain("mssp1") == []
+        net.wait(1.002)
+        assert net.drain("mssp1") == [pose]
+        # with the default 1.5-2.0 ms latency, each message sent at once
+        # arrives within that window after its own stamp
+        jittered = self._net(seed=3)
+        sent = [replace(POSE, seq=k, t=stamp)
+                for k, stamp in enumerate((0.25, 1.0, 1.75))]
+        for msg in sent:
+            jittered.send(msg, ["mssp1"])
+        for msg in sent:
+            jittered.wait(msg.t + 0.0014)
+            assert jittered.drain("mssp1") == []
+            jittered.wait(msg.t + 0.0021)
+            assert jittered.drain("mssp1") == [msg]
+            t_recv = jittered.records[-1][0]
+            assert msg.t + 0.0015 <= t_recv <= msg.t + 0.0020
+
 
 class TestUdpTransport:
+    def test_send_stamps_the_time_of_its_write(self):
+        veh, cam = udp_nodes("veh", "mssp1")
+        veh.epoch = cam.epoch = time.time()
+        try:
+            before = veh.now()
+            veh.send(POSE, ["mssp1"])
+            after = veh.now()
+            got = []
+            deadline = time.monotonic() + 5.0
+            while not got and time.monotonic() < deadline:
+                time.sleep(0.01)
+                got += cam.drain("mssp1")
+            [msg] = got
+            assert before <= msg.t <= after < POSE.t
+            assert replace(msg, t=POSE.t) == POSE
+        finally:
+            veh.close()
+            cam.close()
+
     def test_drain_returns_poses_and_logs_the_receiver(self):
         epoch = time.time()
         veh, cam = udp_nodes("veh", "mssp1")
@@ -278,14 +338,15 @@ class TestUdpTransport:
                 for data in [b"\xffnot a wire message", *HOSTILE]:
                     junk.sendto(data, addr)
             msg = replace(POSE, t=veh.now())
+            veh.now = lambda: msg.t  # the stamp that the send writes
             veh.send(msg, ["mssp1"])
             got = []
             deadline = time.monotonic() + 5.0
             while not got and time.monotonic() < deadline:
                 time.sleep(0.01)
-                got += cam.drain()
+                got += cam.drain("mssp1")
             assert got == [msg]
-            assert cam.drain() == []
+            assert cam.drain("mssp1") == []
             assert cam.rejected == 1 + len(HOSTILE)
             [(t_recv, sender, receiver, n_bytes, latency)] = cam.records
             assert (sender, receiver, n_bytes) == ("veh", "mssp1",
@@ -302,7 +363,9 @@ class TestUdpTransport:
         sent = []
 
         def send():
-            sent.append(replace(POSE, t=veh.now()))
+            t = veh.now()
+            sent.append(replace(POSE, t=t))
+            veh.now = lambda: t  # the stamp that the send writes
             veh.send(sent[-1], ["mssp1"])
 
         timer = threading.Timer(0.05, send)
@@ -311,7 +374,7 @@ class TestUdpTransport:
             timer.start()
             assert cam.wait(t_due) >= t_due
             timer.join()
-            assert cam.drain() == sent
+            assert cam.drain("mssp1") == sent
             # stamped while waiting, not at the drain 0.25 s later
             [(t_recv, *_rest)] = cam.records
             assert 0.0 <= t_recv - sent[0].t < 0.1
@@ -364,6 +427,7 @@ class TestUdpTransport:
         table = {"veh": LOOPBACK, **{mid: sock.getsockname()
                                      for mid, sock in zip(CAMERAS, socks)}}
         veh = UdpTransport("veh", table)
+        veh.now = lambda: POSE.t  # the stamp that the send writes
         try:
             veh.send(POSE, ["mssp1", "mssp2"])
             got = [sock.recv(4096) for sock in socks]
@@ -378,6 +442,7 @@ class TestUdpTransport:
         [sock] = self._receivers(1)
         veh = UdpTransport("veh", {"veh": LOOPBACK,
                                    "mssp1": sock.getsockname()})
+        veh.now = lambda: EST.t  # the stamp that the send writes
         try:
             with pytest.raises(KeyError):
                 veh.send(POSE, ["mssp1", "nobody"])
