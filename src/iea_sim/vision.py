@@ -4,9 +4,9 @@ Stands in for a real roadside camera feed: the renderer paints the
 vehicle's ground rectangle into a flat grayscale frame, the detector
 differences against a stored background and labels the 4-connected
 foreground components from the mask's row runs, and the tracker searches
-for the largest component and then follows it by gated nearest-centroid
-re-association, against one background per camera: its first frame,
-rendered without the vehicle (the empty road) and kept for the whole run.
+the whole frame for the largest component and then follows it by gated
+nearest-centroid re-association in a window around its last box, against
+one background per camera, kept from its first frame (the empty road).
 The detector has one fixed tuning: a pixel is foreground where it differs
 from the background by more than THRESHOLD (30), and a component counts
 from MIN_AREA (25) pixels.
@@ -334,7 +334,8 @@ def _slot_limits(frame: Frame):
     return frame.limits
 
 
-def _foreground_components(background: Frame, current: Frame):
+def _foreground_components(background: Frame, current: Frame,
+                           window: Optional[tuple[int, int, int, int]] = None):
     """4-connected foreground components of MIN_AREA or more pixels as
     (area, bbox, centroid) tuples, in raster order of their first pixel.
 
@@ -347,9 +348,14 @@ def _foreground_components(background: Frame, current: Frame):
     differenced from pixels, the background's being table lookups of its
     slots, and outside it the current frame's slot is foreground where it
     lies outside the background's slot limits (`_slot_limits`), one uint16
-    subtraction and comparison per pixel. Only that whole-image mask goes
-    through `_components`, which drops its many one-pixel specks before
-    labelling.
+    subtraction and comparison per pixel. Only that mask goes through
+    `_components`, which drops its many one-pixel specks before labelling.
+
+    A `window`, a half-open (v0, v1, u0, u1) box of the image (None: the
+    whole image), is all a noisy pair is differenced and labelled on, in
+    image coordinates, so boxes and centroids keep their bits. A component
+    that reaches a window edge inside the image may go on beyond it, and
+    is left out, from either frame kind.
     """
     if (background.height, background.width) != (current.height, current.width):
         raise ValueError("frame dimensions differ between background and current")
@@ -359,28 +365,41 @@ def _foreground_components(background: Frame, current: Frame):
     if (background.painted[0] < background.painted[1]
             and (background.spans[:, 0] < background.spans[:, 1]).any()):
         raise ValueError("background paints the vehicle")
+    h, w = current.height, current.width
+    wv0, wv1, wu0, wu1 = window or (0, h, 0, w)
     v0, v1, u0, u1 = current.painted
     if background.slots is not None:
         lo, span = _slot_limits(background)
-        mask = current.slots - lo > span
+        win = np.s_[wv0:wv1, wu0:wu1]
+        mask = current.slots[win] - lo[win] > span[win]
+        # the painted box's part in the window, which may be empty
+        pv0, pu0 = max(v0, wv0), max(u0, wu0)
+        pv1, pu1 = max(pv0, min(v1, wv1)), max(pu0, min(u1, wu1))
         # "wrap" only skips the bounds check, as in `render_frame`
         a = np.take(_noise_tables(background.sigma)[1],
-                    background.slots[v0:v1, u0:u1], mode="wrap")
-        b = current.patch
+                    background.slots[pv0:pv1, pu0:pu1], mode="wrap")
+        b = current.patch[pv0 - v0:pv1 - v0, pu0 - u0:pu1 - u0]
         # |a - b| in uint8 without widening casts
-        mask[v0:v1, u0:u1] = np.maximum(a, b) - np.minimum(a, b) > THRESHOLD
-        return _components(mask)
-    if v0 >= v1:
+        mask[pv0 - wv0:pv1 - wv0, pu0 - wu0:pu1 - wu0] = (
+            np.maximum(a, b) - np.minimum(a, b) > THRESHOLD)
+        comps = _components(mask, wv0, wu0)
+    elif v0 >= v1:
         return []
-    col0, col1 = current.spans[:, 0], current.spans[:, 1]
-    rows = np.flatnonzero(col0 < col1)  # an empty run is no run
-    return _labelled(rows + v0, col0[rows], col1[rows])
+    else:
+        col0, col1 = current.spans[:, 0], current.spans[:, 1]
+        rows = np.flatnonzero(col0 < col1)  # an empty run is no run
+        comps = _labelled(rows + v0, col0[rows], col1[rows])
+    # a component at a window edge inside the image may go on beyond it
+    v_lo, v_hi = wv0 + (wv0 > 0), wv1 - 1 - (wv1 < h)
+    u_lo, u_hi = wu0 + (wu0 > 0), wu1 - 1 - (wu1 < w)
+    return [c for c in comps if v_lo <= c[1].v_min and c[1].v_max <= v_hi
+            and u_lo <= c[1].u_min and c[1].u_max <= u_hi]
 
 
-def _components(mask: np.ndarray):
+def _components(mask: np.ndarray, v0: int = 0, u0: int = 0):
     """4-connected components of MIN_AREA or more pixels of a boolean
-    frame-sized mask as (area, bbox, centroid); its row runs are labelled
-    by `_labelled`.
+    mask, whose first pixel is the image's (v0, u0), as (area, bbox,
+    centroid) in image coordinates; its runs are labelled by `_labelled`.
 
     The mask is packed eight pixels to a byte, little-endian, into uint64
     words: row r takes the words [(r + 1) * n, (r + 2) * n), pixel (r, c)
@@ -417,7 +436,7 @@ def _components(mask: np.ndarray):
     # half-open, as row * 64 * n + col
     pos = at[bits >> 3] * 8 + (bits & 7)
     row, col0 = np.divmod(pos[0::2], 64 * n)
-    return _labelled(row, col0, pos[1::2] - row * (64 * n))
+    return _labelled(row + v0, col0 + u0, pos[1::2] - row * (64 * n) + u0)
 
 
 def _labelled(row: np.ndarray, col0: np.ndarray, col1: np.ndarray):
@@ -431,8 +450,7 @@ def _labelled(row: np.ndarray, col0: np.ndarray, col1: np.ndarray):
     one per row on consecutive rows, each sharing a column with the next,
     is one component and is summed without labelling (`_stack_runs`): a
     noise-free frame's vehicle is one. Any other set of runs, such as a
-    noisy whole-frame mask's, is labelled by array union-find
-    (`_array_runs`).
+    noisy mask's, is labelled by array union-find (`_array_runs`).
     """
     n = len(row)
     rows = None
@@ -543,8 +561,10 @@ def track_step(state: TrackerState, frame: Frame
 
     The first frame seen becomes the background, kept for the whole run,
     and must paint no vehicle. Searching (no `last_box`), the largest
-    foreground blob starts a track. Tracking, the blob whose centroid is
-    nearest the previous box center (within GATE_PX) continues it; after
+    blob of the whole frame starts a track. Tracking, the blob of the
+    search window (the previous box grown by GATE_PX on every side and
+    clipped to the image; see `_foreground_components`) whose centroid is
+    nearest the previous box center, within GATE_PX, continues it; after
     LOSS_LIMIT consecutive misses the tracker searches again, against the
     same background.
     """
@@ -554,11 +574,14 @@ def track_step(state: TrackerState, frame: Frame
         box = detect_by_subtraction(state.background, frame)
         if box is None:
             return state, None
-    else:  # gate on distance from the previous box center
-        prev_u, prev_v = state.last_box.center()
+    else:  # gate on distance from the previous box center, in its window
+        b, g = state.last_box, int(GATE_PX)
+        prev_u, prev_v = b.center()
+        window = (max(0, b.v_min - g), min(frame.height, b.v_max + 1 + g),
+                  max(0, b.u_min - g), min(frame.width, b.u_max + 1 + g))
         box, best_d = None, GATE_PX
         for _, blob, (cu, cv) in _foreground_components(state.background,
-                                                        frame):
+                                                        frame, window):
             d = math.hypot(cu - prev_u, cv - prev_v)
             if d <= best_d:
                 box, best_d = blob, d

@@ -77,7 +77,7 @@ class TestCodec:
                    b'"x":NaN,"y":0,"psi":0,"v":0}')
 
     @given(st.binary(max_size=300))
-    @settings(max_examples=300)
+    @settings(max_examples=300, deadline=None)
     def test_decode_total_on_arbitrary_bytes(self, data):
         try:
             msg = decode(data)
@@ -91,7 +91,7 @@ class TestCodec:
         with pytest.raises(DecodeError):
             decode(data)
 
-    @settings(max_examples=300)
+    @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_encode_matches_json_dumps(self, data):
         # finite ints and floats as json.dumps writes them; names that need
@@ -113,7 +113,7 @@ class TestCodec:
         assert encode(msg) == json.dumps(
             fields, separators=(",", ":")).encode("utf-8")
 
-    @settings(max_examples=300)
+    @settings(max_examples=300, deadline=None)
     @given(st.booleans(),
            st.lists(st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(
                allow_nan=False, allow_infinity=False)), min_size=5, max_size=5),

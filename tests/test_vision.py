@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import hashlib
 import math
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from iea_sim import vision
 from iea_sim.geometry import Pose2D, PixelPoint, WorldPoint, \
     back_project_ground, camera_matrix, project, project_xyz
+from iea_sim.harness import run_scenario
 from iea_sim.scenario import load_scenario
 from iea_sim.vision import (BACKGROUND_INTENSITY, EMPTY_BOX,
                             NOISE_OFFSET_CAP, NOISE_SLOTS, THRESHOLD,
@@ -1141,6 +1143,145 @@ class TestTrackStep:
             worst = max(worst, math.hypot(g.x - pose.x, g.y - pose.y))
         assert worst > 0
         assert worst < 0.5, f"pipeline bias regression: {worst:.3f} m"
+
+
+def _in_window(comps, window, height, width):
+    """The components whose box lies in the half-open (v0, v1, u0, u1)
+    window and reaches none of its edges that are not image edges."""
+    v0, v1, u0, u1 = window
+    kept = []
+    for comp in comps:
+        box = comp[1]
+        inside = (v0 <= box.v_min and box.v_max < v1
+                  and u0 <= box.u_min and box.u_max < u1)
+        at_inner_edge = ((box.v_min == v0 and v0 > 0)
+                         or (box.v_max == v1 - 1 and v1 < height)
+                         or (box.u_min == u0 and u0 > 0)
+                         or (box.u_max == u1 - 1 and u1 < width))
+        if inside and not at_inner_edge:
+            kept.append(comp)
+    return kept
+
+
+class TestSearchWindow:
+    @settings(max_examples=100, deadline=None)
+    @given(small_poses, st.sampled_from((8.0, 16.0, 24.0, 1e4)),
+           st.integers(2, 30), st.integers(0, 2**32 - 1), st.data())
+    def test_noisy_window_matches_flood_fill(self, pose, sigma, min_area,
+                                             seed, data):
+        # the empty road against the vehicle or no vehicle, at a patched
+        # MIN_AREA: in any window, the components are those of the whole
+        # pixel difference that lie in it and reach no inner edge, with
+        # the same boxes and centroid bits
+        rng = np.random.default_rng(seed)
+        bg = render_frame(SMALL_CAMERA, None, DIMS, 0.0, sigma, rng)
+        cur = render_frame(SMALL_CAMERA, pose, DIMS, 0.05, sigma, rng)
+        h, w = cur.height, cur.width
+        v0 = data.draw(st.integers(0, h - 1))
+        v1 = data.draw(st.integers(v0 + 1, h))
+        u0 = data.draw(st.integers(0, w - 1))
+        u1 = data.draw(st.integers(u0 + 1, w))
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(vision, "MIN_AREA", min_area)
+            comps = vision._foreground_components(bg, cur, (v0, v1, u0, u1))
+        mask = np.abs(bg.pixels.astype(np.int16) - cur.pixels) > THRESHOLD
+        assert repr(comps) == repr(_in_window(
+            _flood_fill_components(mask, min_area), (v0, v1, u0, u1), h, w))
+
+    def test_noisy_windows_that_cut_the_painted_box(self, default_camera):
+        # windows whose edges cross a turned vehicle's painted box, whose
+        # corners are noisy road, from each side and from within
+        rng = np.random.default_rng(23)
+        bg = render_frame(default_camera, None, DIMS, 0.0, 24.0, rng)
+        cur = render_frame(default_camera, Pose2D(12.0, 1.0, 0.6), DIMS,
+                           0.05, 24.0, rng)
+        mask = np.abs(bg.pixels.astype(np.int16) - cur.pixels) > THRESHOLD
+        whole = _flood_fill_components(mask, vision.MIN_AREA)
+        h, w = cur.height, cur.width
+        v0, v1, u0, u1 = cur.painted
+        vm, um = (v0 + v1) // 2, (u0 + u1) // 2
+        for window in [(vm, h, 0, w), (0, vm, 0, w), (0, h, um, w),
+                       (0, h, 0, um), (v0 + 7, v1 - 7, u0 + 7, u1 - 7),
+                       (v0 - 9, v1 + 9, u0 - 9, u1 + 9)]:
+            assert repr(vision._foreground_components(bg, cur, window)) == (
+                repr(_in_window(whole, window, h, w)))
+
+    def test_noise_free_vehicle_at_a_window_edge(self):
+        # a vehicle on rows 20-29 and columns 10-39 is a candidate only in
+        # a window whose inner edges lie beyond its box
+        bg, cur = _blank(80, 60), _rect_frame(80, 60, (20, 30, 10, 40))
+        whole = vision._foreground_components(bg, cur)
+        assert len(whole) == 1
+        for window, kept in [((0, 60, 25, 80), False),  # cut at column 25
+                             ((0, 60, 10, 80), False),  # first column on it
+                             ((0, 60, 9, 80), True),
+                             ((15, 29, 0, 80), False),  # cut below row 28
+                             ((15, 30, 0, 80), False),  # last row on it
+                             ((15, 31, 0, 80), True),
+                             ((0, 60, 45, 80), False)]:  # wholly outside
+            assert vision._foreground_components(bg, cur, window) == (
+                whole if kept else [])
+        # touching the image's left and bottom edges, in a window clipped
+        # to them
+        corner = _rect_frame(80, 60, (50, 60, 0, 30))
+        [comp] = vision._foreground_components(bg, corner)
+        assert vision._foreground_components(bg, corner, (40, 60, 0, 50)) == [
+            comp]
+
+    def test_tracker_passes_over_a_blob_across_its_window(self):
+        # last box (100, 100)-(110, 110): the window is columns and rows
+        # 20-190. A blob whose centroid is within the gate but whose box
+        # goes past column 190 is no candidate; the same blob cut short
+        # inside the window is
+        bg = _blank(300, 300)
+        state = TrackerState(vision.BoundingBox(100, 100, 110, 110), bg)
+        wide = _rect_frame(300, 300, (100, 111, 60, 250))
+        [(_, box, (cu, cv))] = vision._foreground_components(bg, wide)
+        assert math.hypot(cu - 105, cv - 105) <= vision.GATE_PX
+        after, det = track_step(state, wide)
+        assert det is None and after.frames_lost == 1
+        _, det = track_step(state, _rect_frame(300, 300, (100, 111, 60, 180)))
+        assert det.box == vision.BoundingBox(60, 100, 179, 110)
+        # a window clipped to the image's bottom-left corner keeps a blob
+        # that touches both image edges
+        state = TrackerState(vision.BoundingBox(0, 280, 20, 299), bg)
+        _, det = track_step(state, _rect_frame(300, 300, (285, 300, 0, 30)))
+        assert det.box == vision.BoundingBox(0, 285, 29, 299)
+
+    def test_equals_whole_frame_choice_on_high_noise_runs(self, tmp_path,
+                                                           monkeypatch):
+        # lockstep distributed_smoke at sigma 20 and 24, where noise blobs
+        # crowd every frame: at each tracking frame the tracker's box is
+        # the nearest-in-gate component of the whole frame (ties to the
+        # later one), or None with none in the gate. Each run is cut to its
+        # first 3 s, since labelling a whole frame at these sigmas costs
+        # 10-20 ms
+        tracked = 0
+
+        def checked(state, frame):
+            nonlocal tracked
+            after, det = track_step(state, frame)
+            if state.last_box is not None:
+                tracked += 1
+                prev_u, prev_v = state.last_box.center()
+                in_gate = []
+                for i, (_, box, (cu, cv)) in enumerate(
+                        vision._foreground_components(state.background,
+                                                      frame)):
+                    d = math.hypot(cu - prev_u, cv - prev_v)
+                    if d <= vision.GATE_PX:
+                        in_gate.append((d, -i, box))
+                expected = min(in_gate)[2] if in_gate else None
+                assert (det.box if det else None) == expected
+            return after, det
+
+        monkeypatch.setattr(vision, "track_step", checked)
+        base = load_scenario("distributed_smoke")
+        for sigma, seed in ((20.0, 2), (24.0, 1)):
+            cfg = dataclasses.replace(base, mode="lockstep", seed=seed,
+                                      noise_sigma=sigma, duration_cap_s=3.0)
+            run_scenario(cfg, tmp_path / f"sigma{sigma:g}")
+        assert tracked >= 100
 
 
 class TestPgmDump:
