@@ -17,22 +17,24 @@ pixel is background. The renderer projects the rectangle's corners with
 `geometry.project_xyz`, the camera model's one projection, in plain
 float sums, and finds each row's run by bisection, so
 a noise-free frame costs what the box's rows cost and holds no pixels;
-its pixel array is built only when asked for. A noisy frame also holds
-the noisy pixels inside its box (its patch) and keeps its 16-bit noise
-slots, and its background pixel is its slot's entry of a per-sigma
-table. The detector takes two frames at one sigma whose background
-paints nothing, as a camera's tracker makes them, and refuses any other
-pair. A noise-free frame's foreground is then its own row runs as the
-renderer made them, with no pixel made. A noisy frame is differenced
-from pixels in its painted box, and outside it the slots are tested
-against per-pixel slot limits, built once per background, so noisy
-detection costs one uint16 subtraction and one comparison per pixel plus
-the box. Its mask is packed 64 pixels to a word, where one-pixel specks
-are cleared and run ends found a word at a time. A stack of row runs,
-one per row, such as a noise-free frame's vehicle, is one component and
-is summed without labelling; any other set of runs, such as a noisy
-frame's mask, is labelled by array union-find, and only the components
-kept are summed.
+its pixel array is built only when asked for. A noisy frame holds no
+noise either: it keeps its camera generator's PCG64 state at its first
+word and moves the generator past its words, and draws the 16-bit noise
+slots of the rows that are read, and no others, when they are read. Its
+background pixel is its slot's entry of a per-sigma table. The detector
+takes two frames at one sigma whose background paints nothing, as a
+camera's tracker makes them, and refuses any other pair. A noise-free
+frame's foreground is then its own row runs as the renderer made them,
+with no pixel made. A noisy frame is differenced from pixels in its
+painted box, and outside it the slots are tested against per-pixel slot
+limits, built once per background, so noisy detection costs one uint16
+subtraction and one comparison per pixel plus the box, and a tracking
+frame draws, differences and labels only its search window. Its mask is
+packed 64 pixels to a word, where one-pixel specks are cleared and run
+ends found a word at a time. A stack of row runs, one per row, such as a
+noise-free frame's vehicle, is one component and is summed without
+labelling; any other set of runs, such as a noisy frame's mask, is
+labelled by array union-find, and only the components kept are summed.
 
 Pixel noise is rint(N(0, sigma)) at 2**-16 resolution: each pixel takes
 one 16-bit slot i, four to a 64-bit draw, and its offset is the inverse
@@ -74,42 +76,77 @@ class Frame:
     the columns [spans[r, 0], spans[r, 1]) (an empty run has equal ends)
     and background elsewhere. A noise-free frame holds no pixels: its
     background is BACKGROUND_INTENSITY. A noisy frame (`sigma` > 0) holds
-    its noisy box pixels in `patch` and keeps its read-only uint16 noise
-    `slots`, one per pixel; its background pixel is
+    `noise`, the PCG64 state its camera's generator had at the frame's
+    first 64-bit word, from which it draws its uint16 noise slots, one per
+    pixel, on demand (`slot_rows`); its background pixel is
     `_noise_tables(sigma)[1][slot]`, and `limits` caches its
     `_slot_limits`, the two arrays (lo, span): a tracker's background
     builds them once per run.
     """
 
-    __slots__ = ("capture_time", "painted", "spans", "patch", "height",
-                 "width", "slots", "sigma", "limits")
+    __slots__ = ("capture_time", "painted", "spans", "height", "width",
+                 "noise", "sigma", "limits", "_slots")
 
     def __init__(self, spans: np.ndarray, capture_time: float,
                  painted: tuple[int, int, int, int], height: int, width: int,
-                 patch: Optional[np.ndarray] = None,
-                 slots: Optional[np.ndarray] = None, sigma: float = 0.0):
+                 noise: Optional[dict] = None, sigma: float = 0.0):
         self.capture_time = capture_time
         self.painted = painted
-        self.spans, self.patch = spans, patch
+        self.spans = spans
         self.height, self.width = height, width
-        self.slots, self.sigma, self.limits = slots, sigma, None
+        self.noise, self.sigma, self.limits = noise, sigma, None
+        self._slots = None  # the whole frame's slots, once drawn
+
+    def slot_rows(self, v0: int, v1: int) -> np.ndarray:
+        """The read-only uint16 noise slots of a noisy frame's rows [v0,
+        v1), a (v1 - v0, width) array.
+
+        Pixel k of the frame, in raster order, takes the k % 4-th
+        little-endian 16-bit quarter of the frame's word k // 4, so the
+        rows take the words floor(v0 * width / 4) to ceil(v1 * width / 4)
+        and drop the leading (v0 * width) % 4 quarters. Those words come
+        from a private PCG64 set to `noise` and advanced to the first of
+        them; the camera's generator is not touched. The whole frame's
+        slots are drawn at most once and kept, and later rows are read
+        from them.
+        """
+        if self._slots is not None:
+            return self._slots[v0:v1]
+        w = self.width
+        first = v0 * w // 4
+        bitgen = np.random.PCG64(0)  # any seed: its state is set next
+        bitgen.state = self.noise
+        bitgen.advance(first)
+        words = bitgen.random_raw(-(-v1 * w // 4) - first)
+        skip = v0 * w - 4 * first
+        slots = words.astype("<u8", copy=False).view("<u2")[
+            skip:skip + (v1 - v0) * w].reshape(v1 - v0, w)
+        slots.setflags(write=False)
+        if (v0, v1) == (0, self.height):
+            self._slots = slots
+        return slots
+
+    @property
+    def slots(self) -> np.ndarray:
+        """The whole noisy frame's slots, drawn on first use and kept."""
+        return self.slot_rows(0, self.height)
 
     @property
     def pixels(self) -> np.ndarray:
         """The full frame, as a read-only array built on each call: outside
         the painted box a noisy frame's pixel is its slot's background, one
         table lookup per pixel."""
-        patch = self.patch
-        if patch is None:
-            patch = _span_patch(self.painted, self.spans)
-        if self.slots is None:
+        v0, v1, u0, u1 = self.painted
+        if self.noise is None:
             px = np.full((self.height, self.width), BACKGROUND_INTENSITY,
                          dtype=np.uint8)
+            px[v0:v1, u0:u1] = _span_patch(self.painted, self.spans)
         else:
-            # "wrap" only skips the bounds check, as in `render_frame`
-            px = np.take(_noise_tables(self.sigma)[1], self.slots, mode="wrap")
-        v0, v1, u0, u1 = self.painted
-        px[v0:v1, u0:u1] = patch
+            slots = self.slots
+            # "wrap" only skips the bounds check, as in `_noisy_patch`
+            px = np.take(_noise_tables(self.sigma)[1], slots, mode="wrap")
+            px[v0:v1, u0:u1] = _noisy_patch(self.sigma, self.painted,
+                                            self.spans, slots[v0:v1, u0:u1])
         px.setflags(write=False)
         return px
 
@@ -206,6 +243,20 @@ def _span_patch(painted, spans) -> np.ndarray:
                     np.uint8(BACKGROUND_INTENSITY))
 
 
+def _noisy_patch(sigma, box, spans, slots) -> np.ndarray:
+    """The noisy pixels of `box`, a part of a painted box, from their noise
+    `slots`: row r of it is painted on the columns [spans[r, 0], spans[r,
+    1]) and background elsewhere, each pixel the slot's entry of the
+    painted value's table."""
+    _, background, vehicle = _noise_tables(sigma)
+    # a uint16 slot always indexes inside a NOISE_SLOTS-entry table, so
+    # "wrap" never wraps; it only skips the per-index bounds check
+    patch = np.take(background, slots, mode="wrap")
+    np.copyto(patch, np.take(vehicle, slots, mode="wrap"),
+              where=_painted_mask(box, spans))
+    return patch
+
+
 def render_frame(camera: CameraModel, vehicle: Optional[Pose2D],
                  vehicle_dims: tuple[float, float], t: float,
                  noise_sigma: float = 0.0,
@@ -224,22 +275,30 @@ def render_frame(camera: CameraModel, vehicle: Optional[Pose2D],
     one `np.searchsorted` per edge finds with the same floats; the row's
     run is what all four edges pass.
 
-    With noise_sigma > 0 (which requires an rng) the frame is noisy; its
-    box and runs are still the painted ones. For N = height * width
-    pixels, one `rng.integers(0, 1 << 64, ceil(N / 4), dtype=np.uint64)`
-    draw gives each pixel a slot: the little-endian 16-bit quarters of the
-    words, in raster order, with the spare bits of the last word dropped,
-    so no bits carry over to the next frame. When N % 4 == 0 these are the
-    slots of `rng.integers(0, NOISE_SLOTS, (height, width),
-    dtype=np.uint16)` for numpy's PCG64. The pixel is clip(painted +
-    T[slot], 0, 255), where T is the inverse CDF of rint(N(0,
-    noise_sigma)) at 2**-16 resolution (offsets end at about +-4.3 sigma;
-    see `_noise_tables`), looked up in one uint8 table for each painted
-    value. Only the painted box's pixels are made here; the frame keeps
-    the slots for the rest.
+    With noise_sigma > 0 (which requires an rng on numpy's PCG64) the
+    frame is noisy; its box and runs are still the painted ones. For N =
+    height * width pixels its noise is the ceil(N / 4) words of
+    `rng.integers(0, 1 << 64, ceil(N / 4), dtype=np.uint64)`, which give
+    each pixel a slot: the little-endian 16-bit quarters of the words, in
+    raster order, with the spare bits of the last word dropped, so no bits
+    carry over to the next frame. When N % 4 == 0 these are the slots of
+    `rng.integers(0, NOISE_SLOTS, (height, width), dtype=np.uint16)`. The
+    pixel is clip(painted + T[slot], 0, 255), where T is the inverse CDF of
+    rint(N(0, noise_sigma)) at 2**-16 resolution (offsets end at about
+    +-4.3 sigma; see `_noise_tables`), looked up in one uint8 table for
+    each painted value. No word is drawn here: the frame keeps the
+    generator's state and the generator is advanced past the words, which
+    leaves it exactly where the draw would, so the frame draws only the
+    rows that are read (`Frame.slot_rows`). A generator of another kind is
+    refused, since its rows could not be replayed.
     """
-    if noise_sigma > 0.0 and rng is None:
-        raise ValueError("noise_sigma > 0 requires an rng")
+    if noise_sigma > 0.0:
+        if rng is None:
+            raise ValueError("noise_sigma > 0 requires an rng")
+        # only PCG64's advance counts the words a frame's rows replay
+        if type(rng.bit_generator) is not np.random.PCG64:
+            raise ValueError("noise_sigma > 0 requires an rng on PCG64, not "
+                             f"{type(rng.bit_generator).__name__}")
     painted = EMPTY_BOX
     spans = _NO_SPANS
     quad = None
@@ -293,22 +352,15 @@ def render_frame(camera: CameraModel, vehicle: Optional[Pose2D],
             painted = (v0, v1 + 1, u0, u1 + 1)
     if not noise_sigma > 0.0:
         return Frame(spans, t, painted, camera.height, camera.width)
-    n = camera.height * camera.width
-    words = rng.integers(0, 1 << 64, -(-n // 4), dtype=np.uint64)
-    slots = words.astype("<u8", copy=False).view("<u2")[:n].reshape(
-        camera.height, camera.width)
-    slots.setflags(write=False)
-    v0, v1, u0, u1 = painted
-    box_slots = slots[v0:v1, u0:u1]
-    # a uint16 slot always indexes inside a NOISE_SLOTS-entry table, so
-    # "wrap" never wraps; it only skips the per-index bounds check
-    _, background, vehicle = _noise_tables(noise_sigma)
-    patch = np.take(background, box_slots, mode="wrap")
-    np.copyto(patch, np.take(vehicle, box_slots, mode="wrap"),
-              where=_painted_mask(painted, spans))
-    patch.setflags(write=False)
-    return Frame(spans, t, painted, camera.height, camera.width, patch,
-                 slots, noise_sigma)
+    bitgen = rng.bit_generator
+    noise = bitgen.state
+    bitgen.advance(-(-camera.height * camera.width // 4))
+    # advance drops a buffered 32-bit half, which a 64-bit draw keeps
+    if noise["has_uint32"]:
+        bitgen.state = {**bitgen.state, "has_uint32": 1,
+                        "uinteger": noise["uinteger"]}
+    return Frame(spans, t, painted, camera.height, camera.width, noise,
+                 noise_sigma)
 
 
 def _slot_limits(frame: Frame):
@@ -345,15 +397,17 @@ def _foreground_components(background: Frame, current: Frame,
     frame is painted, by VEHICLE_INTENSITY - BACKGROUND_INTENSITY, which
     is more than THRESHOLD, so the foreground is the frame's rows that have
     a run. Against a noisy background the current frame's painted box is
-    differenced from pixels, the background's being table lookups of its
-    slots, and outside it the current frame's slot is foreground where it
-    lies outside the background's slot limits (`_slot_limits`), one uint16
-    subtraction and comparison per pixel. Only that mask goes through
-    `_components`, which drops its many one-pixel specks before labelling.
+    differenced from pixels, both frames' being table lookups of their
+    slots (`_noisy_patch`), and outside it the current frame's slot is
+    foreground where it lies outside the background's slot limits
+    (`_slot_limits`), one uint16 subtraction and comparison per pixel.
+    Only that mask goes through `_components`, which drops its many
+    one-pixel specks before labelling.
 
     A `window`, a half-open (v0, v1, u0, u1) box of the image (None: the
     whole image), is all a noisy pair is differenced and labelled on, in
-    image coordinates, so boxes and centroids keep their bits. A component
+    image coordinates, so boxes and centroids keep their bits; the current
+    frame draws the slots of the window's rows only. A component
     that reaches a window edge inside the image may go on beyond it, and
     is left out, from either frame kind.
     """
@@ -368,17 +422,20 @@ def _foreground_components(background: Frame, current: Frame,
     h, w = current.height, current.width
     wv0, wv1, wu0, wu1 = window or (0, h, 0, w)
     v0, v1, u0, u1 = current.painted
-    if background.slots is not None:
+    if background.noise is not None:
         lo, span = _slot_limits(background)
         win = np.s_[wv0:wv1, wu0:wu1]
-        mask = current.slots[win] - lo[win] > span[win]
+        slots = current.slot_rows(wv0, wv1)
+        mask = slots[:, wu0:wu1] - lo[win] > span[win]
         # the painted box's part in the window, which may be empty
         pv0, pu0 = max(v0, wv0), max(u0, wu0)
         pv1, pu1 = max(pv0, min(v1, wv1)), max(pu0, min(u1, wu1))
-        # "wrap" only skips the bounds check, as in `render_frame`
+        # "wrap" only skips the bounds check, as in `_noisy_patch`
         a = np.take(_noise_tables(background.sigma)[1],
                     background.slots[pv0:pv1, pu0:pu1], mode="wrap")
-        b = current.patch[pv0 - v0:pv1 - v0, pu0 - u0:pu1 - u0]
+        b = _noisy_patch(current.sigma, (pv0, pv1, pu0, pu1),
+                         current.spans[pv0 - v0:pv1 - v0],
+                         slots[pv0 - wv0:pv1 - wv0, pu0:pu1])
         # |a - b| in uint8 without widening casts
         mask[pv0 - wv0:pv1 - wv0, pu0 - wu0:pu1 - wu0] = (
             np.maximum(a, b) - np.minimum(a, b) > THRESHOLD)

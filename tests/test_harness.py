@@ -375,25 +375,32 @@ class TestReplay:
 
     def test_dumped_frames_leave_the_outputs_unchanged(self, tmp_path):
         # every frame of the one camera as PGM, and the same five outputs
-        # as a run without the flag
-        obj = load_scenario("distributed_smoke").to_json_obj()
-        obj.update(mode="lockstep", duration_cap_s=1.0)
-        path = tmp_path / "short.json"
-        path.write_text(json.dumps(obj))
-        for name, flags in (("plain", []), ("dumped", ["--dump-frames"])):
-            assert cli.main(["run", "--scenario", str(path), "--out",
-                             str(tmp_path / name), *flags]) == 0
-        frames = tmp_path / "dumped" / "frames"
-        assert sorted(p.name for p in frames.iterdir()) == sorted(
-            f"mssp1_f{k}.pgm" for k in range(20))
-        for pgm in frames.iterdir():
-            data = pgm.read_bytes()
-            assert data.startswith(b"P5\n800 600\n255\n"), pgm.name
-            assert len(data) == len(b"P5\n800 600\n255\n") + 800 * 600
-        assert not (tmp_path / "plain" / "frames").exists()
-        for name in self.OUTPUTS:
-            assert ((tmp_path / "plain" / name).read_bytes()
-                    == (tmp_path / "dumped" / name).read_bytes()), name
+        # as a run without the flag, noise-free and noisy: a noisy frame
+        # dumped draws its whole noise before its tracker reads its window
+        for sigma in (0.0, 8.0):
+            obj = load_scenario("distributed_smoke").to_json_obj()
+            obj.update(mode="lockstep", duration_cap_s=1.0,
+                       noise_sigma=sigma)
+            base = tmp_path / f"sigma{sigma:g}"
+            base.mkdir()
+            path = base / "short.json"
+            path.write_text(json.dumps(obj))
+            for name, flags in (("plain", []),
+                                ("dumped", ["--dump-frames"])):
+                assert cli.main(["run", "--scenario", str(path), "--out",
+                                 str(base / name), *flags]) == 0
+            frames = base / "dumped" / "frames"
+            assert sorted(p.name for p in frames.iterdir()) == sorted(
+                f"mssp1_f{k}.pgm" for k in range(20))
+            for pgm in frames.iterdir():
+                data = pgm.read_bytes()
+                assert data.startswith(b"P5\n800 600\n255\n"), pgm.name
+                assert len(data) == len(b"P5\n800 600\n255\n") + 800 * 600
+            assert not (base / "plain" / "frames").exists()
+            for name in self.OUTPUTS:
+                assert ((base / "plain" / name).read_bytes()
+                        == (base / "dumped" / name).read_bytes()), (sigma,
+                                                                    name)
 
     def test_huge_frame_rate_renders_one_frame_per_step(self, tmp_path):
         # 2e7 frames fall due per control step; only the latest is rendered

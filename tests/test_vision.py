@@ -100,7 +100,7 @@ class TestRenderFrame:
                                  noise_sigma=2.0, rng=np.random.default_rng(3))
             assert noisy.painted == clean.painted
             assert (noisy.spans == clean.spans).all()
-            assert clean.patch is None and not clean.spans.flags.writeable
+            assert clean.noise is None and not clean.spans.flags.writeable
             _assert_background_outside_box(noisy)
             whole = whole_image(clean)
             assert whole.painted == (0, 600, 0, 800)
@@ -118,14 +118,14 @@ class TestRenderFrame:
 
 
 def _assert_background_outside_box(noisy):
-    """A noisy frame's pixels are its slots' background outside its box
-    and its patch inside."""
-    v0, v1, u0, u1 = noisy.painted
-    table = vision._noise_tables(noisy.sigma)[1]
-    outside = np.ones((noisy.height, noisy.width), dtype=bool)
-    outside[v0:v1, u0:u1] = False
-    assert (noisy.pixels[outside] == table[noisy.slots][outside]).all()
-    assert (noisy.pixels[v0:v1, u0:u1] == noisy.patch).all()
+    """A noisy frame's pixels are its slots' background outside its runs
+    and their vehicle pixel on them."""
+    v0 = noisy.painted[0]
+    _, background, vehicle = vision._noise_tables(noisy.sigma)
+    expected = background[noisy.slots]
+    for r, (c0, c1) in enumerate(noisy.spans):
+        expected[v0 + r, c0:c1] = vehicle[noisy.slots[v0 + r, c0:c1]]
+    assert (noisy.pixels == expected).all()
 
 
 def _reference_render(camera, vehicle, dims, t, noise_sigma=0.0, rng=None):
@@ -215,7 +215,7 @@ class TestRenderMatchesReference:
             pose = _turned(pose, yaw)
         fr = render_frame(camera, pose, (length, width), 0.5)
         px, painted = _reference_render(camera, pose, (length, width), 0.5)
-        assert fr.painted == painted and fr.patch is None
+        assert fr.painted == painted and fr.noise is None
         v0, v1, u0, u1 = painted
         # one run per row, inside the box, with equal ends when empty
         lo, hi = fr.spans.T
@@ -263,7 +263,9 @@ class TestRenderMatchesReference:
             assert fr.painted == painted == render_frame(
                 default_camera, pose, DIMS, 0.5).painted
             v0, v1, u0, u1 = painted
-            assert (fr.patch == px[v0:v1, u0:u1]).all()
+            assert (vision._noisy_patch(sigma, painted, fr.spans,
+                                        fr.slots[v0:v1, u0:u1])
+                    == px[v0:v1, u0:u1]).all()
             assert (fr.pixels == px).all()
             _assert_background_outside_box(fr)
 
@@ -496,6 +498,56 @@ class TestNoisyFrames:
             assert (render_frame(camera, None, DIMS, 0.0, self.SIGMA,
                                  twin).pixels == px).all()
             assert rng.bit_generator.state == twin.bit_generator.state
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([5, 6, 7, 8, 9, 40]), st.integers(1, 12),
+           st.booleans(), st.data())
+    def test_lazy_rows_are_the_eager_draws_rows(self, width, height,
+                                                buffered, data):
+        # N % 4 != 0 for most sizes, so rows start mid-word; a uint32 drawn
+        # before the frames leaves a buffered half, which must survive too
+        camera = make_camera(cx=width / 2, cy=height / 2, width=width,
+                             height=height)
+        n, words = width * height, -(-width * height // 4)
+        rng, twin = np.random.default_rng(17), np.random.default_rng(17)
+        if buffered:
+            rng.integers(0, 1 << 32, dtype=np.uint32)
+            twin.integers(0, 1 << 32, dtype=np.uint32)
+        frames = [render_frame(camera, None, DIMS, 0.0, self.SIGMA, rng)
+                  for _ in range(3)]
+        eager = [twin.integers(0, 1 << 64, words, dtype=np.uint64)
+                 .astype("<u8").view("<u2")[:n].reshape(height, width)
+                 for _ in range(3)]
+        state = rng.bit_generator.state
+        assert state == twin.bit_generator.state
+        v0 = data.draw(st.integers(0, height - 1), "v0")
+        v1 = data.draw(st.integers(v0, height), "v1")
+        ranges = [(0, 1), (height - 1, height), (v0, v0 + 1), (v0, v1),
+                  (0, height)]
+        # the newest frame first, then the older ones, whole frames last
+        for k in (2, 0, 1):
+            for a, b in ranges:
+                rows = frames[k].slot_rows(a, b)
+                assert rows.shape == (b - a, width)
+                assert not rows.flags.writeable
+                assert (rows == eager[k][a:b]).all(), (k, a, b)
+            assert (frames[k].slots == eager[k]).all()
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("bit_generator",
+                             [np.random.MT19937, np.random.Philox,
+                              np.random.SFC64])
+    def test_refuses_a_generator_it_cannot_replay(self, default_camera,
+                                                  bit_generator):
+        # MT19937 and SFC64 have no advance, and Philox's counts other
+        # units: refused before anything is drawn
+        rng = np.random.Generator(bit_generator(18))
+        twin = np.random.Generator(bit_generator(18))
+        with pytest.raises(ValueError, match="PCG64"):
+            render_frame(default_camera, self.POSE, DIMS, 0.0, self.SIGMA,
+                         rng)
+        assert (rng.integers(0, 1 << 64, 8, dtype=np.uint64)
+                == twin.integers(0, 1 << 64, 8, dtype=np.uint64)).all()
 
 
 class TestDetectBySubtraction:
