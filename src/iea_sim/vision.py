@@ -25,16 +25,19 @@ background pixel is its slot's entry of a per-sigma table. The detector
 takes two frames at one sigma whose background paints nothing, as a
 camera's tracker makes them, and refuses any other pair. A noise-free
 frame's foreground is then its own row runs as the renderer made them,
-with no pixel made. A noisy frame is differenced from pixels in its
-painted box, and outside it the slots are tested against per-pixel slot
-limits, built once per background, so noisy detection costs one uint16
-subtraction and one comparison per pixel plus the box, and a tracking
-frame draws, differences and labels only its search window. Its mask is
-packed 64 pixels to a word, where one-pixel specks are cleared and run
-ends found a word at a time. A stack of row runs, one per row, such as a
-noise-free frame's vehicle, is one component and is summed without
-labelling; any other set of runs, such as a noisy frame's mask, is
-labelled by array union-find, and only the components kept are summed.
+with no pixel made. A noisy frame's slots are tested against per-pixel
+slot limits, built once per background, one uint16 subtraction and one
+comparison per pixel, which decide every pixel the frame does not paint
+exactly. Its painted pixels are foreground outright at a sigma whose
+noise keeps every vehicle pixel more than THRESHOLD from every road pixel
+(sigma <= 17.22), and above it each is differenced from two table
+lookups. A tracking frame draws, tests and labels only its search
+window. Its mask is packed 64 pixels to a word, where one-pixel specks
+are cleared and run ends found a word at a time. A stack of row runs,
+one per row, such as a noise-free frame's vehicle, is one component and
+is summed without labelling; any other set of runs, such as a noisy
+frame's mask, is labelled by array union-find, and only the components
+kept are summed.
 
 Pixel noise is rint(N(0, sigma)) at 2**-16 resolution: each pixel takes
 one 16-bit slot i, four to a 64-bit draw, and its offset is the inverse
@@ -105,19 +108,21 @@ class Frame:
         little-endian 16-bit quarter of the frame's word k // 4, so the
         rows take the words floor(v0 * width / 4) to ceil(v1 * width / 4)
         and drop the leading (v0 * width) % 4 quarters. Those words come
-        from a private PCG64 set to `noise` and advanced to the first of
-        them; the camera's generator is not touched. The whole frame's
-        slots are drawn at most once and kept, and later rows are read
-        from them.
+        from the module's one replay PCG64 (`_replay_generator`), whose
+        whole state is set to `noise` under its lock and advanced to the
+        first of them; the camera's generator is not touched. The whole
+        frame's slots are drawn at most once and kept, and later rows are
+        read from them.
         """
         if self._slots is not None:
             return self._slots[v0:v1]
         w = self.width
         first = v0 * w // 4
-        bitgen = np.random.PCG64(0)  # any seed: its state is set next
-        bitgen.state = self.noise
-        bitgen.advance(first)
-        words = bitgen.random_raw(-(-v1 * w // 4) - first)
+        bitgen = _replay_generator()
+        with bitgen.lock:
+            bitgen.state = self.noise
+            bitgen.advance(first)
+            words = bitgen.random_raw(-(-v1 * w // 4) - first)
         skip = v0 * w - 4 * first
         slots = words.astype("<u8", copy=False).view("<u2")[
             skip:skip + (v1 - v0) * w].reshape(v1 - v0, w)
@@ -149,6 +154,14 @@ class Frame:
                                             self.spans, slots[v0:v1, u0:u1])
         px.setflags(write=False)
         return px
+
+
+@functools.cache
+def _replay_generator() -> np.random.PCG64:
+    """The PCG64 that replays every noisy frame's rows, made on first use,
+    so that a noise-free run never imports numpy.random. Each read sets
+    its whole state first, under its lock, so no read sees another's."""
+    return np.random.PCG64(0)  # any seed: every read sets the state
 
 
 @dataclass(frozen=True)
@@ -224,6 +237,16 @@ def _noise_tables(sigma: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     for table in (offsets, background, vehicle):
         table.setflags(write=False)
     return offsets, background, vehicle
+
+
+def _vehicle_stands_out(sigma: float) -> bool:
+    """Whether at `sigma` every noisy vehicle pixel differs by more than
+    THRESHOLD from every noisy background pixel: the least vehicle pixel
+    less the greatest background pixel (both tables are non-decreasing).
+    With the bundled intensities it holds up to sigma 17.22. Read from the
+    cached tables on each call, so it follows THRESHOLD."""
+    _, background, vehicle = _noise_tables(sigma)
+    return int(vehicle[0]) - int(background[-1]) > THRESHOLD
 
 
 def _painted_mask(painted, spans) -> np.ndarray:
@@ -396,13 +419,17 @@ def _foreground_components(background: Frame, current: Frame,
     at its sigma. A noise-free frame then differs from it exactly where the
     frame is painted, by VEHICLE_INTENSITY - BACKGROUND_INTENSITY, which
     is more than THRESHOLD, so the foreground is the frame's rows that have
-    a run. Against a noisy background the current frame's painted box is
-    differenced from pixels, both frames' being table lookups of their
-    slots (`_noisy_patch`), and outside it the current frame's slot is
+    a run. Against a noisy background the current frame's slot is
     foreground where it lies outside the background's slot limits
-    (`_slot_limits`), one uint16 subtraction and comparison per pixel.
-    Only that mask goes through `_components`, which drops its many
-    one-pixel specks before labelling.
+    (`_slot_limits`), one uint16 subtraction and comparison per pixel,
+    which is exact wherever the frame paints nothing. A painted pixel is
+    foreground outright when the sigma keeps every vehicle pixel more
+    than THRESHOLD from every background pixel (`_vehicle_stands_out`),
+    and otherwise where its slot's vehicle pixel and the background's
+    pixel differ by more than THRESHOLD, two table lookups per pixel of
+    the painted box; a painted box outside the window costs nothing. Only
+    that mask goes through `_components`, which drops its many one-pixel
+    specks before labelling.
 
     A `window`, a half-open (v0, v1, u0, u1) box of the image (None: the
     whole image), is all a noisy pair is differenced and labelled on, in
@@ -427,18 +454,25 @@ def _foreground_components(background: Frame, current: Frame,
         win = np.s_[wv0:wv1, wu0:wu1]
         slots = current.slot_rows(wv0, wv1)
         mask = slots[:, wu0:wu1] - lo[win] > span[win]
-        # the painted box's part in the window, which may be empty
+        # the painted box's part in the window
         pv0, pu0 = max(v0, wv0), max(u0, wu0)
-        pv1, pu1 = max(pv0, min(v1, wv1)), max(pu0, min(u1, wu1))
-        # "wrap" only skips the bounds check, as in `_noisy_patch`
-        a = np.take(_noise_tables(background.sigma)[1],
-                    background.slots[pv0:pv1, pu0:pu1], mode="wrap")
-        b = _noisy_patch(current.sigma, (pv0, pv1, pu0, pu1),
-                         current.spans[pv0 - v0:pv1 - v0],
-                         slots[pv0 - wv0:pv1 - wv0, pu0:pu1])
-        # |a - b| in uint8 without widening casts
-        mask[pv0 - wv0:pv1 - wv0, pu0 - wu0:pu1 - wu0] = (
-            np.maximum(a, b) - np.minimum(a, b) > THRESHOLD)
+        pv1, pu1 = min(v1, wv1), min(u1, wu1)
+        if pv0 < pv1 and pu0 < pu1:
+            painted = _painted_mask((pv0, pv1, pu0, pu1),
+                                    current.spans[pv0 - v0:pv1 - v0])
+            box = mask[pv0 - wv0:pv1 - wv0, pu0 - wu0:pu1 - wu0]
+            if _vehicle_stands_out(current.sigma):
+                box |= painted
+            else:
+                _, road, vehicle = _noise_tables(current.sigma)
+                # "wrap" only skips the bounds check, as in `_noisy_patch`
+                a = np.take(road, background.slots[pv0:pv1, pu0:pu1],
+                            mode="wrap")
+                b = np.take(vehicle, slots[pv0 - wv0:pv1 - wv0, pu0:pu1],
+                            mode="wrap")
+                # |a - b| in uint8 without widening casts
+                np.copyto(box, np.maximum(a, b) - np.minimum(a, b) > THRESHOLD,
+                          where=painted)
         comps = _components(mask, wv0, wu0)
     elif v0 >= v1:
         return []

@@ -121,3 +121,14 @@ def run_noisy_smoke(tmp_path_factory):
         base, mode="lockstep", seed=17, duration_cap_s=4.0, noise_sigma=8.0,
         link=dataclasses.replace(base.link, drop_probability=0.05))
     return run_scenario(cfg, tmp_path_factory.mktemp("noisy"))
+
+
+@pytest.fixture(scope="session")
+def run_noisy_smoke_24(tmp_path_factory):
+    """A 3 s lockstep distributed_smoke run at sigma 24, whose link drops
+    nothing: noisy vehicle pixels that may not differ from the road, so
+    detection tests each painted pixel (`vision._vehicle_stands_out`)."""
+    base = load_scenario("distributed_smoke")
+    cfg = dataclasses.replace(base, mode="lockstep", seed=17,
+                              duration_cap_s=3.0, noise_sigma=24.0)
+    return run_scenario(cfg, tmp_path_factory.mktemp("noisy24"))

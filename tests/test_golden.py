@@ -1,5 +1,5 @@
-"""Golden output digests of the bundled lockstep scenarios and of a short
-noisy lockstep run.
+"""Golden output digests of the bundled lockstep scenarios and of two short
+noisy lockstep runs.
 
 The determinism test only compares two runs of one build; these digests
 pin the outputs across code versions. The camera model and the renderer
@@ -42,6 +42,14 @@ GOLDEN = {
         "estimates.csv": "0a91588bdbffe947436d875ddc8477c4eea8af4185dca40bf7a0139df330ebe6",
         "net_metrics.csv": "d8c90b2ef82fcd1bf7174e69dfa01e691a1b840199643631ef351c2aa8305727",
         "summary.json": "996b34af663df35db5840231aba4fda71b11f7e4c6f760fbeb44b75cd3664363",
+    },
+    # sigma 24: the detector's per-pixel test of the painted pixels
+    "run_noisy_smoke_24": {
+        "scenario.json": "570ac306fd51b0380f51f01a3743994b74649115d3754566f308f2ddf61bde24",
+        "run.csv": "5b82bcec5a8e40b37bfeef5a211643c8be45e47a32150f4b35bb16634ae443fa",
+        "estimates.csv": "2658f309a1cc0f4042f24c4a8440a0f47818f619b63ae831a542c4f3b01fae5a",
+        "net_metrics.csv": "76111721ef97db219ece57231af27acc2d1d3b07a3861f4d4d2136092ced861b",
+        "summary.json": "12941a64e19be1624bb0403ecb0aa788d3ac86bf559ea5ab7e148678ad03b92a",
     },
 }
 

@@ -1216,8 +1216,12 @@ def _in_window(comps, window, height, width):
 
 
 class TestSearchWindow:
+    # the last sigma whose painted pixels are all foreground, and the first
+    # whose painted pixels the detector tests one by one
+    EDGE_SIGMAS = (17.22, 17.23)
+
     @settings(max_examples=100, deadline=None)
-    @given(small_poses, st.sampled_from((8.0, 16.0, 24.0, 1e4)),
+    @given(small_poses, st.sampled_from((8.0, 16.0, *EDGE_SIGMAS, 24.0, 1e4)),
            st.integers(2, 30), st.integers(0, 2**32 - 1), st.data())
     def test_noisy_window_matches_flood_fill(self, pose, sigma, min_area,
                                              seed, data):
@@ -1225,6 +1229,8 @@ class TestSearchWindow:
         # MIN_AREA: in any window, the components are those of the whole
         # pixel difference that lie in it and reach no inner edge, with
         # the same boxes and centroid bits
+        assert [vision._vehicle_stands_out(s) for s in self.EDGE_SIGMAS] == [
+            True, False]
         rng = np.random.default_rng(seed)
         bg = render_frame(SMALL_CAMERA, None, DIMS, 0.0, sigma, rng)
         cur = render_frame(SMALL_CAMERA, pose, DIMS, 0.05, sigma, rng)
@@ -1240,13 +1246,17 @@ class TestSearchWindow:
         assert repr(comps) == repr(_in_window(
             _flood_fill_components(mask, min_area), (v0, v1, u0, u1), h, w))
 
-    def test_noisy_windows_that_cut_the_painted_box(self, default_camera):
+    @pytest.mark.parametrize("sigma", [8.0, 24.0, 1e4])
+    def test_noisy_windows_that_cut_the_painted_box(self, default_camera,
+                                                    sigma):
         # windows whose edges cross a turned vehicle's painted box, whose
-        # corners are noisy road, from each side and from within
+        # corners are noisy road, from each side and from within, at a
+        # sigma whose painted pixels are all foreground and at two whose
+        # are not; at 1e4 about half of them match the road
         rng = np.random.default_rng(23)
-        bg = render_frame(default_camera, None, DIMS, 0.0, 24.0, rng)
+        bg = render_frame(default_camera, None, DIMS, 0.0, sigma, rng)
         cur = render_frame(default_camera, Pose2D(12.0, 1.0, 0.6), DIMS,
-                           0.05, 24.0, rng)
+                           0.05, sigma, rng)
         mask = np.abs(bg.pixels.astype(np.int16) - cur.pixels) > THRESHOLD
         whole = _flood_fill_components(mask, vision.MIN_AREA)
         h, w = cur.height, cur.width
