@@ -9,9 +9,10 @@ One UTF-8 JSON object per datagram:
 `encode` checks a message's fields in one pass and fills one fixed
 template per kind: numbers are written as `repr` writes them and names as
 JSON strings, so the bytes equal `json.dumps(fields, separators=(",",
-":"))`. It rejects what `decode` would refuse: a non-finite or
-non-numeric number, a negative `seq` or a name that is not a string
-raises ValueError at the sender.
+":"))`. One rule (`_refusal`) says what a field must be, and both ends
+apply it: a non-finite or non-numeric number, a negative `seq` or a name
+that is not a string raises ValueError at the sender and DecodeError at
+the receiver.
 
 Two transports share this codec and send by node id, encoding a message
 once for all its destinations: a seeded lockstep queue with injected
@@ -36,9 +37,9 @@ import select
 import socket
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from json.encoder import encode_basestring_ascii
-from typing import Union
+from typing import Optional, Union
 
 MAX_DATAGRAM_BYTES = 1400
 
@@ -84,30 +85,33 @@ _EST_TEMPLATE = ('{"kind":"est","sender":%s,"seq":%d,"t":%r,"mssp_id":%s,'
                  '"x":%r,"y":%r,"t_capture":%r}')
 _NAME_TYPES = frozenset((str,))
 _NUMBER_TYPES = frozenset((float, int))
+# each kind's wire name: its class, and its fields with whether each is float
+_KINDS = {kind: (cls, tuple((f.name, f.type == "float") for f in fields(cls)))
+          for kind, cls in (("pose", PoseMessage), ("est", EstimateMessage))}
 
 
-def _refusal(msg: WireMessage) -> str:
-    """Why `encode` refuses `msg`: its first field that is not what decode
-    makes of the datagram."""
-    for key, v in vars(msg).items():
-        if key in ("sender", "mssp_id"):
-            if type(v) is not str:
-                return f"field {key!r} is not a string"
-        elif key == "seq":
-            if type(v) is not int or v < 0:
-                return "field 'seq' is not a non-negative integer"
-        elif type(v) not in _NUMBER_TYPES or not abs(v) <= sys.float_info.max:
-            return f"field {key!r} is not a finite number"
-    raise AssertionError("no refused field")
+def _refusal(key: str, value) -> Optional[str]:
+    """Why a message's field `key` may not hold `value`, or None: a name
+    must be a str, `seq` a non-negative int and a number a finite float or
+    an int, none of them a subclass (such as bool)."""
+    if key in ("sender", "mssp_id"):
+        if type(value) is not str:
+            return f"field {key!r} is not a string"
+    elif key == "seq":
+        if type(value) is not int or value < 0:
+            return "field 'seq' is not a non-negative integer"
+    # not math.isfinite, which overflows on an int beyond float range
+    elif (type(value) not in _NUMBER_TYPES
+          or not abs(value) <= sys.float_info.max):
+        return f"field {key!r} is not a finite number"
+    return None
 
 
 def encode(msg: WireMessage) -> bytes:
     """Serialize to one JSON datagram; floats use shortest exact repr.
 
-    Raises ValueError for a field that `decode` would refuse, or that it
-    would not give back as it is: a name must be a str, `seq` a
-    non-negative int and a number a finite float or an int, none of them
-    a subclass (such as bool).
+    Raises ValueError for a field that `_refusal` refuses, which `decode`
+    would refuse, or would not give back as it is.
     """
     if isinstance(msg, PoseMessage):
         names = (msg.sender,)
@@ -126,7 +130,8 @@ def encode(msg: WireMessage) -> bytes:
     except OverflowError:  # an int beyond the float range
         valid = False
     if not valid:
-        raise ValueError(_refusal(msg))
+        raise ValueError(next(why for key, value in vars(msg).items()
+                              if (why := _refusal(key, value))))
     sender = encode_basestring_ascii(msg.sender)  # what json.dumps calls
     if isinstance(msg, PoseMessage):
         text = _POSE_TEMPLATE % (sender, seq, *numbers)
@@ -141,17 +146,9 @@ def encode(msg: WireMessage) -> bytes:
     return data
 
 
-def _float(obj, key) -> float:
-    v = obj[key]
-    # not math.isfinite, which overflows on an int beyond float range
-    if (not isinstance(v, (int, float)) or isinstance(v, bool)
-            or not abs(v) <= sys.float_info.max):
-        raise DecodeError(f"field {key!r} is not a finite number")
-    return float(v)
-
-
 def decode(data: bytes) -> WireMessage:
-    """Parse a datagram; raises DecodeError on anything malformed."""
+    """Parse a datagram; raises DecodeError on anything malformed, such as
+    a field that `_refusal` refuses. Numbers become floats."""
     try:
         obj = json.loads(data.decode("utf-8"))
     except (ValueError, RecursionError) as exc:
@@ -160,26 +157,20 @@ def decode(data: bytes) -> WireMessage:
         raise DecodeError(str(exc)) from exc
     if not isinstance(obj, dict):
         raise DecodeError("datagram is not a JSON object")
-    try:
-        kind = obj["kind"]
-        sender = obj["sender"]
-        seq = obj["seq"]
-        if (not isinstance(sender, str) or not isinstance(seq, int)
-                or isinstance(seq, bool) or seq < 0):
-            raise DecodeError("bad sender or seq")
-        if kind == "pose":
-            return PoseMessage(sender, seq, _float(obj, "t"), _float(obj, "x"),
-                               _float(obj, "y"), _float(obj, "psi"), _float(obj, "v"))
-        if kind == "est":
-            mssp_id = obj["mssp_id"]
-            if not isinstance(mssp_id, str):
-                raise DecodeError("bad mssp_id")
-            return EstimateMessage(sender, seq, _float(obj, "t"), mssp_id,
-                                   _float(obj, "x"), _float(obj, "y"),
-                                   _float(obj, "t_capture"))
+    kind = obj.get("kind")
+    # a kind that is not a str may not hash
+    if not isinstance(kind, str) or kind not in _KINDS:
         raise DecodeError(f"unknown kind {kind!r}")
-    except KeyError as exc:
-        raise DecodeError(f"missing field {exc}") from exc
+    cls, spec = _KINDS[kind]
+    values = []
+    for key, is_float in spec:
+        if key not in obj:
+            raise DecodeError(f"missing field {key!r}")
+        value = obj[key]
+        if (why := _refusal(key, value)) is not None:
+            raise DecodeError(why)
+        values.append(float(value) if is_float else value)
+    return cls(*values)
 
 
 @dataclass(frozen=True)

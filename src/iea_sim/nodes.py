@@ -36,6 +36,7 @@ from .dynamics import DbwCommand, VehicleState
 from .fusion import FusionState, PositionEstimate
 from .geometry import CameraModel, Pose2D, PixelPoint, back_project_ground
 from .netbus import EstimateMessage, PoseMessage
+from .vision import BORDER_MARGIN_PX
 
 if TYPE_CHECKING:  # scenario imports this module
     from .scenario import ScenarioConfig
@@ -48,7 +49,6 @@ VEHICLE_ID = "veh"  # the vehicle's node id; cameras are mssp1, mssp2, ...
 STOP_TAIL_S = 2.0  # keep logging this long after the stop is commanded
 DUE_EPS_S = 1e-12  # a step is due once `now` is this close to its time
 DEFAULT_VEHICLE_DIMS = (4.5, 2.0)
-BORDER_MARGIN_PX = 1
 CELL_SCAN_Y = 0.0           # lateral position of the cell scan [m]
 CELL_SCAN_RESOLUTION = 0.1  # step of the cell scan along the corridor [m]
 

@@ -15,13 +15,13 @@ Every frame carries the box it painted the vehicle into and, for each
 row of the box, the run of columns it painted; outside the box every
 pixel is background. The renderer projects the rectangle's corners with
 `geometry.project_xyz`, the camera model's one projection, in plain
-float sums, and finds each row's run by bisection, so
-a noise-free frame costs what the box's rows cost and holds no pixels;
-its pixel array is built only when asked for. A noisy frame holds no
-noise either: it keeps its camera generator's PCG64 state at its first
-word and moves the generator past its words, and draws the 16-bit noise
-slots of the rows that are read, and no others, when they are read. Its
-background pixel is its slot's entry of a per-sigma table. The detector
+float sums, and finds each row's run by bisection, so a noise-free frame
+costs what the box's rows cost and holds no pixels. A noisy frame holds
+no noise either: it keeps its camera generator's PCG64 state at its
+first word and moves the generator past its words, and draws the 16-bit
+noise slots of the rows that are read, and no others, when they are
+read. A frame's pixels on any box of its image, of either kind, come
+from one function, `_box_pixels`, only when asked for. The detector
 takes two frames at one sigma whose background paints nothing, as a
 camera's tracker makes them, and refuses any other pair. A noise-free
 frame's foreground is then its own row runs as the renderer made them,
@@ -29,15 +29,15 @@ with no pixel made. A noisy frame's slots are tested against per-pixel
 slot limits, built once per background, one uint16 subtraction and one
 comparison per pixel, which decide every pixel the frame does not paint
 exactly. Its painted pixels are foreground outright at a sigma whose
-noise keeps every vehicle pixel more than THRESHOLD from every road pixel
-(sigma <= 17.22), and above it each is differenced from two table
-lookups. A tracking frame draws, tests and labels only its search
-window. Its mask is packed 64 pixels to a word, where one-pixel specks
-are cleared and run ends found a word at a time. A stack of row runs,
-one per row, such as a noise-free frame's vehicle, is one component and
-is summed without labelling; any other set of runs, such as a noisy
-frame's mask, is labelled by array union-find, and only the components
-kept are summed.
+noise keeps every vehicle pixel more than THRESHOLD from every road
+pixel (sigma <= 17.22), and above it each is differenced from both
+frames' `_box_pixels` on the painted box. A tracking frame draws, tests
+and labels only its search window. Its mask is packed 64 pixels to a
+word, where one-pixel specks are cleared and run ends found a word at a
+time. A stack of row runs, one per row, such as a noise-free frame's
+vehicle, is one component and is summed without labelling; any other set
+of runs, such as a noisy frame's mask, is labelled by array union-find,
+and only the components kept are summed.
 
 Pixel noise is rint(N(0, sigma)) at 2**-16 resolution: each pixel takes
 one 16-bit slot i, four to a 64-bit draw, and its offset is the inverse
@@ -63,6 +63,7 @@ THRESHOLD = 30  # a pixel is foreground if it differs by more than this
 MIN_AREA = 25  # the fewest pixels a component needs to be kept
 GATE_PX = 80.0
 LOSS_LIMIT = 5
+BORDER_MARGIN_PX = 1  # a detection must keep this clear of the image edges
 NOISE_SLOTS = 1 << 16  # one 16-bit slot per noisy pixel
 NOISE_OFFSET_CAP = 256  # an offset this large saturates any pixel
 
@@ -77,18 +78,16 @@ class Frame:
     `painted` is a half-open (v0, v1, u0, u1) box and every pixel outside
     it is background. Row v0 + r of the box is painted VEHICLE_INTENSITY on
     the columns [spans[r, 0], spans[r, 1]) (an empty run has equal ends)
-    and background elsewhere. A noise-free frame holds no pixels: its
-    background is BACKGROUND_INTENSITY. A noisy frame (`sigma` > 0) holds
-    `noise`, the PCG64 state its camera's generator had at the frame's
-    first 64-bit word, from which it draws its uint16 noise slots, one per
-    pixel, on demand (`slot_rows`); its background pixel is
-    `_noise_tables(sigma)[1][slot]`, and `limits` caches its
-    `_slot_limits`, the two arrays (lo, span): a tracker's background
-    builds them once per run.
+    and background elsewhere. A frame holds no pixels; `_box_pixels` makes
+    them. A noisy frame (`sigma` > 0) holds `noise`, the PCG64 state its
+    camera's generator had at the frame's first 64-bit word, from which it
+    draws its uint16 noise slots, one per pixel, on demand (`slot_rows`),
+    and `limits` caches its `_slot_limits`, the two arrays (lo, span): a
+    tracker's background builds them once per run.
     """
 
     __slots__ = ("capture_time", "painted", "spans", "height", "width",
-                 "noise", "sigma", "limits", "_slots")
+                 "noise", "sigma", "limits", "_rows")
 
     def __init__(self, spans: np.ndarray, capture_time: float,
                  painted: tuple[int, int, int, int], height: int, width: int,
@@ -98,7 +97,7 @@ class Frame:
         self.spans = spans
         self.height, self.width = height, width
         self.noise, self.sigma, self.limits = noise, sigma, None
-        self._slots = None  # the whole frame's slots, once drawn
+        self._rows = None  # (first row, slots) of the rows drawn last
 
     def slot_rows(self, v0: int, v1: int) -> np.ndarray:
         """The read-only uint16 noise slots of a noisy frame's rows [v0,
@@ -110,12 +109,14 @@ class Frame:
         and drop the leading (v0 * width) % 4 quarters. Those words come
         from the module's one replay PCG64 (`_replay_generator`), whose
         whole state is set to `noise` under its lock and advanced to the
-        first of them; the camera's generator is not touched. The whole
-        frame's slots are drawn at most once and kept, and later rows are
-        read from them.
+        first of them; the camera's generator is not touched. The rows
+        drawn last are kept, and rows among them are read from them, so the
+        whole frame's slots are drawn at most once.
         """
-        if self._slots is not None:
-            return self._slots[v0:v1]
+        if self._rows is not None:
+            r0, kept = self._rows
+            if r0 <= v0 and v1 <= r0 + len(kept):
+                return kept[v0 - r0:v1 - r0]
         w = self.width
         first = v0 * w // 4
         bitgen = _replay_generator()
@@ -127,33 +128,14 @@ class Frame:
         slots = words.astype("<u8", copy=False).view("<u2")[
             skip:skip + (v1 - v0) * w].reshape(v1 - v0, w)
         slots.setflags(write=False)
-        if (v0, v1) == (0, self.height):
-            self._slots = slots
+        self._rows = v0, slots
         return slots
 
     @property
-    def slots(self) -> np.ndarray:
-        """The whole noisy frame's slots, drawn on first use and kept."""
-        return self.slot_rows(0, self.height)
-
-    @property
     def pixels(self) -> np.ndarray:
-        """The full frame, as a read-only array built on each call: outside
-        the painted box a noisy frame's pixel is its slot's background, one
-        table lookup per pixel."""
-        v0, v1, u0, u1 = self.painted
-        if self.noise is None:
-            px = np.full((self.height, self.width), BACKGROUND_INTENSITY,
-                         dtype=np.uint8)
-            px[v0:v1, u0:u1] = _span_patch(self.painted, self.spans)
-        else:
-            slots = self.slots
-            # "wrap" only skips the bounds check, as in `_noisy_patch`
-            px = np.take(_noise_tables(self.sigma)[1], slots, mode="wrap")
-            px[v0:v1, u0:u1] = _noisy_patch(self.sigma, self.painted,
-                                            self.spans, slots[v0:v1, u0:u1])
-        px.setflags(write=False)
-        return px
+        """The whole frame, `_box_pixels` on its image, built on each
+        call."""
+        return _box_pixels(self, 0, self.height, 0, self.width)
 
 
 @functools.cache
@@ -180,8 +162,9 @@ class BoundingBox:
         return (self.u_min + self.u_max) / 2.0, (self.v_min + self.v_max) / 2.0
 
     def touches_border(self, width: int, height: int) -> bool:
-        return (self.u_min <= 0 or self.v_min <= 0
-                or self.u_max >= width - 1 or self.v_max >= height - 1)
+        m = BORDER_MARGIN_PX
+        return (self.u_min < m or self.v_min < m
+                or self.u_max > width - 1 - m or self.v_max > height - 1 - m)
 
 
 @dataclass(frozen=True)
@@ -249,35 +232,50 @@ def _vehicle_stands_out(sigma: float) -> bool:
     return int(vehicle[0]) - int(background[-1]) > THRESHOLD
 
 
-def _painted_mask(painted, spans) -> np.ndarray:
-    """Whether each pixel of a painted box is painted: row r on the
-    columns [spans[r, 0], spans[r, 1]). Compared in int32, which holds
-    any column of a frame that fits in memory, at half int64's traffic."""
-    cols = np.arange(painted[2], painted[3], dtype=np.int32)
-    ends = spans.astype(np.int32)
-    return (ends[:, :1] <= cols) & (cols < ends[:, 1:])
+def _painted_part(frame: Frame, v0: int, v1: int, u0: int, u1: int):
+    """The part (top, bottom, left, right) of a frame's painted box inside
+    the half-open box (v0, v1, u0, u1), and whether each of its pixels is
+    painted, or None where the boxes do not meet. Compared in int32, which
+    holds any column of a frame that fits in memory, at half int64's
+    traffic."""
+    pv0, pv1, pu0, pu1 = frame.painted
+    top, bottom = max(pv0, v0), min(pv1, v1)
+    left, right = max(pu0, u0), min(pu1, u1)
+    if top >= bottom or left >= right:
+        return None
+    cols = np.arange(left, right, dtype=np.int32)
+    ends = frame.spans[top - pv0:bottom - pv0].astype(np.int32)
+    return ((top, bottom, left, right),
+            (ends[:, :1] <= cols) & (cols < ends[:, 1:]))
 
 
-def _span_patch(painted, spans) -> np.ndarray:
-    """The noise-free pixels of a painted box whose row r is painted on the
-    columns [spans[r, 0], spans[r, 1]) and background elsewhere."""
-    return np.where(_painted_mask(painted, spans),
-                    np.uint8(VEHICLE_INTENSITY),
-                    np.uint8(BACKGROUND_INTENSITY))
+def _box_pixels(frame: Frame, v0: int, v1: int, u0: int, u1: int
+                ) -> np.ndarray:
+    """A frame's pixels on the half-open box (v0, v1, u0, u1) of its image,
+    as a new read-only uint8 array.
 
-
-def _noisy_patch(sigma, box, spans, slots) -> np.ndarray:
-    """The noisy pixels of `box`, a part of a painted box, from their noise
-    `slots`: row r of it is painted on the columns [spans[r, 0], spans[r,
-    1]) and background elsewhere, each pixel the slot's entry of the
-    painted value's table."""
-    _, background, vehicle = _noise_tables(sigma)
-    # a uint16 slot always indexes inside a NOISE_SLOTS-entry table, so
-    # "wrap" never wraps; it only skips the per-index bounds check
-    patch = np.take(background, slots, mode="wrap")
-    np.copyto(patch, np.take(vehicle, slots, mode="wrap"),
-              where=_painted_mask(box, spans))
-    return patch
+    A pixel is painted VEHICLE_INTENSITY on the frame's runs and
+    BACKGROUND_INTENSITY elsewhere. In a noisy frame it is its slot's entry
+    of the painted value's table (`_noise_tables`), and only the box's rows
+    of slots are drawn (`Frame.slot_rows`).
+    """
+    if frame.noise is None:
+        px = np.full((v1 - v0, u1 - u0), BACKGROUND_INTENSITY, dtype=np.uint8)
+    else:
+        _, road, vehicle = _noise_tables(frame.sigma)
+        slots = frame.slot_rows(v0, v1)[:, u0:u1]
+        # a uint16 slot always indexes inside a NOISE_SLOTS-entry table, so
+        # "wrap" never wraps; it only skips the per-index bounds check
+        px = np.take(road, slots, mode="wrap")
+    part = _painted_part(frame, v0, v1, u0, u1)
+    if part is not None:
+        (top, bottom, left, right), painted = part
+        box = np.s_[top - v0:bottom - v0, left - u0:right - u0]
+        np.copyto(px[box], np.uint8(VEHICLE_INTENSITY) if frame.noise is None
+                  else np.take(vehicle, slots[box], mode="wrap"),
+                  where=painted)
+    px.setflags(write=False)
+    return px
 
 
 def render_frame(camera: CameraModel, vehicle: Optional[Pose2D],
@@ -286,17 +284,19 @@ def render_frame(camera: CameraModel, vehicle: Optional[Pose2D],
                  rng: Optional[np.random.Generator] = None) -> Frame:
     """Render the vehicle's ground rectangle into a flat background frame.
 
-    Deterministic for identical inputs. A vehicle behind the camera or
-    fully outside the image yields a pure background frame. A frame
-    records the clipped bounding box of the painted quad (empty if nothing
-    was painted) and, for each row of it, the run of painted columns.
+    Deterministic for identical inputs. Both `vehicle_dims` (length,
+    width) must be positive. A vehicle behind the camera or fully outside
+    the image yields a pure background frame. A frame records the clipped
+    bounding box of the painted quad (empty if nothing was painted) and,
+    for each row of it, the run of painted columns.
 
     A pixel (u, v) is painted when, for each quad edge (x1, y1) -> (x2,
-    y2), dx * (v - y1) and dy * (u - x1) compare as the quad's winding
-    asks. Along a row the second term rounds monotonically in u, so the
-    columns that pass an edge are a prefix or a suffix of the row, which
-    one `np.searchsorted` per edge finds with the same floats; the row's
-    run is what all four edges pass.
+    y2), dx * (v - y1) >= dy * (u - x1): a camera above the road sees every
+    quad in front of it in one winding, the one this test asks. Along a row
+    the second term rounds monotonically in u, so the columns that pass an
+    edge are a prefix or a suffix of the row, which one `np.searchsorted`
+    per edge finds with the same floats; the row's run is what all four
+    edges pass.
 
     With noise_sigma > 0 (which requires an rng on numpy's PCG64) the
     frame is noisy; its box and runs are still the painted ones. For N =
@@ -315,6 +315,8 @@ def render_frame(camera: CameraModel, vehicle: Optional[Pose2D],
     rows that are read (`Frame.slot_rows`). A generator of another kind is
     refused, since its rows could not be replayed.
     """
+    if not (vehicle_dims[0] > 0.0 and vehicle_dims[1] > 0.0):
+        raise ValueError(f"vehicle_dims {vehicle_dims!r} must be positive")
     if noise_sigma > 0.0:
         if rng is None:
             raise ValueError("noise_sigma > 0 requires an rng")
@@ -341,21 +343,18 @@ def render_frame(camera: CameraModel, vehicle: Optional[Pose2D],
             vv = np.arange(v0, v1 + 1)
             edges = list(zip(quad, quad[1:] + quad[:1]))
             # convex quad: every edge's cross product (x2 - x1)(v - y1) -
-            # (y2 - y1)(u - x1) has the winding's sign (or is zero). Compare
-            # its two terms instead: for finite doubles fl(a - b) >= 0
-            # exactly when a >= b. Both terms of the four edges are one
-            # (4, rows) and one (4, columns) broadcast; negating both, which
-            # is exact, makes the test rows[v] >= cols[u] for either winding
-            area = 0.0
-            for (x1, y1), (x2, y2) in edges:
-                area += x1 * y2 - x2 * y1
+            # (y2 - y1)(u - x1) is >= 0 inside it. The ground-to-image map
+            # K [r1 r2 -RC] has determinant -fx * fy * C_z < 0, which turns
+            # the corners' clockwise ground order counter-clockwise for any
+            # camera above the road, so no quad has the other winding.
+            # Compare the product's two terms instead: for finite doubles
+            # fl(a - b) >= 0 exactly when a >= b. Both terms of the four
+            # edges are one (4, rows) and one (4, columns) broadcast
             x1, y1, dx, dy = np.array(
                 [(x1, y1, x2 - x1, y2 - y1) for (x1, y1), (x2, y2) in edges]
             ).T[:, :, None]
             rows = dx * (vv - y1)
             cols = dy * (uu - x1)
-            if area < 0:
-                rows, cols, dy = -rows, -cols, -dy
             # each edge's cols rises with u where dy >= 0 and falls where
             # dy < 0, so the columns with cols <= rows are a prefix or a
             # suffix of the box's row: the run's end or its start
@@ -404,7 +403,8 @@ def _slot_limits(frame: Frame):
         lo = np.searchsorted(table, values - THRESHOLD)
         hi = np.searchsorted(table, values + THRESHOLD, side="right") - 1
         frame.limits = tuple(
-            np.take(lim.astype(np.uint16)[table], frame.slots, mode="wrap")
+            np.take(lim.astype(np.uint16)[table],
+                    frame.slot_rows(0, frame.height), mode="wrap")
             for lim in (lo, hi - lo))
     return frame.limits
 
@@ -425,11 +425,10 @@ def _foreground_components(background: Frame, current: Frame,
     which is exact wherever the frame paints nothing. A painted pixel is
     foreground outright when the sigma keeps every vehicle pixel more
     than THRESHOLD from every background pixel (`_vehicle_stands_out`),
-    and otherwise where its slot's vehicle pixel and the background's
-    pixel differ by more than THRESHOLD, two table lookups per pixel of
-    the painted box; a painted box outside the window costs nothing. Only
-    that mask goes through `_components`, which drops its many one-pixel
-    specks before labelling.
+    and otherwise where the two frames' `_box_pixels` on the painted box
+    differ by more than THRESHOLD; a painted box outside the window costs
+    nothing. Only that mask goes through `_components`, which drops its
+    many one-pixel specks before labelling.
 
     A `window`, a half-open (v0, v1, u0, u1) box of the image (None: the
     whole image), is all a noisy pair is differenced and labelled on, in
@@ -448,28 +447,21 @@ def _foreground_components(background: Frame, current: Frame,
         raise ValueError("background paints the vehicle")
     h, w = current.height, current.width
     wv0, wv1, wu0, wu1 = window or (0, h, 0, w)
-    v0, v1, u0, u1 = current.painted
+    v0, v1 = current.painted[:2]
     if background.noise is not None:
         lo, span = _slot_limits(background)
         win = np.s_[wv0:wv1, wu0:wu1]
         slots = current.slot_rows(wv0, wv1)
         mask = slots[:, wu0:wu1] - lo[win] > span[win]
-        # the painted box's part in the window
-        pv0, pu0 = max(v0, wv0), max(u0, wu0)
-        pv1, pu1 = min(v1, wv1), min(u1, wu1)
-        if pv0 < pv1 and pu0 < pu1:
-            painted = _painted_mask((pv0, pv1, pu0, pu1),
-                                    current.spans[pv0 - v0:pv1 - v0])
+        part = _painted_part(current, wv0, wv1, wu0, wu1)
+        if part is not None:
+            (pv0, pv1, pu0, pu1), painted = part
             box = mask[pv0 - wv0:pv1 - wv0, pu0 - wu0:pu1 - wu0]
             if _vehicle_stands_out(current.sigma):
                 box |= painted
             else:
-                _, road, vehicle = _noise_tables(current.sigma)
-                # "wrap" only skips the bounds check, as in `_noisy_patch`
-                a = np.take(road, background.slots[pv0:pv1, pu0:pu1],
-                            mode="wrap")
-                b = np.take(vehicle, slots[pv0 - wv0:pv1 - wv0, pu0:pu1],
-                            mode="wrap")
+                a, b = (_box_pixels(f, pv0, pv1, pu0, pu1)
+                        for f in (background, current))
                 # |a - b| in uint8 without widening casts
                 np.copyto(box, np.maximum(a, b) - np.minimum(a, b) > THRESHOLD,
                           where=painted)

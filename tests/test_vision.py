@@ -122,9 +122,10 @@ def _assert_background_outside_box(noisy):
     and their vehicle pixel on them."""
     v0 = noisy.painted[0]
     _, background, vehicle = vision._noise_tables(noisy.sigma)
-    expected = background[noisy.slots]
+    slots = noisy.slot_rows(0, noisy.height)
+    expected = background[slots]
     for r, (c0, c1) in enumerate(noisy.spans):
-        expected[v0 + r, c0:c1] = vehicle[noisy.slots[v0 + r, c0:c1]]
+        expected[v0 + r, c0:c1] = vehicle[slots[v0 + r, c0:c1]]
     assert (noisy.pixels == expected).all()
 
 
@@ -206,7 +207,7 @@ class TestRenderMatchesReference:
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(poses, near_horizon), st.floats(1.0, 8.0),
            st.floats(0.5, 3.0), st.floats(0.3, 1.4), st.floats(3.0, 15.0),
-           st.floats(-math.pi, math.pi), st.floats(-0.5, 0.5))
+           st.floats(-math.pi, math.pi), st.floats(-math.pi, math.pi))
     def test_noise_free(self, pose, length, width, pitch, z, yaw, roll):
         camera = make_camera(z=z, pitch=pitch, yaw=yaw, roll=roll)
         if isinstance(pose, tuple):
@@ -221,22 +222,24 @@ class TestRenderMatchesReference:
         lo, hi = fr.spans.T
         assert fr.spans.shape == (v1 - v0, 2)
         assert ((u0 <= lo) & (lo <= hi) & (hi <= u1)).all()
-        assert (vision._span_patch(painted, fr.spans)
-                == px[v0:v1, u0:u1]).all()
+        assert (vision._box_pixels(fr, *painted) == px[v0:v1, u0:u1]).all()
         assert fr.pixels.dtype == np.uint8 and not fr.pixels.flags.writeable
         assert (fr.pixels == px).all()
+        # a box from beyond the painted box's corner to across its middle
+        a, b = (v0 + v1) // 2, min(v1 + 3, fr.height)
+        c, d = max(u0 - 3, 0), (u0 + u1) // 2 + 1
+        assert (vision._box_pixels(fr, a, b, c, d)
+                == fr.pixels[a:b, c:d]).all()
         assert (fr.height, fr.width) == px.shape
 
-    @settings(max_examples=100, deadline=None)
-    @given(poses, st.floats(1.0, 8.0), st.floats(0.5, 3.0))
-    def test_clockwise_quad(self, default_camera, pose, length, width):
-        # a negative length lists the same rectangle's corners in the other
-        # winding, which the renderer tests with each edge's terms negated
-        fr = render_frame(default_camera, pose, (-length, width), 0.5)
-        px, painted = _reference_render(default_camera, pose,
-                                        (-length, width), 0.5)
-        assert fr.painted == painted
-        assert (fr.pixels == px).all()
+    @pytest.mark.parametrize("dims", [(-4.5, 2.0), (4.5, 0.0)],
+                             ids=["negative_length", "zero_width"])
+    def test_refuses_non_positive_dims(self, default_camera, dims):
+        # a camera above the road sees every quad in one winding, the only
+        # one the renderer tests; a negative length would list the corners
+        # in the other, and a zero width paints a line
+        with pytest.raises(ValueError, match="vehicle_dims"):
+            render_frame(default_camera, Pose2D(20.0, 0.0, 0.0), dims, 0.5)
 
     def test_pixels_on_an_edge_are_painted(self, default_camera):
         # the near edge of this pose projects exactly onto pixel row 400,
@@ -263,8 +266,7 @@ class TestRenderMatchesReference:
             assert fr.painted == painted == render_frame(
                 default_camera, pose, DIMS, 0.5).painted
             v0, v1, u0, u1 = painted
-            assert (vision._noisy_patch(sigma, painted, fr.spans,
-                                        fr.slots[v0:v1, u0:u1])
+            assert (vision._box_pixels(fr, *painted)
                     == px[v0:v1, u0:u1]).all()
             assert (fr.pixels == px).all()
             _assert_background_outside_box(fr)
@@ -531,7 +533,7 @@ class TestNoisyFrames:
                 assert rows.shape == (b - a, width)
                 assert not rows.flags.writeable
                 assert (rows == eager[k][a:b]).all(), (k, a, b)
-            assert (frames[k].slots == eager[k]).all()
+            assert (frames[k].slot_rows(0, height) == eager[k]).all()
         assert rng.bit_generator.state == state
 
     @pytest.mark.parametrize("bit_generator",
@@ -1267,6 +1269,13 @@ class TestSearchWindow:
                        (v0 - 9, v1 + 9, u0 - 9, u1 + 9)]:
             assert repr(vision._foreground_components(bg, cur, window)) == (
                 repr(_in_window(whole, window, h, w)))
+            # the window's pixels, from a twin of the frame that draws only
+            # the window's rows
+            twin = Frame(cur.spans, cur.capture_time, cur.painted, h, w,
+                         cur.noise, sigma)
+            a, b, c, d = window
+            assert (vision._box_pixels(twin, *window)
+                    == cur.pixels[a:b, c:d]).all()
 
     def test_noise_free_vehicle_at_a_window_edge(self):
         # a vehicle on rows 20-29 and columns 10-39 is a candidate only in
